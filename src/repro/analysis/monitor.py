@@ -65,7 +65,7 @@ class RegistryMonitor:
     def _run(self) -> Generator:
         while not self._stopped:
             self.samples.append(self._sample())
-            yield self.env.timeout(self.interval)
+            yield self.interval
 
     def _sample(self) -> Sample:
         backlog = 0

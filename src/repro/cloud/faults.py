@@ -81,7 +81,7 @@ class CacheFailureInjector:
             )
 
     def _fail_at(self, at: float, site: str) -> Generator:
-        yield self.env.timeout(at)
+        yield at
         self.registries[site].cache.fail_primary()
         self.events.append(
             FaultEvent(self.env.now, "cache-primary-failure", site)
@@ -114,7 +114,7 @@ class LatencySpikeInjector:
     def _spike(
         self, a: str, b: str, start: float, duration: float, factor: float
     ) -> Generator:
-        yield self.env.timeout(start)
+        yield start
         fwd = self.topology.link(a, b)
         bwd = self.topology.link(b, a)
         original = (fwd.latency, bwd.latency)
@@ -128,7 +128,7 @@ class LatencySpikeInjector:
                 f"x{factor}",
             )
         )
-        yield self.env.timeout(duration)
+        yield duration
         fwd.latency, bwd.latency = original
         self.events.append(
             FaultEvent(self.env.now, "latency-spike-end", f"{a}<->{b}")
@@ -179,7 +179,7 @@ class SiteOutage:
         )
 
     def _outage(self, start: float, duration: float) -> Generator:
-        yield self.env.timeout(start)
+        yield start
         if self.network is not None:
             # Data plane first: connections through the site die at the
             # instant the site goes dark.
@@ -195,7 +195,7 @@ class SiteOutage:
                     f"aborted_flows={self.aborted_flows}",
                 )
             )
-            yield self.env.timeout(duration)
+            yield duration
             self.events.append(
                 FaultEvent(self.env.now, "site-outage-end", self.site)
             )
@@ -213,7 +213,7 @@ class SiteOutage:
                 f"aborted_flows={self.aborted_flows}",
             )
         )
-        yield self.env.timeout(duration)
+        yield duration
         for req in requests:
             req.cancel()
         self.events.append(
@@ -284,7 +284,7 @@ class RegionOutage:
         )
 
     def _outage(self, start: float, duration: float) -> Generator:
-        yield self.env.timeout(start)
+        yield start
         label = ",".join(self.sites)
         if self.network is not None:
             # Data plane first, in one batch: every connection through
@@ -313,7 +313,7 @@ class RegionOutage:
                 f"aborted_flows={self.aborted_flows}",
             )
         )
-        yield self.env.timeout(duration)
+        yield duration
         for req in requests:
             req.cancel()
         self.events.append(
@@ -364,7 +364,7 @@ class LinkFlapInjector:
         for at in times:
             # Times are absolute sim instants; one already in the past
             # (injector built mid-run) fires immediately.
-            yield self.env.timeout(max(0.0, at - self.env.now))
+            yield max(0.0, at - self.env.now)
             n = self.network.flap_link(
                 self.a, self.b, bidirectional=bidirectional
             )

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterable, Optional, Tuple
 
-from repro.sim import Environment, Resource, Timeout
+from repro.sim import Environment, Resource
 from repro.cloud.flow import FairShareLink, FlowAborted, FlowNetwork
 from repro.cloud.topology import CloudTopology
 from repro.obs import NULL_TRACER
@@ -428,7 +428,7 @@ class Network:
                     )
                     if down <= 0:
                         break
-                    yield self.env.timeout(down)
+                    yield down
                 # Transmission at the link's max-min fair share, then
                 # propagation (+ jitter): the last byte arrives one link
                 # latency after it was transmitted.
@@ -451,49 +451,19 @@ class Network:
                     continue
                 break
             link = self._route(src, dst)[0]
-            yield Timeout(
-                self.env,
-                link.latency + self.PER_MESSAGE_OVERHEAD + self._jitter(link),
-            )
+            yield link.latency + self.PER_MESSAGE_OVERHEAD + self._jitter(link)
         else:
-            slots = self._slots(src, dst)
-            if slots is None:
-                yield Timeout(self.env, self.one_way_delay(src, dst, size))
+            leg = self._start_leg(src, dst, size)
+            if leg is None:
+                yield from self._queued_leg(src, dst, size)
             else:
-                req = slots.try_acquire()
-                if req is not None:
-                    # Uncontended link: slot claimed synchronously, pay
-                    # only the transmission timeout.
-                    try:
-                        yield Timeout(
-                            self.env, self.one_way_delay(src, dst, size)
-                        )
-                    finally:
-                        slots._release(req)
-                else:
-                    with slots.request() as req:
-                        yield req
-                        # Sample the delay only once the slot is held:
-                        # the draw order still follows the FIFO grant
-                        # order, but the sampled jitter now belongs to
-                        # the actual transmission, not the enqueue
-                        # instant.
-                        yield Timeout(
-                            self.env, self.one_way_delay(src, dst, size)
-                        )
-        # Inlined _account: transfer is the only caller and runs hot.
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += size
-        stats.total_latency += self.env.now - msg.sent_at
-        route = self._routes.get((src, dst))
-        dist = route[1] if route is not None else self._route(src, dst)[1]
-        if dist == "LOCAL":
-            stats.local_messages += 1
-        elif dist == "SAME_REGION":
-            stats.same_region_messages += 1
-        else:
-            stats.geo_distant_messages += 1
+                delay, held = leg
+                try:
+                    yield delay
+                finally:
+                    if held is not None:
+                        held.cancel()
+        self._account(src, dst, size, msg.sent_at)
         if trace:
             latency = self.env.now - msg.sent_at
             self._tracer.emit(
@@ -524,7 +494,64 @@ class Network:
         at the network's ``rpc_weight`` (metadata hot-path priority) and
         retransmit on fault teardown -- an RPC's endpoints are fixed, so
         unlike a storage fetch it cannot re-source around a failure.
+
+        Untraced slots-model RPCs run both legs in the returned
+        generator's own frame (see :meth:`_slots_rpc`); fair-model and
+        traced ones run each leg through :meth:`transfer`.  Both give
+        the same timings, RNG draws and :class:`NetworkStats`.
         """
+        if self._fair or self._trace_net or self._trace_span:
+            return self._transfer_rpc(
+                src, dst, service, request_size, response_size
+            )
+        return self._slots_rpc(src, dst, service, request_size, response_size)
+
+    def _slots_rpc(
+        self, src, dst, service, request_size, response_size
+    ) -> Generator:
+        """:meth:`rpc` with both legs in this frame (untraced slots model).
+
+        Each leg is :meth:`transfer`'s slots branch inlined: start it with
+        :meth:`_start_leg`, sleep out its delay (or queue for the link
+        via :meth:`_queued_leg` when contended), then :meth:`_account`.
+        """
+        env = self.env
+        sent = env.now
+        leg = self._start_leg(src, dst, request_size)
+        if leg is None:
+            yield from self._queued_leg(src, dst, request_size)
+        else:
+            delay, held = leg
+            try:
+                yield delay
+            finally:
+                if held is not None:
+                    held.cancel()
+        self._account(src, dst, request_size, sent)
+        if hasattr(service, "send"):
+            result = yield from service
+        elif callable(service):
+            result = service()
+        else:
+            result = service
+        sent = env.now
+        leg = self._start_leg(dst, src, response_size)
+        if leg is None:
+            yield from self._queued_leg(dst, src, response_size)
+        else:
+            delay, held = leg
+            try:
+                yield delay
+            finally:
+                if held is not None:
+                    held.cancel()
+        self._account(dst, src, response_size, sent)
+        return result
+
+    def _transfer_rpc(
+        self, src, dst, service, request_size, response_size
+    ) -> Generator:
+        """:meth:`rpc` with each leg a :meth:`transfer` (fair or traced)."""
         trace = self._trace_net
         sp = (
             self._tracer.span("rpc", src=src, dst=dst)
@@ -562,6 +589,47 @@ class Network:
         if sp is not None:
             sp.finish(request_s=t1 - t0, service_s=t2 - t1)
         return result
+
+    # -- slots-model legs (shared by transfer and the one-frame rpc) ----------
+
+    def _start_leg(self, src: str, dst: str, size: int):
+        """Start a slots-model leg that needs no queueing.
+
+        Returns ``(delay, held)``: the sampled one-way delay and the link
+        slot claimed for it through :meth:`Resource.try_acquire` (``None``
+        for a local leg, which takes no slot).  Returns ``None`` when the
+        link is contended; the caller then runs :meth:`_queued_leg`.
+        """
+        if src == dst:
+            return self.one_way_delay(src, dst, size), None
+        held = self._slots(src, dst).try_acquire()
+        if held is None:
+            return None
+        return self.one_way_delay(src, dst, size), held
+
+    def _queued_leg(self, src: str, dst: str, size: int) -> Generator:
+        """Process: a contended slots-model leg -- queue, then transmit."""
+        with self._link_slots[(src, dst)].request() as req:
+            yield req
+            # Sample the delay only once the slot is held: the draw order
+            # still follows the FIFO grant order, but the sampled jitter
+            # belongs to the actual transmission, not the enqueue instant.
+            yield self.one_way_delay(src, dst, size)
+
+    def _account(self, src: str, dst: str, size: int, sent_at: float) -> None:
+        """Record one delivered message in :attr:`stats`."""
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += size
+        stats.total_latency += self.env.now - sent_at
+        route = self._routes.get((src, dst))
+        dist = route[1] if route is not None else self._route(src, dst)[1]
+        if dist == "LOCAL":
+            stats.local_messages += 1
+        elif dist == "SAME_REGION":
+            stats.same_region_messages += 1
+        else:
+            stats.geo_distant_messages += 1
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()

@@ -97,7 +97,7 @@ class VirtualMachine:
             if self.env.now < self.warm_at:
                 duration *= self.warmup_factor
             start = self.env.now
-            yield self.env.timeout(duration)
+            yield duration
             self.busy_time += self.env.now - start
             self.tasks_executed += 1
 

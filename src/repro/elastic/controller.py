@@ -167,7 +167,7 @@ class ElasticController:
     def _loop(self):
         interval = self.spec.interval_s
         while True:
-            yield self._env.timeout(interval)
+            yield interval
             self._finalize_drains()
             snap = self._sample()
             fleet = self._fleet_view()
@@ -237,7 +237,7 @@ class ElasticController:
         )
 
     def _provision(self, site: str, count: int):
-        yield self._env.timeout(self.spec.lag_s)
+        yield self.spec.lag_s
         self.deployment.add_vms(
             site,
             count,

@@ -145,7 +145,7 @@ def run_synthetic_workload(
             w = int(rng.integers(n_writers))
             if progress[w] == 0:
                 # Nothing published by that writer yet: let writers run.
-                yield env.timeout(0.05)
+                yield 0.05
                 continue
             j = int(rng.integers(progress[w]))
             yield from strat.read(

@@ -113,7 +113,7 @@ class SyncAgent:
             # (the degradation regime), start the next one immediately.
             remaining = self.config.sync_period - self.last_cycle_duration
             if remaining > 0:
-                yield self.env.timeout(remaining)
+                yield remaining
 
     def _one_cycle(self) -> Generator:
         """Poll every instance, then propagate deltas to the others."""

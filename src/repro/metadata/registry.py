@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.sim import Environment, Resource, Timeout
+from repro.sim import Environment, Resource
 from repro.cloud.network import Network
 from repro.metadata.cache import CacheManager
 from repro.metadata.config import MetadataConfig
@@ -78,14 +78,14 @@ class MetadataRegistry:
                     )
                     self._h_wait.add(wait)
                 start = self.env.now
-                yield Timeout(self.env, duration)
+                yield duration
                 self.busy_time += self.env.now - start
         else:
             # Uncontended: the slot was claimed synchronously, so the op
             # pays only its service timeout (no same-instant grant hop).
             try:
                 start = self.env.now
-                yield Timeout(self.env, duration)
+                yield duration
                 self.busy_time += self.env.now - start
             finally:
                 server._release(req)
@@ -147,17 +147,18 @@ class MetadataRegistry:
         return updates, new_cursor
 
     # -- convenience for client-side invocation -----------------------------------
+    # Each helper returns the ``network.rpc`` process itself instead of
+    # wrapping it in a generator: one frame less per resumption.
 
     def rpc_get(self, network: Network, from_site: str, key: str) -> Generator:
         """Client-side helper: full RPC for a get."""
-        result = yield from network.rpc(
+        return network.rpc(
             from_site,
             self.site,
             self.serve_get(key),
             request_size=self.config.request_size,
             response_size=self.config.response_size,
         )
-        return result
 
     def rpc_put(
         self,
@@ -166,7 +167,7 @@ class MetadataRegistry:
         entry: RegistryEntry,
         expected_version: Optional[int] = None,
     ) -> Generator:
-        result = yield from network.rpc(
+        return network.rpc(
             from_site,
             self.site,
             self.serve_put(entry, expected_version),
@@ -174,20 +175,18 @@ class MetadataRegistry:
             + entry.serialized_size(),
             response_size=self.config.response_size,
         )
-        return result
 
     def rpc_merge_batch(
         self, network: Network, from_site: str, entries: List[RegistryEntry]
     ) -> Generator:
         size = sum(e.serialized_size() for e in entries)
-        result = yield from network.rpc(
+        return network.rpc(
             from_site,
             self.site,
             self.serve_merge_batch(entries),
             request_size=self.config.request_size + size,
             response_size=self.config.response_size,
         )
-        return result
 
     # -- introspection ---------------------------------------------------------------
 

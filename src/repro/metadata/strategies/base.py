@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.sim import Environment, Timeout
+from repro.sim import Environment
 from repro.cloud.network import Network
 from repro.metadata.config import MetadataConfig
 from repro.obs import NULL_TRACER
@@ -114,7 +114,7 @@ class MetadataStrategy:
         """
         start = self.env.now
         if self.config.client_overhead > 0:
-            yield Timeout(self.env, self.config.client_overhead)
+            yield self.config.client_overhead
         stored, local = yield from self._do_write(site, entry)
         self.stats.record(
             OpKind.WRITE, entry.key, site, start, self.env.now,
@@ -141,7 +141,7 @@ class MetadataStrategy:
         """
         start = self.env.now
         if self.config.client_overhead > 0:
-            yield Timeout(self.env, self.config.client_overhead)
+            yield self.config.client_overhead
         retries = 0
         while True:
             entry, local = yield from self._do_read(site, key)
@@ -154,7 +154,7 @@ class MetadataStrategy:
                 self.config.read_retry_interval
                 * (self.config.read_retry_backoff**retries),
             )
-            yield Timeout(self.env, delay)
+            yield delay
             retries += 1
         self.stats.record(
             OpKind.READ, key, site, start, self.env.now,

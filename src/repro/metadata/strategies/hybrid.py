@@ -159,7 +159,7 @@ class HybridStrategy(MetadataStrategy):
     def flush(self) -> Generator:
         """Wait until every pump's backlog has drained."""
         while any(p.backlog > 0 for p in self.pumps.values()):
-            yield self.env.timeout(self.config.replication_flush_interval)
+            yield self.config.replication_flush_interval
 
     def shutdown(self) -> None:
         for pump in self.pumps.values():

@@ -93,7 +93,7 @@ class ReplicatedStrategy(MetadataStrategy):
     def flush(self) -> Generator:
         """Wait until the agent has propagated everything written so far."""
         while self.agent.lag > 0 or self.tracker.pending > 0:
-            yield self.env.timeout(self.config.sync_period / 2)
+            yield self.config.sync_period / 2
 
     def shutdown(self) -> None:
         self.agent.stop()

@@ -64,7 +64,7 @@ class ArtifactDiff:
         default_factory=dict
     )
     #: provenance key -> (value in A, value in B); changed keys only
-    #: (queue backend, flow solver, processed-event count).
+    #: (flow solver, processed-event count).
     provenance: Dict[str, Tuple[Any, Any]] = field(default_factory=dict)
     #: SLO rule -> (verdict label in A, verdict label in B); present
     #: whenever either artifact carries an ``slo`` block (``None`` on

@@ -125,9 +125,9 @@ def scenario_result_to_dict(
     Carries the full spec (so the artifact alone reproduces the run
     via ``ScenarioSpec.from_dict(doc["spec"]).run()``), the spec's
     content hash, the flat ``metrics`` diff keys, the fault events
-    that fired, execution ``provenance`` (kernel queue backend, flow
-    solver mode, processed-event count -- facts about *how* the run
-    was computed, surfaced separately by ``repro.cli diff``), the
+    that fired, execution ``provenance`` (flow solver mode,
+    processed-event count -- facts about *how* the run was computed,
+    surfaced separately by ``repro.cli diff``), the
     observability summary under ``obs`` when tracing was on, and the
     surface's native payload under ``result``.
     """

@@ -13,13 +13,17 @@ pseudo-code of the distributed protocol it models::
     env = Environment()
 
     def client(env, registry):
-        yield env.timeout(0.5)          # think time
+        yield 0.5                        # think time: sleep
         with registry.request() as req:  # queue at a bounded resource
             yield req
-            yield env.timeout(0.001)     # service time
+            yield 0.001                  # service time
 
     env.process(client(env, registry))
     env.run()
+
+Yielding a bare delay sleeps; build a :class:`Timeout`
+(``env.timeout(d)``) only for a wait that is composed (``AnyOf``),
+shared, cancelled or rescheduled.
 
 Public API
 ----------

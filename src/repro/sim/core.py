@@ -9,7 +9,10 @@ The design mirrors the well-known process-interaction DES architecture:
   *pending -> triggered -> processed* and fans out to callbacks;
 - a :class:`Process` wraps a Python generator; each ``yield`` suspends the
   process until the yielded event fires, and event values/exceptions are
-  sent/thrown back into the generator.
+  sent/thrown back into the generator.  A process that yields a bare
+  non-negative number instead *sleeps* for that long: the calendar entry
+  names the process itself, so the wake-up needs no event object, no
+  callbacks list and no bound method.
 
 Determinism is a hard requirement here (experiments must be exactly
 reproducible), hence the explicit tie-breaking sequence counter and the
@@ -17,22 +20,19 @@ absence of any wall-clock or hash-order dependence.
 
 Kernel-level optimizations serve high event-churn workloads (the
 flow-level bandwidth model reschedules every affected transfer whenever
-a flow starts or finishes):
+a flow starts or finishes, and every network leg and service time of
+the metadata hot path is a wait):
 
 - ``Event``/``Timeout``/``Process`` declare ``__slots__``;
+- a sleep is scheduled at exactly the point, and with exactly the key,
+  that ``Timeout(env, delay)`` would have been, so swapping one for the
+  other changes no pop order (``tests/sim/test_queue_backends.py``);
 - calendar entries are lazily deleted: :meth:`Environment.reschedule`
   invalidates the old heap entry in O(1) and pushes a re-keyed one in
   O(log n), instead of rebuilding the heap.  Dead entries are skipped
   (and purged) as they surface, and when more than half the calendar is
   dead the whole queue is compacted in one O(n) pass so rebalance churn
-  can never grow the calendar without bound;
-- two interchangeable calendar backends sit behind the same
-  ``Environment`` API: the default binary heap, and a bucketed calendar
-  queue (``Environment(queue="bucket")``) that spreads entries over
-  fixed-width time buckets with a small heap per bucket.  Pop order is
-  identical by construction (both orders are the total order on the
-  ``(time, priority, sequence)`` key), which
-  ``tests/sim/test_queue_backends.py`` pins down.
+  can never grow the calendar without bound.
 
 See ``docs/performance.md`` for the profiling workflow these choices
 came from.
@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 from heapq import heappop, heappush
 from itertools import count
+from numbers import Real
 from typing import (
     Any,
     Callable,
@@ -68,6 +69,13 @@ __all__ = [
 ]
 
 _INF = float("inf")
+
+
+def _invalid_delay(delay: Any) -> ValueError:
+    """The error for a delay that fails ``delay >= 0`` (negative or NaN)."""
+    return ValueError(
+        f"{'Negative' if delay < 0 else 'Invalid'} delay {delay!r}"
+    )
 
 
 class SimulationError(Exception):
@@ -102,6 +110,17 @@ class EventPriority:
 
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
 _PENDING = object()
+
+
+class _Wake:
+    """The outcome a sleeping process is resumed with: success, ``None``."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_WAKE = _Wake()
 
 
 class Event:
@@ -218,31 +237,30 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
+
+    A process that only waits out a delay should yield the bare number
+    instead (see :class:`Process`); a ``Timeout`` is for waits that are
+    composed (``AnyOf``), shared, rescheduled or cancelled.
+    """
 
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"Negative delay {delay!r}")
+        if not delay >= 0:
+            raise _invalid_delay(delay)
         # Flattened Event.__init__ + triggering: a timeout is born
-        # triggered, and this constructor sits on the hottest allocation
-        # path in the simulator (every network leg and service time is a
-        # Timeout), so it pays to skip the two-level super() chain.
+        # triggered, so it pays to skip the two-level super() chain.
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self.defused = False
         self._delay = delay
-        # Inlined Environment._schedule (NORMAL priority): one less call
-        # on the single most frequent allocation in the simulator.
+        # Inlined Environment._schedule (NORMAL priority).
         entry = [env.now + delay, 1, next(env._seq), self]
         self._entry = entry
-        if env._bucket is None:
-            heappush(env._queue, entry)
-        else:
-            env._bucket.push(entry)
+        heappush(env._queue, entry)
         if env._trace_kernel:
             env.tracer.emit(
                 "kernel", "schedule",
@@ -267,10 +285,7 @@ class Initialize(Event):
         # Inlined Environment._schedule (URGENT priority, zero delay).
         entry = [env.now, 0, next(env._seq), self]
         self._entry = entry
-        if env._bucket is None:
-            heappush(env._queue, entry)
-        else:
-            env._bucket.push(entry)
+        heappush(env._queue, entry)
         if env._trace_kernel:
             env.tracer.emit(
                 "kernel", "schedule",
@@ -304,6 +319,11 @@ class Process(Event):
 
     - ``yield some_event`` suspends until the event fires; its value is the
       result of the ``yield`` expression, or the exception is thrown in.
+    - ``yield delay`` (a non-negative real number, numpy scalars
+      included; ``bool`` is rejected) sleeps for ``delay``: the calendar
+      entry ``Timeout(env, delay)`` would have made names the process
+      instead, and the ``yield`` evaluates to ``None``.  While asleep
+      the process's own ``_entry`` is that wake-up entry.
     - ``return value`` (or ``StopIteration``) makes the process event
       succeed with ``value``, waking anything waiting on the process.
     """
@@ -331,21 +351,23 @@ class Process(Event):
 
         Interrupting a dead process is an error; interrupting a process
         that is about to be resumed is safe (the interrupt wins because it
-        is scheduled URGENT).
+        is scheduled URGENT).  A sleeping process's wake-up is withdrawn.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        if self._target is self.env.active_process:
+        if self is self.env.active_process:
             raise SimulationError("A process cannot interrupt itself")
         wakeup = Event(self.env)
         wakeup._ok = False
         wakeup._value = Interrupt(cause)
         wakeup.callbacks = [self._resume]
         self.env._schedule(wakeup, EventPriority.URGENT)
-        # Detach from the event we were waiting on: it must no longer
-        # resume us when it fires (we might be waiting on something new by
-        # then, or be dead).
-        if self._target is not None and self._target.callbacks is not None:
+        # Detach from the wake-up or event we were waiting on: it must no
+        # longer resume us when it fires (we might be waiting on something
+        # new by then, or be dead).
+        if self._entry is not None:
+            self.env.cancel(self)  # asleep: withdraw the wake-up
+        elif self._target is not None and self._target.callbacks is not None:
             try:
                 self._target.callbacks.remove(self._resume)
             except ValueError:
@@ -374,6 +396,25 @@ class Process(Event):
             return
         env._active_process = None
 
+        cls = next_target.__class__
+        if cls is float or cls is int or (
+            cls is not bool
+            and not isinstance(next_target, Event)
+            and isinstance(next_target, Real)
+        ):
+            # Sleep: schedule the process itself where Timeout(env,
+            # next_target) would have gone (same key, same sequence).
+            if not next_target >= 0:
+                raise _invalid_delay(next_target)
+            entry = [env.now + next_target, 1, next(env._seq), self]
+            self._entry = entry
+            heappush(env._queue, entry)
+            if env._trace_kernel:
+                env.tracer.emit(
+                    "kernel", "schedule",
+                    t=entry[0], prio=1, kind="Timeout", depth=len(env._queue),
+                )
+            return
         if not isinstance(next_target, Event):
             raise SimulationError(
                 f"Process {self.name!r} yielded non-event {next_target!r}"
@@ -454,100 +495,6 @@ class AnyOf(ConditionEvent):
         return fired >= 1
 
 
-class BucketQueue:
-    """A calendar (bucketed) event queue with heap-identical pop order.
-
-    Entries are spread over fixed-width time buckets; each bucket is a
-    small binary heap on the full ``(time, priority, seq)`` key and a
-    heap of bucket indices tracks the earliest non-empty bucket.  Events
-    at non-finite times (the flow model parks stalled transfers at
-    ``inf``) live in a dedicated overflow heap that is only consulted
-    when every finite bucket has drained.
-
-    Because the bucket index is monotone in time, the minimum entry of
-    the earliest non-empty bucket *is* the global minimum, so the pop
-    sequence equals the plain heap's for any push/pop interleaving --
-    the property that lets the two backends sit behind one
-    ``Environment`` API with bit-for-bit identical simulations.
-    """
-
-    __slots__ = ("width", "_buckets", "_idx_heap", "_overflow", "_size")
-
-    def __init__(self, width: float = 1.0):
-        if not (width > 0):
-            raise ValueError(f"bucket width must be positive, got {width!r}")
-        self.width = float(width)
-        self._buckets: dict = {}
-        self._idx_heap: List[int] = []
-        self._overflow: List[list] = []
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: list) -> None:
-        when = entry[0]
-        if when == _INF or when != when:  # inf or NaN-safe guard
-            heappush(self._overflow, entry)
-        else:
-            idx = int(when / self.width)
-            bucket = self._buckets.get(idx)
-            if bucket:
-                heappush(bucket, entry)
-            else:
-                # New or drained bucket: (re)announce its index.  A
-                # drained bucket's index may still sit in the index heap;
-                # duplicates are harmless (skipped when found empty).
-                if bucket is None:
-                    self._buckets[idx] = [entry]
-                else:
-                    bucket.append(entry)
-                heappush(self._idx_heap, idx)
-        self._size += 1
-
-    def _min_bucket(self) -> Optional[list]:
-        idx_heap = self._idx_heap
-        buckets = self._buckets
-        while idx_heap:
-            bucket = buckets.get(idx_heap[0])
-            if bucket:
-                return bucket
-            heappop(idx_heap)
-        return None
-
-    def peek_entry(self) -> Optional[list]:
-        """The minimum entry without removing it (None when empty)."""
-        bucket = self._min_bucket()
-        if bucket is not None:
-            return bucket[0]
-        return self._overflow[0] if self._overflow else None
-
-    def pop(self) -> list:
-        """Remove and return the minimum entry (IndexError when empty)."""
-        bucket = self._min_bucket()
-        if bucket is None:
-            bucket = self._overflow
-        entry = heappop(bucket)
-        self._size -= 1
-        return entry
-
-    def compact(self) -> None:
-        """Drop lazily-deleted entries and rebuild the bucket heaps."""
-        alive = 0
-        for idx in list(self._buckets):
-            bucket = [e for e in self._buckets[idx] if e[3] is not None]
-            if bucket:
-                heapq.heapify(bucket)
-                self._buckets[idx] = bucket
-                alive += len(bucket)
-            else:
-                del self._buckets[idx]
-        self._idx_heap = sorted(self._buckets)
-        self._overflow = [e for e in self._overflow if e[3] is not None]
-        heapq.heapify(self._overflow)
-        self._size = alive + len(self._overflow)
-
-
 #: Compaction is considered once the calendar holds this many entries.
 _COMPACT_MIN = 64
 
@@ -561,42 +508,23 @@ class Environment:
     entries are discarded as they surface at the queue head, and
     :meth:`cancel`/:meth:`reschedule` trigger a full O(n) compaction
     whenever more than half of a non-trivial calendar is dead, so heavy
-    rebalance churn cannot grow the calendar without bound.
+    rebalance churn cannot grow the calendar without bound.  An entry
+    whose event is a still-running :class:`Process` is that process's
+    wake-up from a sleep; it is dispatched by resuming the process.
 
     Parameters
     ----------
     initial_time:
         Starting value of the virtual clock.
-    queue:
-        Calendar backend: ``"heap"`` (default; a single binary heap) or
-        ``"bucket"`` (a calendar queue of fixed-width time buckets --
-        see :class:`BucketQueue`).  Both produce identical simulations.
-    bucket_width:
-        Bucket span in simulated seconds for the ``"bucket"`` backend
-        (ignored by ``"heap"``).
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        queue: str = "heap",
-        bucket_width: float = 1.0,
-    ):
+    def __init__(self, initial_time: float = 0.0):
         #: Current simulated time (seconds by convention in this repo).
         #: A plain attribute, not a property: the kernel reads it on
         #: every schedule and the model layers on every op, so the
         #: descriptor overhead was measurable.  Treat it as read-only.
         self.now = float(initial_time)
-        if queue == "heap":
-            self._queue: Any = []
-            self._bucket: Optional[BucketQueue] = None
-        elif queue == "bucket":
-            self._bucket = BucketQueue(bucket_width)
-            self._queue = self._bucket
-        else:
-            raise ValueError(
-                f"unknown queue backend {queue!r}; expected 'heap' or 'bucket'"
-            )
+        self._queue: List[list] = []
         self._seq = count()
         self._dead = 0
         self._active_process: Optional[Process] = None
@@ -618,11 +546,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
-
-    @property
-    def queue_backend(self) -> str:
-        """Which calendar implementation this environment runs on."""
-        return "heap" if self._bucket is None else "bucket"
 
     @property
     def queued(self) -> int:
@@ -669,10 +592,7 @@ class Environment:
     ) -> None:
         entry = [self.now + delay, priority, next(self._seq), event]
         event._entry = entry
-        if self._bucket is None:
-            heappush(self._queue, entry)
-        else:
-            self._bucket.push(entry)
+        heappush(self._queue, entry)
         if self._trace_kernel:
             self.tracer.emit(
                 "kernel", "schedule",
@@ -694,8 +614,8 @@ class Environment:
         the completion of each affected transfer.  The entry's priority
         is preserved unless a new one is given.
         """
-        if delay < 0:
-            raise ValueError(f"Negative delay {delay!r}")
+        if not delay >= 0:
+            raise _invalid_delay(delay)
         entry = event._entry
         if entry is None or entry[3] is None or event.processed:
             raise SimulationError(f"{event!r} is not scheduled; cannot reschedule")
@@ -741,12 +661,9 @@ class Environment:
         seq)`` key, so re-heapifying the surviving entries cannot change
         the pop sequence.
         """
-        if self._bucket is None:
-            queue = self._queue
-            queue[:] = [e for e in queue if e[3] is not None]
-            heapq.heapify(queue)
-        else:
-            self._bucket.compact()
+        queue = self._queue
+        queue[:] = [e for e in queue if e[3] is not None]
+        heapq.heapify(queue)
         self._dead = 0
 
     def peek(self) -> float:
@@ -755,40 +672,22 @@ class Environment:
         Purges lazily-deleted entries from the queue head as a side effect.
         """
         queue = self._queue
-        if self._bucket is None:
-            while queue and queue[0][3] is None:
-                heappop(queue)
-                self._dead -= 1
-            return queue[0][0] if queue else _INF
-        while queue:
-            entry = queue.peek_entry()
-            if entry[3] is not None:
-                return entry[0]
-            queue.pop()
+        while queue and queue[0][3] is None:
+            heappop(queue)
             self._dead -= 1
-        return _INF
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Pop and process exactly one (live) event."""
         queue = self._queue
-        if self._bucket is None:
-            while queue:
-                entry = heappop(queue)
-                event = entry[3]
-                if event is not None:
-                    break
-                self._dead -= 1  # lazily-deleted (cancelled or rescheduled)
-            else:
-                raise SimulationError("No scheduled events")
+        while queue:
+            entry = heappop(queue)
+            event = entry[3]
+            if event is not None:
+                break
+            self._dead -= 1  # lazily-deleted (cancelled or rescheduled)
         else:
-            while queue:
-                entry = queue.pop()
-                event = entry[3]
-                if event is not None:
-                    break
-                self._dead -= 1
-            else:
-                raise SimulationError("No scheduled events")
+            raise SimulationError("No scheduled events")
         self.now = entry[0]
         self.events_processed += 1
         if self._trace_kernel:
@@ -797,6 +696,9 @@ class Environment:
                 t=entry[0], prio=entry[1], depth=len(queue),
             )
         event._entry = None
+        if event._ok is None:
+            event._resume(_WAKE)  # a sleeping process's wake-up
+            return
         callbacks = event.callbacks
         event.callbacks = None
         for cb in callbacks:
@@ -831,9 +733,9 @@ class Environment:
                 return stop_event._value
         else:
             deadline = float(until)
-            if deadline < self.now:
+            if not deadline >= self.now:
                 raise ValueError(
-                    f"until={deadline} is in the past (now={self.now})"
+                    f"until={deadline} is NaN or in the past (now={self.now})"
                 )
 
         # The loop below is Environment.step() inlined: the entry at the
@@ -841,7 +743,6 @@ class Environment:
         # here avoids a re-peek and a method call per event -- this is
         # the hottest loop in the whole simulator.
         queue = self._queue
-        heap_mode = self._bucket is None
         trace = self._trace_kernel
         processed = 0
         # The dispatch count is kept in a local and folded back in the
@@ -853,25 +754,15 @@ class Environment:
                 if stop_event is not None and stop_event.callbacks is None:
                     break  # the 'until' event has been processed
                 # Inline peek: purge dead entries, read the horizon.
-                if heap_mode:
-                    entry = queue[0]
-                    if entry[3] is None:
-                        heappop(queue)
-                        self._dead -= 1
-                        continue
-                else:
-                    entry = queue.peek_entry()
-                    if entry[3] is None:
-                        queue.pop()
-                        self._dead -= 1
-                        continue
+                entry = queue[0]
+                if entry[3] is None:
+                    heappop(queue)
+                    self._dead -= 1
+                    continue
                 if entry[0] > deadline:
                     self.now = deadline
                     break
-                if heap_mode:
-                    heappop(queue)
-                else:
-                    queue.pop()
+                heappop(queue)
                 event = entry[3]
                 self.now = entry[0]
                 processed += 1
@@ -881,6 +772,9 @@ class Environment:
                         t=entry[0], prio=entry[1], depth=len(queue),
                     )
                 event._entry = None
+                if event._ok is None:
+                    event._resume(_WAKE)  # a sleeping process's wake-up
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 try:

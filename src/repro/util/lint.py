@@ -1,12 +1,19 @@
-"""Minimal static lint: unused imports.
+"""Minimal static lint: unused imports and yielded timeouts.
 
 The container has no third-party linter, so this module implements the
-one check the repository enforces in CI (``tests/test_lint.py``): no
-module may import a name it never uses.  Dead imports are how drift
-accumulates -- a removed feature leaves its imports behind, and the next
-reader assumes a dependency that does not exist.
+checks the repository enforces in CI (``tests/test_lint.py``):
 
-The check is deliberately conservative (AST-based, no name resolution):
+- **unused-import**: no module may import a name it never uses.  Dead
+  imports are how drift accumulates -- a removed feature leaves its
+  imports behind, and the next reader assumes a dependency that does
+  not exist.
+- **yield-timeout**: outside the kernel (``repro/sim/``), no process may
+  ``yield Timeout(...)`` or ``yield <expr>.timeout(...)``: a plain wait
+  yields the bare delay and sleeps, with no event object (see
+  :class:`repro.sim.Process`).
+
+The unused-import check is deliberately conservative (AST-based, no
+name resolution):
 
 - a name counts as *used* if it appears anywhere as an identifier load,
   or as a word inside any string literal (which covers ``__all__``
@@ -36,15 +43,23 @@ __all__ = ["Finding", "check_file", "check_tree", "main"]
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+_MESSAGES = {
+    "unused-import": "unused import '{}'",
+    "yield-timeout": "yields {}(...); yield the bare delay to sleep instead",
+}
+
+
 class Finding(NamedTuple):
-    """One unused import: ``path:line: name``."""
+    """One finding: ``path:line: message`` about ``name``."""
 
     path: str
     line: int
     name: str
+    rule: str = "unused-import"
 
     def __str__(self) -> str:
-        return f"{self.path}:{self.line}: unused import '{self.name}'"
+        message = _MESSAGES[self.rule].format(self.name)
+        return f"{self.path}:{self.line}: {message}"
 
 
 def _imported_names(tree: ast.AST) -> List[tuple]:
@@ -76,16 +91,35 @@ def _used_names(tree: ast.AST) -> set:
     return used
 
 
+def _yielded_timeouts(tree: ast.AST) -> List[tuple]:
+    """``(callee, line)`` of each ``yield Timeout(...)``/``yield x.timeout(...)``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if (isinstance(func, ast.Name) and func.id == "Timeout") or (
+                isinstance(func, ast.Attribute) and func.attr == "timeout"
+            ):
+                out.append((ast.unparse(func), node.lineno))
+    return sorted(out, key=lambda found: found[1])
+
+
 def check_file(path: "Path | str") -> List[Finding]:
-    """Unused-import findings for one Python source file."""
+    """Findings for one Python source file."""
     path = Path(path)
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)
-    return [
+    findings = [
         Finding(str(path), line, name)
         for name, line in _imported_names(tree)
         if name not in used
     ]
+    if path.resolve().parent.parts[-2:] != ("repro", "sim"):  # not the kernel
+        findings.extend(
+            Finding(str(path), line, callee, "yield-timeout")
+            for callee, line in _yielded_timeouts(tree)
+        )
+    return findings
 
 
 def check_tree(root: "Path | str") -> List[Finding]:

@@ -147,7 +147,7 @@ class TokenBucketAdmission(AdmissionController):
         admit_at = max(now, tat - tolerance)
         self._tat[tenant] = max(tat, admit_at) + period
         if admit_at > now:
-            yield self.env.timeout(admit_at - now)
+            yield admit_at - now
         self.admitted += 1
         return None
 

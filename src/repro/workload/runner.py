@@ -201,7 +201,7 @@ class WorkloadRunner:
         for i, inst in enumerate(instances):
             yield from self._submit(tenant, inst, records)
             if tenant.think_time > 0 and i + 1 < len(instances):
-                yield self.env.timeout(tenant.think_time)
+                yield tenant.think_time
 
     def _open_arrival(
         self,
@@ -213,7 +213,7 @@ class WorkloadRunner:
         """Submit one instance at its precomputed arrival offset."""
         at = started + (inst.arrival_offset or 0.0)
         if at > self.env.now:
-            yield self.env.timeout(at - self.env.now)
+            yield at - self.env.now
         yield from self._submit(tenant, inst, records)
 
     def _submit(

@@ -299,31 +299,3 @@ def test_dump_spec_round_trip_reproduces_run(tmp_path):
     assert replayed.makespan == direct.makespan
     assert replayed.node_times == direct.node_times
     assert direct.makespan == FIG5_GOLDEN["hybrid"]["makespan"]
-
-
-@pytest.mark.parametrize("strategy", sorted(FIG5_GOLDEN))
-def test_fig5_goldens_bit_for_bit_under_bucket_backend(
-    monkeypatch, strategy
-):
-    """The bucketed calendar is observationally identical to the heap.
-
-    Forcing every Environment in the run onto ``queue="bucket"`` must
-    reproduce the slots goldens exactly -- same pop order, same RNG
-    sequence, same timings.
-    """
-    from repro.sim.core import Environment
-
-    orig_init = Environment.__init__
-
-    def bucket_init(self, *args, **kwargs):
-        kwargs.setdefault("queue", "bucket")
-        orig_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Environment, "__init__", bucket_init)
-    golden = FIG5_GOLDEN[strategy]
-    run = run_synthetic_workload(
-        strategy, n_nodes=8, ops_per_node=40, seed=0
-    )
-    assert run.makespan == golden["makespan"]
-    assert run.mean_node_time == golden["mean_node_time"]
-    assert run.throughput == golden["throughput"]

@@ -136,7 +136,6 @@ class TestProvenanceSurface:
         result = small_workflow_spec().run()
         doc = scenario_result_to_dict(result)
         prov = doc["provenance"]
-        assert prov["queue_backend"] in ("heap", "bucket")
         assert prov["flow_solver"] in (
             "slots", "fair/full", "fair/incremental",
         )
@@ -147,12 +146,12 @@ class TestProvenanceSurface:
         result = small_workflow_spec().run()
         doc_a = scenario_result_to_dict(result)
         doc_b = json.loads(json.dumps(doc_a))
-        doc_b["provenance"]["queue_backend"] = "bucket-test"
+        doc_b["provenance"]["flow_solver"] = "fair/verify"
         diff = diff_artifacts(doc_a, doc_b)
         assert diff.provenance == {
-            "queue_backend": (
-                doc_a["provenance"]["queue_backend"],
-                "bucket-test",
+            "flow_solver": (
+                doc_a["provenance"]["flow_solver"],
+                "fair/verify",
             )
         }
         assert "provenance" in diff.render()

@@ -10,6 +10,13 @@ Each test pins a behavior that used to be wrong:
   ``_PENDING`` sentinel into ``fail`` and surfaced as a baffling
   ``TypeError``; it now raises a clear :class:`SimulationError`.
 
+- ``Process.interrupt`` compared the awaited event, not the process,
+  with ``env.active_process``, so a process interrupting itself was not
+  rejected: its pending wait then resumed it early and the run died.
+- NaN times passed every ``delay < 0`` / ``deadline < now`` check: a
+  NaN calendar key breaks heap order (the clock runs backwards) and
+  ``run(until=nan)`` ran everything and left ``now`` at NaN.
+
 Plus the cancel/reschedule/interrupt races the lazy-deletion calendar
 has to get right.
 """
@@ -21,6 +28,7 @@ from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
+    Timeout,
 )
 
 
@@ -197,3 +205,87 @@ class TestInterruptRaces:
         assert env.run(until=proc) == "out"
         env.run()
         assert target.processed  # fired later, resuming nobody
+
+
+class TestSelfInterrupt:
+    def test_process_cannot_interrupt_itself(self, env):
+        log = []
+
+        def selfish():
+            try:
+                env.active_process.interrupt()
+            except SimulationError as exc:
+                log.append(str(exc))
+            yield env.timeout(5)
+            log.append(env.now)
+
+        env.process(selfish())
+        env.run()
+        assert log == ["A process cannot interrupt itself", 5.0]
+
+    def test_uncaught_self_interrupt_fails_the_process(self, env):
+        """Before the fix the interrupt was delivered at the next wait,
+        the wait after that resumed at t=1 and the run then died with
+        "already triggered"."""
+        log = []
+
+        def selfish():
+            env.active_process.interrupt()
+            try:
+                yield env.timeout(1)
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield env.timeout(5)
+            log.append(env.now)
+
+        env.process(selfish())
+        with pytest.raises(SimulationError, match="cannot interrupt itself"):
+            env.run()
+        assert log == []
+
+
+NAN = float("nan")
+
+
+class TestNanTimes:
+    def test_timeout_rejects_nan(self, env):
+        with pytest.raises(ValueError, match="Invalid delay nan"):
+            Timeout(env, NAN)
+
+    def test_reschedule_rejects_nan(self, env):
+        ev = env.timeout(1.0)
+        with pytest.raises(ValueError, match="Invalid delay nan"):
+            env.reschedule(ev, NAN)
+        env.run()
+        assert env.now == 1.0  # the entry was left untouched
+
+    def test_sleep_rejects_nan(self, env):
+        def bad():
+            yield NAN
+
+        env.process(bad())
+        with pytest.raises(ValueError, match="Invalid delay nan"):
+            env.run()
+
+    @pytest.mark.parametrize("sleep", [False, True])
+    def test_clock_never_runs_backwards(self, env, sleep):
+        """Delays 3, NaN, 1, 2 used to wake at 1, 2, NaN, 3."""
+        woke = []
+
+        def sleeper(delay):
+            yield delay if sleep else env.timeout(delay)
+            woke.append(env.now)
+
+        for delay in (3.0, NAN, 1.0, 2.0):
+            env.process(sleeper(delay))
+        with pytest.raises(ValueError, match="Invalid delay nan"):
+            env.run()
+        env.run()
+        assert woke == [1.0, 2.0, 3.0]
+
+    def test_run_until_nan_rejected(self, env):
+        env.timeout(5.0)
+        with pytest.raises(ValueError, match="until=nan"):
+            env.run(until=NAN)
+        assert env.now == 0.0
+        assert env.queued == 1  # nothing ran

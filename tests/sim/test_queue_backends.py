@@ -1,11 +1,10 @@
-"""Calendar-backend equivalence and dead-entry compaction.
+"""Calendar pop order and dead-entry compaction.
 
-The ``Environment`` can run its calendar on a binary heap (default) or a
-bucketed calendar queue (``queue="bucket"``).  The contract is that the
-two are *indistinguishable*: identical pop order -- including
-same-timestamp priority and insertion-order ties -- and therefore
-identical simulations.  These tests drive both backends through the same
-schedules (plus cancel/reschedule churn) and require identical traces.
+Pop order: same-timestamp entries fire by priority, then by insertion
+order, and a process that sleeps on a bare delay is indistinguishable
+from one that yields ``Timeout(env, delay)`` -- seeded plans run both
+ways must give identical traces, including same-instant ties, resource
+queueing and cancel/reschedule churn around them.
 
 Compaction: lazy deletion leaves dead entries in the calendar; the
 kernel compacts whenever more than half of a non-trivial queue is dead,
@@ -18,8 +17,8 @@ import random
 
 import pytest
 
-from repro.sim import Environment, EventPriority
-from repro.sim.core import _COMPACT_MIN, BucketQueue
+from repro.sim import Environment, EventPriority, Resource, Timeout
+from repro.sim.core import _COMPACT_MIN
 
 
 def _trace_of(env, n_events, plan):
@@ -31,25 +30,84 @@ def _trace_of(env, n_events, plan):
     return log
 
 
-class TestPopOrderEquivalence:
-    @pytest.mark.parametrize("width", [0.1, 1.0, 7.3])
-    def test_same_trace_on_random_schedule(self, width):
-        """Heap and bucket backends pop an identical event order."""
+def _sleep(env, delay):
+    return delay
 
-        def plan(env, log):
-            rng = random.Random(42)
-            for i in range(500):
-                delay = rng.choice([0.0, 0.25, 1.0, rng.random() * 20])
-                ev = env.timeout(delay, value=i)
-                ev.callbacks.append(
-                    lambda e, i=i: log.append((e.env.now, i))
+
+def _timeout(env, delay):
+    return Timeout(env, delay)
+
+
+def _process_plan(seed, wait, n_procs=24, n_steps=30, churn=False):
+    """A seeded plan of processes whose every delay goes through ``wait``.
+
+    Each process draws a list of steps -- a plain wait, or a wait while
+    holding one of two slots of a shared resource -- with delays that
+    often coincide (0, 0.25, 1) so same-instant ties are common, and logs
+    ``(time, process, step)`` after each.  With ``churn``, a background
+    of standalone timeouts is cancelled and rescheduled around them.
+    """
+
+    def plan(env, log):
+        rng = random.Random(seed)
+        slots = Resource(env, capacity=2)
+
+        def worker(pid, steps):
+            for i, (held, delay) in enumerate(steps):
+                if held:
+                    with slots.request() as req:
+                        yield req
+                        yield wait(env, delay)
+                else:
+                    yield wait(env, delay)
+                log.append((env.now, pid, i))
+
+        for pid in range(n_procs):
+            steps = [
+                (
+                    rng.random() < 0.3,
+                    rng.choice([0, 0.0, 0.25, 1.0, rng.random() * 5]),
                 )
+                for _ in range(n_steps)
+            ]
+            env.process(worker(pid, steps))
+        if churn:
+            timers = []
+            for i in range(300):
+                ev = env.timeout(rng.random() * 10, value=i)
+                ev.callbacks.append(
+                    lambda e: log.append((e.env.now, "timer", e._value))
+                )
+                timers.append(ev)
+            for ev in timers[::3]:
+                env.cancel(ev)
+            for ev in timers[1::3]:
+                env.reschedule(ev, rng.random() * 5)
 
-        heap_trace = _trace_of(Environment(), 500, plan)
-        bucket_trace = _trace_of(
-            Environment(queue="bucket", bucket_width=width), 500, plan
+    return plan
+
+
+class TestPopOrderEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sleep_matches_timeout_on_random_plan(self, seed):
+        """Bare-delay sleeps pop in exactly the Timeout order."""
+        n = 24 * 30
+        sleeps, timeouts = Environment(), Environment()
+        slept = _trace_of(sleeps, n, _process_plan(seed, _sleep))
+        timed = _trace_of(timeouts, n, _process_plan(seed, _timeout))
+        assert slept == timed
+        assert sleeps.events_processed == timeouts.events_processed
+        assert sleeps.now == timeouts.now
+
+    def test_sleep_matches_timeout_under_cancel_and_reschedule_churn(self):
+        n = 24 * 30 + 200  # every step, plus the timers left alive
+        sleeps, timeouts = Environment(), Environment()
+        slept = _trace_of(sleeps, n, _process_plan(7, _sleep, churn=True))
+        timed = _trace_of(
+            timeouts, n, _process_plan(7, _timeout, churn=True)
         )
-        assert heap_trace == bucket_trace
+        assert slept == timed
+        assert sleeps.events_processed == timeouts.events_processed
 
     def test_priority_ties_at_same_timestamp(self):
         """URGENT < NORMAL < LOW at one instant, insertion order within."""
@@ -72,102 +130,20 @@ class TestPopOrderEquivalence:
                 )
                 env._schedule(ev, prio, 1.0)
 
-        heap_trace = _trace_of(Environment(), 6, plan)
-        bucket_trace = _trace_of(Environment(queue="bucket"), 6, plan)
-        assert heap_trace == bucket_trace
+        trace = _trace_of(Environment(), 6, plan)
         # URGENT pair first (insertion order), then NORMAL, then LOW.
-        assert [tag for _, tag in heap_trace] == [2, 4, 1, 3, 0, 5]
-
-    def test_trace_stable_under_cancel_and_reschedule_churn(self):
-        """Backends agree after interleaved cancels and reschedules."""
-
-        def plan(env, log):
-            rng = random.Random(7)
-            events = []
-            for i in range(300):
-                ev = env.timeout(rng.random() * 10, value=i)
-                ev.callbacks.append(
-                    lambda e: log.append((e.env.now, e._value))
-                )
-                events.append(ev)
-            for i in range(0, 300, 3):
-                env.cancel(events[i])
-            for i in range(1, 300, 3):
-                env.reschedule(events[i], rng.random() * 5)
-
-        def run(env):
-            log = []
-            plan(env, log)
-            env.run()
-            return log
-
-        heap_trace = run(Environment())
-        bucket_trace = run(Environment(queue="bucket", bucket_width=0.5))
-        assert heap_trace == bucket_trace
-        assert len(heap_trace) == 200
-
-    def test_nonfinite_times_go_to_overflow(self):
-        """A bucket queue accepts inf-delay entries without dying."""
-        env = Environment(queue="bucket")
-        never = env.timeout(float("inf"), value="never")
-        soon = env.timeout(1.0, value="soon")
-        fired = []
-        soon.callbacks.append(lambda e: fired.append(e._value))
-        env.run(until=10.0)
-        assert fired == ["soon"]
-        assert not never.processed
-        assert env.queued == 1  # the inf entry is still held
-
-    def test_backend_property_reports(self):
-        assert Environment().queue_backend == "heap"
-        assert Environment(queue="bucket").queue_backend == "bucket"
-        with pytest.raises(ValueError):
-            Environment(queue="calendar-wheel")
-
-
-class TestBucketQueueUnit:
-    def test_pop_orders_across_buckets(self):
-        q = BucketQueue(width=1.0)
-        entries = [
-            [5.0, 1, 0, "a"],
-            [0.5, 1, 1, "b"],
-            [0.6, 0, 2, "c"],
-            [5.0, 0, 3, "d"],
-            [2.2, 1, 4, "e"],
-        ]
-        for e in entries:
-            q.push(e)
-        assert [q.pop()[3] for _ in range(len(q))] == [
-            "b", "c", "e", "d", "a",
-        ]
-
-    def test_peek_does_not_consume(self):
-        q = BucketQueue(width=2.0)
-        q.push([3.0, 1, 0, "x"])
-        assert q.peek_entry()[3] == "x"
-        assert len(q) == 1
-
-    def test_compact_drops_dead_entries(self):
-        q = BucketQueue(width=1.0)
-        live = [1.0, 1, 0, "keep"]
-        dead = [2.0, 1, 1, None]
-        q.push(live)
-        q.push(dead)
-        q.compact()
-        assert len(q) == 1
-        assert q.pop() is live
+        assert [tag for _, tag in trace] == [2, 4, 1, 3, 0, 5]
 
 
 class TestCompaction:
-    @pytest.mark.parametrize("backend", ["heap", "bucket"])
-    def test_reschedule_churn_keeps_queue_bounded(self, backend):
+    def test_reschedule_churn_keeps_queue_bounded(self):
         """S3: heavy reschedule churn cannot grow the calendar unboundedly.
 
         Every reschedule lazily kills one entry and pushes a fresh one;
         without compaction N reschedules leave N dead entries behind.
         The 50%-dead threshold bounds the calendar at O(live).
         """
-        env = Environment(queue=backend)
+        env = Environment()
         live = 64
         events = [env.timeout(1000.0 + i) for i in range(live)]
         for round_ in range(100):

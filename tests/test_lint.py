@@ -1,8 +1,9 @@
-"""CI lint step: the source tree must stay free of unused imports.
+"""CI lint step: the source tree must stay free of unused imports and
+of processes yielding ``Timeout``/``.timeout(...)`` instead of sleeping.
 
 Backed by :mod:`repro.util.lint` (AST-based; the container ships no
 third-party linter).  Runs as part of the default pytest entry point so
-dead imports cannot creep back in.
+neither can creep back in.
 """
 
 import textwrap
@@ -81,3 +82,54 @@ class TestChecker:
         pkg.mkdir()
         (pkg / "__init__.py").write_text("from os import sep\n")
         assert not lint.check_tree(pkg)
+
+
+class TestYieldTimeout:
+    def _check(self, path, source: str):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+        return [
+            (f.name, f.line)
+            for f in lint.check_file(path)
+            if f.rule == "yield-timeout"
+        ]
+
+    FIXTURE = """
+        from repro.sim import Timeout
+
+        def proc(env, net):
+            yield Timeout(env, 1.0)
+            yield env.timeout(2.0)
+            yield net.env.timeout(3.0)
+            yield 4.0
+            timer = env.timeout(5.0)
+            yield env.any_of([timer, Timeout(env, 6.0)])
+            yield timer
+        """
+
+    def test_flags_yielded_timeout_calls(self, tmp_path):
+        assert self._check(tmp_path / "mod.py", self.FIXTURE) == [
+            ("Timeout", 5),
+            ("env.timeout", 6),
+            ("net.env.timeout", 7),
+        ]
+
+    def test_message_names_the_fix(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text("def p(env):\n    yield env.timeout(1)\n")
+        (finding,) = lint.check_file(path)
+        assert str(finding) == (
+            f"{path}:2: yields env.timeout(...); "
+            "yield the bare delay to sleep instead"
+        )
+
+    def test_kernel_package_exempt(self, tmp_path):
+        path = tmp_path / "repro" / "sim" / "mod.py"
+        assert self._check(path, self.FIXTURE) == []
+
+    def test_src_tree_yields_no_timeouts(self):
+        findings = [
+            f for f in lint.check_tree(REPO_ROOT / "src")
+            if f.rule == "yield-timeout"
+        ]
+        assert not findings, "\n".join(str(f) for f in findings)
