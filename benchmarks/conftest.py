@@ -8,7 +8,7 @@ and prints the paper-vs-measured report.  Run with::
 Workload sizes are moderated relative to the paper's exact parameters
 (documented per bench) so the whole suite completes in minutes; the
 experiment modules default to the full paper parameters for standalone
-use (``python -m repro.experiments.runner``).
+use (``python -m repro.cli figures [--jobs N]``).
 """
 
 import pytest

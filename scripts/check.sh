@@ -35,7 +35,9 @@
 #      least one scale_up event under the elastic trace category, and
 #      repro.cli analyze on it must render the capacity-timeline
 #      section (docs/elasticity.md);
-#   7. unused-import lint over the source tree.
+#   7. a figures smoke: Fig. 8 at CI sizes through the sweep path in
+#      two worker processes (repro.cli figures --jobs) must render;
+#   8. unused-import lint over the source tree.
 #
 # Usage, from the repo root:
 #   scripts/check.sh            # fast profile + lint
@@ -131,6 +133,11 @@ PY
 python -m repro.cli analyze autoscale_ramp --quick > "$TMP/elastic.txt"
 grep -q "capacity timeline" "$TMP/elastic.txt"
 grep -q "elastic policy predictive" "$TMP/elastic.txt"
+
+# Figures smoke: the paper's figures run as scenario sweeps; Fig. 8's
+# 16 quick cells in two workers must render the figure.
+python -m repro.cli figures --quick --only fig8 --jobs 2 > "$TMP/fig8.txt"
+grep -q "Fig. 8" "$TMP/fig8.txt"
 
 python -m repro.util.lint src
 

@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro.cli figures [--quick] [--only fig7]
+    python -m repro.cli figures [--quick] [--only fig7] [--jobs 4]
     python -m repro.cli simulate --strategy dr --nodes 32 --ops 1000
     python -m repro.cli advise --workflow montage --ops 1000
     python -m repro.cli advise --file my_workflow.json
@@ -36,15 +36,13 @@ from typing import List, Optional
 from repro.analysis.advisor import profile_workflow, recommend_strategy
 from repro.cloud.network import BANDWIDTH_MODELS
 from repro.elastic import ELASTICITY_NAMES, ELASTICITY_POLICIES
-from repro.experiments import (
-    run_fig1,
-    run_fig3,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fig10,
-)
+from repro.experiments.fig1_latency import run_fig1
+from repro.experiments.fig3_replication import run_fig3
+from repro.experiments.fig5_makespan import run_fig5
+from repro.experiments.fig6_progress import run_fig6
+from repro.experiments.fig7_throughput import run_fig7
+from repro.experiments.fig8_scalability import run_fig8
+from repro.experiments.fig10_workflows import run_fig10
 from repro.experiments.reporting import render_table
 from repro.metadata.controller import STRATEGIES, StrategyName
 from repro.scenario import (
@@ -72,28 +70,33 @@ from repro.workflow.traces import characterize
 
 __all__ = ["main", "build_parser"]
 
+#: Figure name -> ``(quick, jobs)`` runner; Figs. 1 and 3 are raw
+#: micro-benchmarks with no sweep to parallelise.
 FIGURES = {
-    "fig1": lambda quick: run_fig1(
+    "fig1": lambda quick, jobs: run_fig1(
         file_counts=(100, 500, 1000) if quick else (100, 500, 1000, 5000)
     ),
-    "fig3": lambda quick: run_fig3(),
-    "fig5": lambda quick: run_fig5(
+    "fig3": lambda quick, jobs: run_fig3(),
+    "fig5": lambda quick, jobs: run_fig5(
         ops_per_node=(100, 250, 500, 1000) if quick else (500, 1000, 5000, 10000),
         n_nodes=32,
+        jobs=jobs,
     ),
-    "fig6": lambda quick: run_fig6(
-        n_nodes=32, ops_per_node=1500 if quick else 5000
+    "fig6": lambda quick, jobs: run_fig6(
+        n_nodes=32, ops_per_node=1500 if quick else 5000, jobs=jobs
     ),
-    "fig7": lambda quick: run_fig7(
+    "fig7": lambda quick, jobs: run_fig7(
         node_counts=(8, 16, 32, 64) if quick else (8, 16, 32, 64, 128),
         ops_per_node=500 if quick else 5000,
+        jobs=jobs,
     ),
-    "fig8": lambda quick: run_fig8(
+    "fig8": lambda quick, jobs: run_fig8(
         node_counts=(8, 16, 32, 64) if quick else (8, 16, 32, 64, 128),
         total_ops=8000 if quick else 32000,
+        jobs=jobs,
     ),
-    "fig10": lambda quick: run_fig10(
-        scenarios=("SS", "MI") if quick else ("SS", "CI", "MI")
+    "fig10": lambda quick, jobs: run_fig10(
+        scenarios=("SS", "MI") if quick else ("SS", "CI", "MI"), jobs=jobs
     ),
 }
 
@@ -117,6 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         choices=sorted(FIGURES),
         help="run a single figure instead of all",
+    )
+    figs.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help=(
+            "run each figure's sweep cells in N worker processes "
+            "(bit-for-bit identical to serial; default 1)"
+        ),
     )
 
     sim = sub.add_parser(
@@ -548,9 +561,12 @@ def _resolve_workflow(args):
 
 
 def _cmd_figures(args) -> int:
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
     names = [args.only] if args.only else sorted(FIGURES)
     for name in names:
-        result = FIGURES[name](args.quick)
+        result = FIGURES[name](args.quick, args.jobs)
         print(f"\n=== {name} ===")
         print(result.render())
     return 0
@@ -661,8 +677,7 @@ def _spec_from_run_args(args) -> ScenarioSpec:
         or args.think_time != 0.0
         or args.arrival_rate is not None
     ):
-        # Mirrors the experiment runner's --with-workloads guard:
-        # silently running a single workflow would masquerade as an
+        # Silently running a single workflow would masquerade as an
         # admission-controlled multi-tenant run.
         raise ValueError(
             "--admission/--instances/--mode/--think-time/"

@@ -1,35 +1,12 @@
 """Experiment harness: one module per table/figure of the evaluation.
 
-Each ``figN_*`` module exposes a ``run(...)`` function returning a
+Each ``figN_*`` module exposes a ``run_figN(...)`` function returning a
 result object with the measured series plus the paper's reference
 numbers, and a ``render()`` producing the text table the benchmarks
-print.  See DESIGN.md Section 4 for the experiment index and
-EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+print.  Figs. 5-8 and 10 run as scenario sweeps over registry specs;
+``python -m repro.cli figures`` regenerates every figure.
+
+This package imports nothing eagerly: ``repro.scenario`` reaches
+``reporting`` through ``repro.workload.result`` while the figure
+modules import ``repro.scenario``, so eager imports here would cycle.
 """
-
-from repro.experiments.scenarios import SCENARIOS, ScenarioSpec
-from repro.experiments.synthetic import (
-    SyntheticResult,
-    run_synthetic_workload,
-)
-from repro.experiments.fig1_latency import run_fig1
-from repro.experiments.fig3_replication import run_fig3
-from repro.experiments.fig5_makespan import run_fig5
-from repro.experiments.fig6_progress import run_fig6
-from repro.experiments.fig7_throughput import run_fig7
-from repro.experiments.fig8_scalability import run_fig8
-from repro.experiments.fig10_workflows import run_fig10
-
-__all__ = [
-    "SCENARIOS",
-    "ScenarioSpec",
-    "SyntheticResult",
-    "run_fig1",
-    "run_fig3",
-    "run_fig5",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_fig10",
-    "run_synthetic_workload",
-]

@@ -2,15 +2,15 @@
 
 The benchmark reports are text-first (diff-able, CI-friendly); these
 helpers add visual shape to them -- horizontal bar charts for figure
-comparisons (Fig. 10-style grouped bars) and line charts for sweeps
-(Figs. 5-8) -- using plain Unicode blocks.
+comparisons and one-line sparklines for sweep shapes -- using plain
+Unicode blocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-__all__ = ["bar_chart", "line_chart", "sparkline"]
+__all__ = ["bar_chart", "sparkline"]
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 _BAR = "█"
@@ -63,48 +63,3 @@ def sparkline(values: Sequence[float]) -> str:
         out.append(_BLOCKS[idx])
     return "".join(out)
 
-
-def line_chart(
-    xs: Sequence[float],
-    series: Dict[str, Sequence[float]],
-    height: int = 12,
-    width: Optional[int] = None,
-    title: Optional[str] = None,
-) -> str:
-    """Multi-series scatter/line chart on a character grid.
-
-    Each series gets a distinct marker; the legend maps markers to
-    series names.  X positions are spread evenly (categorical axis, as
-    in the paper's node-count sweeps).
-    """
-    if not series or not xs:
-        return title or ""
-    markers = "ox+*#@%&"
-    n = len(xs)
-    width = width or max(2 * n, 24)
-    all_vals = [v for s in series.values() for v in s]
-    lo, hi = min(all_vals), max(all_vals)
-    if hi <= lo:
-        hi = lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for si, (name, ys) in enumerate(series.items()):
-        m = markers[si % len(markers)]
-        for i, y in enumerate(ys):
-            col = int(i / max(1, n - 1) * (width - 1))
-            row = height - 1 - int((y - lo) / (hi - lo) * (height - 1))
-            grid[row][col] = m
-    lines = [title] if title else []
-    for r, row in enumerate(grid):
-        level = hi - (hi - lo) * r / (height - 1)
-        lines.append(f"{level:10.1f} ┤{''.join(row)}")
-    axis_labels = "".join(
-        str(x).ljust(max(1, (width // max(1, n)))) for x in xs
-    )[:width]
-    lines.append(" " * 11 + "└" + "─" * width)
-    lines.append(" " * 12 + axis_labels)
-    legend = "  ".join(
-        f"{markers[i % len(markers)]}={name}"
-        for i, name in enumerate(series)
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
-from repro.experiments.synthetic import run_synthetic_workload
+from repro.scenario import get_scenario, iter_sweep
 
 __all__ = ["Fig5Result", "run_fig5", "PAPER_OPS_PER_NODE"]
 
@@ -112,23 +112,23 @@ class Fig5Result:
 def run_fig5(
     ops_per_node: Sequence[int] = PAPER_OPS_PER_NODE,
     n_nodes: int = 32,
-    strategies: Optional[Sequence[str]] = None,
     seed: int = 0,
     config: Optional[MetadataConfig] = None,
+    jobs: int = 1,
 ) -> Fig5Result:
-    strategies = list(strategies or StrategyName.all())
-    result = Fig5Result(ops_per_node=tuple(ops_per_node), n_nodes=n_nodes)
-    for strat in strategies:
-        result.mean_node_time[strat] = []
-    result.aggregate_ops = [n * n_nodes for n in ops_per_node]
-    for n_ops in ops_per_node:
-        for strat in strategies:
-            run = run_synthetic_workload(
-                strat,
-                n_nodes=n_nodes,
-                ops_per_node=n_ops,
-                seed=seed,
-                config=config,
-            )
-            result.mean_node_time[strat].append(run.mean_node_time)
+    """Sweep strategy x ops per node over ``paper_synthetic``."""
+    result = Fig5Result(
+        ops_per_node=tuple(ops_per_node),
+        n_nodes=n_nodes,
+        aggregate_ops=[n * n_nodes for n in ops_per_node],
+    )
+    for cell in iter_sweep(
+        get_scenario("paper_synthetic").replace(n_nodes=n_nodes, seed=seed),
+        {"strategy.name": StrategyName.all(), "ops_per_node": ops_per_node},
+        jobs=jobs,
+        config_base=config,
+    ):
+        result.mean_node_time.setdefault(
+            cell.overrides["strategy.name"], []
+        ).append(cell.unwrap().result.mean_node_time)
     return result

@@ -26,7 +26,7 @@ from repro.cloud.presets import azure_4dc_topology
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
-from repro.experiments.synthetic import run_synthetic_workload
+from repro.scenario import get_scenario, iter_sweep
 
 __all__ = ["Fig6Result", "run_fig6"]
 
@@ -115,7 +115,13 @@ def run_fig6(
     seed: int = 0,
     config: Optional[MetadataConfig] = None,
     percents: Sequence[float] = PROGRESS_PERCENTS,
+    jobs: int = 1,
 ) -> Fig6Result:
+    """Sweep the centralized reference and both decentralized
+    strategies over ``paper_synthetic``."""
+    base = get_scenario("paper_synthetic").replace(
+        n_nodes=n_nodes, ops_per_node=ops_per_node, seed=seed
+    )
     strategies = [
         StrategyName.CENTRALIZED,
         StrategyName.DECENTRALIZED,
@@ -124,14 +130,11 @@ def run_fig6(
     result = Fig6Result(
         n_nodes=n_nodes, ops_per_node=ops_per_node, percents=tuple(percents)
     )
-    for strat in strategies:
-        run = run_synthetic_workload(
-            strat,
-            n_nodes=n_nodes,
-            ops_per_node=ops_per_node,
-            seed=seed,
-            config=config,
-        )
+    for cell in iter_sweep(
+        base, {"strategy.name": strategies}, jobs=jobs, config_base=config
+    ):
+        strat = cell.overrides["strategy.name"]
+        run = cell.unwrap().result
         result.curves[strat] = [
             t for _, t in run.ops.progress_curve(percents)
         ]

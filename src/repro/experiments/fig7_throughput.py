@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
-from repro.experiments.synthetic import run_synthetic_workload
+from repro.scenario import get_scenario, iter_sweep
 
 __all__ = ["Fig7Result", "run_fig7", "PAPER_NODE_COUNTS"]
 
@@ -118,23 +118,23 @@ class Fig7Result:
 def run_fig7(
     node_counts: Sequence[int] = PAPER_NODE_COUNTS,
     ops_per_node: int = 5000,
-    strategies: Optional[Sequence[str]] = None,
     seed: int = 0,
     config: Optional[MetadataConfig] = None,
+    jobs: int = 1,
 ) -> Fig7Result:
-    strategies = list(strategies or StrategyName.all())
+    """Sweep strategy x node count over ``paper_synthetic``."""
     result = Fig7Result(
         node_counts=tuple(node_counts), ops_per_node=ops_per_node
     )
-    for strat in strategies:
-        result.throughput[strat] = []
-        for n in node_counts:
-            run = run_synthetic_workload(
-                strat,
-                n_nodes=n,
-                ops_per_node=ops_per_node,
-                seed=seed,
-                config=config,
-            )
-            result.throughput[strat].append(run.throughput)
+    for cell in iter_sweep(
+        get_scenario("paper_synthetic").replace(
+            ops_per_node=ops_per_node, seed=seed
+        ),
+        {"strategy.name": StrategyName.all(), "n_nodes": node_counts},
+        jobs=jobs,
+        config_base=config,
+    ):
+        result.throughput.setdefault(
+            cell.overrides["strategy.name"], []
+        ).append(cell.unwrap().result.throughput)
     return result

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
-from repro.experiments.synthetic import run_synthetic_workload
+from repro.scenario import get_scenario, run_cells
 
 __all__ = ["Fig8Result", "run_fig8", "PAPER_TOTAL_OPS"]
 
@@ -83,21 +83,25 @@ class Fig8Result:
 def run_fig8(
     node_counts: Sequence[int] = PAPER_NODE_COUNTS,
     total_ops: int = PAPER_TOTAL_OPS,
-    strategies: Optional[Sequence[str]] = None,
     seed: int = 0,
     config: Optional[MetadataConfig] = None,
+    jobs: int = 1,
 ) -> Fig8Result:
-    strategies = list(strategies or StrategyName.all())
-    result = Fig8Result(node_counts=tuple(node_counts), total_ops=total_ops)
-    for strat in strategies:
-        result.completion[strat] = []
+    """Run strategy x node count over ``paper_synthetic``, each fleet
+    splitting ``total_ops`` evenly (so not a cartesian sweep)."""
+    base = get_scenario("paper_synthetic").replace(seed=seed)
+    cells = []
+    for strat in StrategyName.all():
         for n in node_counts:
-            run = run_synthetic_workload(
-                strat,
-                n_nodes=n,
-                ops_per_node=max(1, total_ops // n),
-                seed=seed,
-                config=config,
-            )
-            result.completion[strat].append(run.makespan)
+            overrides = {
+                "strategy.name": strat,
+                "n_nodes": n,
+                "ops_per_node": max(1, total_ops // n),
+            }
+            cells.append((overrides, base.replace(**overrides)))
+    result = Fig8Result(node_counts=tuple(node_counts), total_ops=total_ops)
+    for cell in run_cells(cells, jobs=jobs, config_base=config):
+        result.completion.setdefault(
+            cell.overrides["strategy.name"], []
+        ).append(cell.unwrap().makespan)
     return result

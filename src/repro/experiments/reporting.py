@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["check", "render_table", "series_summary"]
+__all__ = ["check", "render_table"]
 
 
 def render_table(
@@ -47,8 +47,3 @@ def check(label: str, condition: bool, detail: str = "") -> str:
     suffix = f" ({detail})" if detail else ""
     return f"[{mark:4s}] {label}{suffix}"
 
-
-def series_summary(name: str, xs: Sequence[float], ys: Sequence[float]) -> str:
-    """Compact x->y series line for logs."""
-    pairs = ", ".join(f"{x:g}:{y:.1f}" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"

@@ -245,13 +245,8 @@ def run_scheduler_compare(
         config_base=config,
     )
     for cell in sweep.cells:
-        if cell.error is not None:
-            raise RuntimeError(
-                f"scheduler {cell.overrides['scheduler.name']!r} "
-                f"failed: {cell.error}"
-            )
         policy = cell.overrides["scheduler.name"]
-        run = cell.result
+        run = cell.unwrap()
         res = run.result
         result.makespan[policy] = res.makespan
         result.transfer_time[policy] = res.total_transfer_time

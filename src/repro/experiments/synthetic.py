@@ -75,26 +75,15 @@ def run_synthetic_workload(
 
     Nodes alternate writer/reader roles (even index writes, odd reads),
     which also spreads both roles evenly across sites because the
-    deployment places nodes round-robin.
+    deployment places nodes round-robin.  Without a ``deployment`` the
+    run gets the default one; WAN settings arrive through the
+    deployment ``ScenarioSpec.run`` builds from its ``NetworkSpec``.
     """
     if n_nodes < 2:
         raise ValueError("need at least one writer and one reader")
     if ops_per_node <= 0:
         raise ValueError("ops_per_node must be positive")
-    # The config may pin the WAN bandwidth-sharing model (slots vs
-    # flow-level fair share) plus its site caps and flow weights; None
-    # keeps the deployment defaults.
-    bandwidth_model = (
-        config.bandwidth_model if config is not None else None
-    )
-    dep = deployment or Deployment(
-        n_nodes=n_nodes,
-        seed=seed,
-        bandwidth_model=bandwidth_model or "slots",
-        site_egress_bw=config.site_egress_bw if config else None,
-        site_ingress_bw=config.site_ingress_bw if config else None,
-        rpc_flow_weight=config.rpc_flow_weight if config else 1.0,
-    )
+    dep = deployment or Deployment(n_nodes=n_nodes, seed=seed)
     ctrl = ArchitectureController(dep, strategy=strategy, config=config)
     strat = ctrl.strategy
     env = dep.env

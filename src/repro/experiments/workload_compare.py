@@ -186,31 +186,19 @@ def run_workload_compare(
     across the topology's sites (per-tenant data origins); admission
     knobs apply to every combination alike.
     """
-    # A config that already pins an admission policy (e.g. built by the
-    # experiment runner's --admission) wins over the scenario default.
-    pinned = config is not None and config.admission is not None
     topology = TopologySpec()
     base = ScenarioSpec(
         name="workload-compare",
         surface="workload",
         topology=topology,
         network=NetworkSpec(bandwidth_model=bandwidth_model),
-        admission=config.admission if pinned else admission,
+        admission=admission,
         max_in_flight=(
-            config.max_in_flight
-            if pinned
-            else (max_in_flight if admission == "max_in_flight" else None)
-        ),
-        token_rate=config.token_rate if pinned else None,
-        token_burst=(
-            config.token_burst
-            if pinned and config.admission == "token_bucket"
-            else None
+            max_in_flight if admission == "max_in_flight" else None
         ),
         n_nodes=n_nodes,
         seed=seed,
     )
-    admission = base.admission or "unbounded"
     result = WorkloadCompareResult(
         strategies=tuple(strategies),
         schedulers=tuple(schedulers),
@@ -243,13 +231,8 @@ def run_workload_compare(
             )
             cells.append(({"strategy": strategy, "scheduler": scheduler}, spec))
     for cell in run_cells(cells, jobs=jobs, config_base=config):
-        if cell.error is not None:
-            raise RuntimeError(
-                f"combination {cell.overrides['strategy']}/"
-                f"{cell.overrides['scheduler']} failed: {cell.error}"
-            )
         combo = (cell.overrides["strategy"], cell.overrides["scheduler"])
-        result.results[combo] = cell.result.result
+        result.results[combo] = cell.unwrap().result
     return result
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cloud.network import BANDWIDTH_MODELS
 from repro.scheduling import SCHEDULER_NAMES
 from repro.util.units import MS
 
@@ -77,24 +76,12 @@ class MetadataConfig:
     home_site:
         Site hosting the centralized registry / the sync agent; default
         (None) is the first site of the deployment.
-    bandwidth_model:
-        WAN bandwidth sharing model used when an experiment builds the
-        deployment from this config: ``None`` (deployment default, i.e.
-        ``"slots"``), ``"slots"`` or ``"fair"``.  See
-        ``docs/network-model.md`` for semantics and trade-offs.
-    site_egress_bw / site_ingress_bw:
-        Fair model only: uniform per-site aggregate egress/ingress WAN
-        caps (bytes/second) applied to every site of the deployment an
-        experiment builds from this config; ``None`` leaves sites
-        uncapped.
-    rpc_flow_weight:
-        Fair model only: flow weight of metadata RPC legs (hot path)
-        relative to bulk data transfers.  Weighted max-min gives a
-        weight-w flow w times a weight-1 flow's share at any shared
-        bottleneck.
     transfer_flow_weight:
         Fair model only: default flow weight of storage-layer bulk
-        transfers (data provisioning).
+        transfers (data provisioning), folded in from
+        ``NetworkSpec.transfer_flow_weight``.  The other WAN settings
+        live on ``NetworkSpec`` alone and reach the ``Deployment``
+        from there.
     scheduler:
         Task-placement policy the workflow engine uses when an
         experiment builds it from this config: ``None`` (engine
@@ -143,10 +130,6 @@ class MetadataConfig:
     virtual_nodes: int = 64
     write_lookup: bool = False
     home_site: Optional[str] = None
-    bandwidth_model: Optional[str] = None
-    site_egress_bw: Optional[float] = None
-    site_ingress_bw: Optional[float] = None
-    rpc_flow_weight: float = 1.0
     transfer_flow_weight: float = 1.0
     scheduler: Optional[str] = None
     hybrid_locality_weight: float = 1.0
@@ -157,116 +140,6 @@ class MetadataConfig:
     max_in_flight: Optional[int] = None
     token_rate: Optional[float] = None
     token_burst: int = 1
-
-    # -- deprecated shims --------------------------------------------------
-    # The flag-folding classmethods below predate the declarative
-    # scenario API (``repro.scenario``); cross-field validation now
-    # lives in the spec tree and these delegate to
-    # ``repro.scenario.spec.config_from_specs``.  They keep their old
-    # signatures and semantics for external callers, but new code
-    # should build a ``ScenarioSpec`` (or call ``config_from_specs``
-    # directly).
-
-    @staticmethod
-    def _deprecated(name: str) -> None:
-        import warnings
-
-        warnings.warn(
-            f"MetadataConfig.{name} is deprecated; build a "
-            "repro.scenario.ScenarioSpec (or use "
-            "repro.scenario.config_from_specs) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @classmethod
-    def from_network_args(
-        cls,
-        bandwidth_model: Optional[str],
-        egress_cap_mb: Optional[float] = None,
-        ingress_cap_mb: Optional[float] = None,
-        rpc_flow_weight: float = 1.0,
-    ) -> Optional["MetadataConfig"]:
-        """Deprecated: build a validated config from CLI-level WAN knobs.
-
-        Thin shim over the ``repro.scenario`` spec path: caps are given
-        in megabytes/second and converted to bytes/second; returns
-        ``None`` when no model is pinned (keep the deployment
-        defaults); raises :class:`ValueError` when fair-only knobs are
-        combined with a non-fair model.
-        """
-        cls._deprecated("from_network_args")
-        # Imported lazily: repro.scenario sits above this module in the
-        # layering (its spec embeds workload specs, which import the
-        # engine stack), so a top-level import would be circular.
-        from repro.scenario.spec import NetworkSpec, config_from_specs
-
-        return config_from_specs(
-            network=NetworkSpec(
-                bandwidth_model=bandwidth_model,
-                egress_cap_mb=egress_cap_mb,
-                ingress_cap_mb=ingress_cap_mb,
-                rpc_flow_weight=rpc_flow_weight,
-            )
-        )
-
-    @classmethod
-    def from_scheduler_args(
-        cls,
-        scheduler: Optional[str],
-        hybrid_locality_weight: float = 1.0,
-        hybrid_load_weight: float = 1.0,
-        hybrid_transfer_weight: float = 1.0,
-        bw_pending_penalty: float = 1.0,
-        base: Optional["MetadataConfig"] = None,
-    ) -> Optional["MetadataConfig"]:
-        """Deprecated: fold validated scheduler knobs into a config.
-
-        Thin shim over the ``repro.scenario`` spec path: returns
-        ``base`` unchanged (possibly ``None``) when no scheduler is
-        pinned, and raises :class:`ValueError` when policy-specific
-        knobs are combined with a different policy.
-        """
-        cls._deprecated("from_scheduler_args")
-        from repro.scenario.spec import SchedulerSpec, config_from_specs
-
-        return config_from_specs(
-            scheduler=SchedulerSpec(
-                name=scheduler,
-                hybrid_locality_weight=hybrid_locality_weight,
-                hybrid_load_weight=hybrid_load_weight,
-                hybrid_transfer_weight=hybrid_transfer_weight,
-                bw_pending_penalty=bw_pending_penalty,
-            ),
-            base=base,
-        )
-
-    @classmethod
-    def from_workload_args(
-        cls,
-        admission: Optional[str],
-        max_in_flight: Optional[int] = None,
-        token_rate: Optional[float] = None,
-        token_burst: Optional[int] = None,
-        base: Optional["MetadataConfig"] = None,
-    ) -> Optional["MetadataConfig"]:
-        """Deprecated: fold validated workload knobs into a config.
-
-        Thin shim over the ``repro.scenario`` spec path: returns
-        ``base`` unchanged (possibly ``None``) when no admission policy
-        is pinned, and raises :class:`ValueError` when policy-specific
-        knobs are combined with a different policy.
-        """
-        cls._deprecated("from_workload_args")
-        from repro.scenario.spec import config_from_specs
-
-        return config_from_specs(
-            admission=admission,
-            max_in_flight=max_in_flight,
-            token_rate=token_rate,
-            token_burst=token_burst,
-            base=base,
-        )
 
     def validate(self) -> None:
         if self.service_time <= 0:
@@ -293,18 +166,6 @@ class MetadataConfig:
             )
         if self.virtual_nodes <= 0:
             raise ValueError("virtual_nodes must be positive")
-        if self.bandwidth_model is not None and (
-            self.bandwidth_model not in BANDWIDTH_MODELS
-        ):
-            raise ValueError(
-                f"bandwidth_model must be None or one of {BANDWIDTH_MODELS}"
-            )
-        if self.site_egress_bw is not None and self.site_egress_bw <= 0:
-            raise ValueError("site_egress_bw must be positive")
-        if self.site_ingress_bw is not None and self.site_ingress_bw <= 0:
-            raise ValueError("site_ingress_bw must be positive")
-        if self.rpc_flow_weight <= 0:
-            raise ValueError("rpc_flow_weight must be positive")
         if self.transfer_flow_weight <= 0:
             raise ValueError("transfer_flow_weight must be positive")
         if self.scheduler is not None and (

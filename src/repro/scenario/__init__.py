@@ -39,6 +39,7 @@ from repro.scenario.spec import (
 from repro.scenario.sweep import (
     SweepCell,
     SweepResult,
+    iter_sweep,
     run_cells,
     run_sweep,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "config_from_specs",
     "evaluate_slo",
     "get_scenario",
+    "iter_sweep",
     "register_scenario",
     "run_cells",
     "run_scenario",

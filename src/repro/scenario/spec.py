@@ -742,7 +742,8 @@ def _validate_admission_knobs(
     token_rate: Optional[float],
     token_burst: Optional[int],
 ) -> None:
-    """The workload-policy knob rules shared by spec and legacy paths."""
+    """The workload-policy knob rules shared by the spec and
+    :func:`config_from_specs`."""
     if max_in_flight is not None and admission != "max_in_flight":
         raise ValueError(
             "--max-in-flight requires --admission max_in_flight"
@@ -777,13 +778,13 @@ def config_from_specs(
 ) -> Optional[MetadataConfig]:
     """Fold validated spec components into a :class:`MetadataConfig`.
 
-    The single successor of the deprecated
-    ``MetadataConfig.from_network_args`` / ``from_scheduler_args`` /
-    ``from_workload_args`` classmethods (which now delegate here):
-    each component is validated, and contributes its fields on top of
+    Each component is validated, and contributes its fields on top of
     ``base`` only when it actually pins something.  Returns ``base``
     unchanged (possibly ``None``) when nothing is pinned, so callers
-    keep their defaults -- a ``None`` config stays ``None``.
+    keep their defaults -- a ``None`` config stays ``None``.  Of the
+    network settings only ``transfer_flow_weight`` is folded (the
+    engine reads it from the config); the rest reach the
+    ``Deployment`` straight from the :class:`NetworkSpec`.
     """
     config = base
     if network is not None:
@@ -792,18 +793,6 @@ def config_from_specs(
             config = MetadataConfig(
                 **{
                     **(config.__dict__ if config is not None else {}),
-                    "bandwidth_model": network.bandwidth_model,
-                    "site_egress_bw": (
-                        network.egress_cap_mb * MB
-                        if network.egress_cap_mb is not None
-                        else None
-                    ),
-                    "site_ingress_bw": (
-                        network.ingress_cap_mb * MB
-                        if network.ingress_cap_mb is not None
-                        else None
-                    ),
-                    "rpc_flow_weight": network.rpc_flow_weight,
                     "transfer_flow_weight": network.transfer_flow_weight,
                 }
             )

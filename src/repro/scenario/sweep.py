@@ -22,6 +22,9 @@ worker rebuilds the whole deployment -- so the parallel run is
 ``tests/scenario/test_sweep_parallel.py``); only wall time differs.
 A failing cell is captured as :attr:`SweepCell.error` instead of
 killing the grid, in serial and parallel mode alike.
+:func:`iter_sweep` yields the same cells one at a time, in grid order,
+for harnesses (the figures) that reduce each cell to a few numbers and
+so need not hold the whole grid's results.
 
 The CLI form is ``repro.cli sweep --scenario NAME --set path=v1,v2
 [--jobs N] [--out DIR]``.
@@ -37,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -47,7 +51,7 @@ from typing import (
 from repro.scenario.runner import ScenarioResult, run_scenario
 from repro.scenario.spec import ScenarioSpec
 
-__all__ = ["SweepCell", "SweepResult", "run_cells", "run_sweep"]
+__all__ = ["SweepCell", "SweepResult", "iter_sweep", "run_cells", "run_sweep"]
 
 #: Default-name labels for ``None`` override values: pinning ``None``
 #: keeps the surface's default, so the table shows the default's *name*
@@ -85,6 +89,18 @@ class SweepCell:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    def unwrap(self) -> ScenarioResult:
+        """The cell's result; raises ``RuntimeError`` if it errored.
+
+        For harnesses that need every cell (the figures, the compare
+        experiments) rather than the CLI's inline error rows.
+        """
+        if self.error is not None:
+            raise RuntimeError(
+                f"sweep cell {self.overrides} failed: {self.error}"
+            )
+        return self.result
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON document form; see ``repro.results.serialize``."""
@@ -250,13 +266,14 @@ def run_cells(
     jobs: int = 1,
     workflow=None,
     config_base=None,
-) -> List[SweepCell]:
-    """Execute ``(overrides, spec)`` cells, optionally in parallel.
+) -> Iterator[SweepCell]:
+    """Execute ``(overrides, spec)`` cells, yielding each in input order.
 
-    The primitive under :func:`run_sweep` (and the compare
-    experiments, which build non-cartesian grids): each cell runs
-    independently on a fresh deployment, failures are captured
-    per-cell, and results come back in input order.
+    The primitive under :func:`run_sweep` (and the compare experiments
+    and Figs. 8 and 10, which build non-cartesian grids): each cell
+    runs independently on a fresh deployment and failures are captured
+    per-cell.  Cells are yielded as they finish, so a caller that keeps
+    a few numbers per cell holds one run at a time, not the grid.
 
     ``jobs > 1`` dispatches cells to a ``multiprocessing.Pool``; a
     prebuilt ``workflow`` (workflow surface only) is deep-copied per
@@ -269,43 +286,30 @@ def run_cells(
         (dict(overrides), spec, quick, workflow, config_base)
         for overrides, spec in cells
     ]
-    jobs = min(jobs, len(payloads))
+    return _stream_cells(payloads, min(jobs, len(payloads)))
+
+
+def _stream_cells(payloads, jobs: int) -> Iterator[SweepCell]:
     if jobs <= 1:
-        return [
-            _run_cell(
-                (
-                    overrides,
-                    spec,
-                    quick_,
-                    copy.deepcopy(wf) if wf is not None else None,
-                    config,
-                )
-            )
-            for overrides, spec, quick_, wf, config in payloads
-        ]
+        for overrides, spec, quick, wf, config in payloads:
+            wf = copy.deepcopy(wf) if wf is not None else None
+            yield _run_cell((overrides, spec, quick, wf, config))
+        return
     with multiprocessing.Pool(processes=jobs) as pool:
         # chunksize=1: cells are coarse units; keep ordering simple and
         # let slow cells overlap fast ones.
-        return pool.map(_run_cell, payloads, chunksize=1)
+        yield from pool.imap(_run_cell, payloads, chunksize=1)
 
 
-def run_sweep(
+def iter_sweep(
     base: ScenarioSpec,
     axes: Mapping[str, Sequence[Any]],
     quick: bool = False,
     jobs: int = 1,
     workflow=None,
     config_base=None,
-) -> SweepResult:
-    """Run the cartesian product of ``axes`` overrides over ``base``.
-
-    ``axes`` maps dotted spec paths (as accepted by
-    :meth:`ScenarioSpec.replace`) to the values each axis takes; every
-    combination is validated and executed independently.  ``jobs=N``
-    runs cells in N worker processes (same results, see
-    :func:`run_cells`); ``workflow``/``config_base`` pass through to
-    :func:`~repro.scenario.runner.run_scenario` for every cell.
-    """
+) -> Iterator[SweepCell]:
+    """Yield :func:`run_sweep`'s cells one at a time, in grid order."""
     if not axes:
         raise ValueError("sweep needs at least one override axis")
     keys = list(axes)
@@ -328,20 +332,38 @@ def run_sweep(
             prepared.append(
                 (overrides, None, f"{type(exc).__name__}: {exc}")
             )
-    ran = iter(
-        run_cells(
-            [(o, spec) for o, spec, err in prepared if err is None],
-            quick=quick,
-            jobs=jobs,
-            workflow=workflow,
-            config_base=config_base,
-        )
+    ran = run_cells(
+        [(o, spec) for o, spec, err in prepared if err is None],
+        quick=quick,
+        jobs=jobs,
+        workflow=workflow,
+        config_base=config_base,
     )
-    out = SweepResult(base=base, axes=dict(zip(keys, values)))
     for overrides, _spec, err in prepared:
-        out.cells.append(
+        yield (
             next(ran)
             if err is None
             else SweepCell(overrides=overrides, error=err)
         )
-    return out
+
+
+def run_sweep(
+    base: ScenarioSpec,
+    axes: Mapping[str, Sequence[Any]],
+    quick: bool = False,
+    jobs: int = 1,
+    workflow=None,
+    config_base=None,
+) -> SweepResult:
+    """Run the cartesian product of ``axes`` overrides over ``base``.
+
+    ``axes`` maps dotted spec paths (as accepted by
+    :meth:`ScenarioSpec.replace`) to the values each axis takes; every
+    combination is validated and executed independently.  ``jobs=N``
+    runs cells in N worker processes (same results, see
+    :func:`run_cells`); ``workflow``/``config_base`` pass through to
+    :func:`~repro.scenario.runner.run_scenario` for every cell.
+    """
+    axes = {key: tuple(vals) for key, vals in axes.items()}
+    cells = iter_sweep(base, axes, quick, jobs, workflow, config_base)
+    return SweepResult(base=base, axes=axes, cells=list(cells))

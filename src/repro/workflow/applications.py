@@ -17,7 +17,7 @@ split -> N parallel projection jobs -> regional merges -> final mosaic.
 Both builders take ``ops_per_task`` and ``compute_time`` so the three
 evaluation scenarios (Small Scale / Computation Intensive / Metadata
 Intensive) are just parameterizations; presets live in
-``repro.experiments.scenarios``.
+``repro.experiments.fig10_workflows.TABLE_I``.
 """
 
 from __future__ import annotations

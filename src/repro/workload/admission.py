@@ -170,8 +170,8 @@ def make_admission(
     """Build an admission controller by registry name.
 
     ``knobs`` go to the controller's constructor; a knob the policy does
-    not accept raises ``TypeError`` (the config/CLI layer's
-    ``from_workload_args`` gives friendlier errors).
+    not accept raises ``TypeError`` (the spec layer's validation gives
+    friendlier errors).
     """
     try:
         factory = ADMISSIONS[name]

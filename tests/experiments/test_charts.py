@@ -1,6 +1,6 @@
 """Tests for the terminal chart helpers."""
 
-from repro.experiments.charts import bar_chart, line_chart, sparkline
+from repro.experiments.charts import bar_chart, sparkline
 
 
 class TestBarChart:
@@ -40,21 +40,3 @@ class TestSparkline:
     def test_empty(self):
         assert sparkline([]) == ""
 
-
-class TestLineChart:
-    def test_contains_markers_and_legend(self):
-        out = line_chart(
-            [8, 16, 32],
-            {"dn": [10, 20, 40], "cen": [10, 12, 13]},
-            height=6,
-        )
-        assert "o=dn" in out
-        assert "x=cen" in out
-        assert "┤" in out
-
-    def test_empty(self):
-        assert line_chart([], {}, title="t") == "t"
-
-    def test_flat_series_safe(self):
-        out = line_chart([1, 2], {"s": [5, 5]}, height=4)
-        assert "s" in out

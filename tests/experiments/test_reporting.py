@@ -1,6 +1,6 @@
 """Tests for the text reporting helpers."""
 
-from repro.experiments.reporting import check, render_table, series_summary
+from repro.experiments.reporting import check, render_table
 
 
 class TestRenderTable:
@@ -37,8 +37,3 @@ class TestCheck:
     def test_detail_appended(self):
         assert "(42x)" in check("prop", True, "42x")
 
-
-class TestSeriesSummary:
-    def test_pairs(self):
-        out = series_summary("tput", [8, 16], [100.0, 203.5])
-        assert out == "tput: 8:100.0, 16:203.5"

@@ -188,19 +188,10 @@ def test_namespaced_workflow_preserves_structure_exactly():
 
 
 def test_explicit_slots_config_matches_default():
-    """Threading a config must not disturb the slots RNG sequence."""
-    from repro.metadata.config import MetadataConfig
-
-    default = run_synthetic_workload(
-        "hybrid", n_nodes=8, ops_per_node=40, seed=0
-    )
-    pinned = run_synthetic_workload(
-        "hybrid",
-        n_nodes=8,
-        ops_per_node=40,
-        seed=0,
-        config=MetadataConfig(bandwidth_model="slots"),
-    )
+    """Pinning the slot model must not disturb the slots RNG sequence."""
+    spec = _synthetic_spec("hybrid", 8, 40, 0)
+    default = spec.run().result
+    pinned = spec.replace(**{"network.bandwidth_model": "slots"}).run().result
     assert pinned.makespan == default.makespan
     assert pinned.node_times == default.node_times
 

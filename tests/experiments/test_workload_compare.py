@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.workload_compare import run_workload_compare
-from repro.metadata.config import MetadataConfig
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ class TestWorkloadCompare:
         assert "[ok  ]" in text
         assert "Jain" in text
 
-    def test_pinned_admission_config_wins(self):
+    def test_unbounded_admission_has_no_bound(self):
         res = run_workload_compare(
             strategies=("hybrid",),
             schedulers=("locality",),
@@ -59,7 +58,7 @@ class TestWorkloadCompare:
             ops_per_task=2,
             compute_time=0.1,
             n_nodes=8,
-            config=MetadataConfig(admission="unbounded"),
+            admission="unbounded",
         )
         assert res.admission == "unbounded"
         only = next(iter(res.results.values()))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metadata.config import MetadataConfig
+from repro.scenario import SchedulerSpec, config_from_specs
 
 
 class TestDefaultsAreValid:
@@ -51,138 +52,58 @@ def test_retry_cap_must_cover_interval():
         cfg.validate()
 
 
-class TestFromSchedulerArgs:
+class TestSchedulerFolding:
+    """``config_from_specs`` folds a validated SchedulerSpec."""
+
     def test_none_without_knobs_keeps_base(self):
-        assert MetadataConfig.from_scheduler_args(None) is None
-        base = MetadataConfig(bandwidth_model="fair")
-        assert MetadataConfig.from_scheduler_args(None, base=base) is base
+        assert config_from_specs(scheduler=SchedulerSpec()) is None
+        base = MetadataConfig(sync_period=9.0)
+        assert config_from_specs(scheduler=SchedulerSpec(), base=base) is base
 
     def test_scheduler_pinned_on_top_of_base(self):
-        base = MetadataConfig(bandwidth_model="fair", rpc_flow_weight=2.0)
-        cfg = MetadataConfig.from_scheduler_args(
-            "bandwidth_aware", bw_pending_penalty=0.5, base=base
+        base = MetadataConfig(sync_period=9.0, home_site="east-us")
+        cfg = config_from_specs(
+            scheduler=SchedulerSpec(
+                name="bandwidth_aware", bw_pending_penalty=0.5
+            ),
+            base=base,
         )
         assert cfg.scheduler == "bandwidth_aware"
         assert cfg.bw_pending_penalty == 0.5
-        assert cfg.bandwidth_model == "fair"
-        assert cfg.rpc_flow_weight == 2.0
+        assert cfg.sync_period == 9.0
+        assert cfg.home_site == "east-us"
 
     def test_valid_schedulers_accepted(self):
         from repro.scheduling import SCHEDULER_NAMES
 
         for name in SCHEDULER_NAMES:
-            assert (
-                MetadataConfig.from_scheduler_args(name).scheduler == name
-            )
+            cfg = config_from_specs(scheduler=SchedulerSpec(name=name))
+            assert cfg.scheduler == name
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(scheduler=None, hybrid_locality_weight=2.0),
-            dict(scheduler="locality", hybrid_load_weight=0.5),
-            dict(scheduler="bandwidth_aware", hybrid_transfer_weight=2.0),
-            dict(scheduler="round_robin", bw_pending_penalty=0.0),
-            dict(scheduler=None, bw_pending_penalty=2.0),
+            dict(name=None, hybrid_locality_weight=2.0),
+            dict(name="locality", hybrid_load_weight=0.5),
+            dict(name="bandwidth_aware", hybrid_transfer_weight=2.0),
+            dict(name="round_robin", bw_pending_penalty=0.0),
+            dict(name=None, bw_pending_penalty=2.0),
         ],
     )
     def test_mismatched_knobs_rejected(self, kwargs):
-        scheduler = kwargs.pop("scheduler")
         with pytest.raises(ValueError):
-            MetadataConfig.from_scheduler_args(scheduler, **kwargs)
+            config_from_specs(scheduler=SchedulerSpec(**kwargs))
 
     def test_pending_penalty_allowed_for_hybrid(self):
-        cfg = MetadataConfig.from_scheduler_args(
-            "hybrid", bw_pending_penalty=0.0, hybrid_locality_weight=3.0
+        cfg = config_from_specs(
+            scheduler=SchedulerSpec(
+                name="hybrid",
+                bw_pending_penalty=0.0,
+                hybrid_locality_weight=3.0,
+            )
         )
         assert cfg.bw_pending_penalty == 0.0
         assert cfg.hybrid_locality_weight == 3.0
-
-
-class TestDeprecatedShims:
-    """The from_*_args classmethods survive as warned shims over the
-    repro.scenario spec path: old signatures, identical configs."""
-
-    def test_all_three_emit_deprecation_warnings(self):
-        with pytest.warns(DeprecationWarning, match="from_network_args"):
-            MetadataConfig.from_network_args("fair")
-        with pytest.warns(DeprecationWarning, match="from_scheduler_args"):
-            MetadataConfig.from_scheduler_args("locality")
-        with pytest.warns(DeprecationWarning, match="from_workload_args"):
-            MetadataConfig.from_workload_args("unbounded")
-
-    def test_network_shim_equals_spec_path(self):
-        from repro.scenario import NetworkSpec, config_from_specs
-
-        with pytest.warns(DeprecationWarning):
-            shim = MetadataConfig.from_network_args(
-                "fair",
-                egress_cap_mb=10.0,
-                ingress_cap_mb=5.0,
-                rpc_flow_weight=2.0,
-            )
-        spec = config_from_specs(
-            network=NetworkSpec(
-                bandwidth_model="fair",
-                egress_cap_mb=10.0,
-                ingress_cap_mb=5.0,
-                rpc_flow_weight=2.0,
-            )
-        )
-        assert shim == spec
-        with pytest.warns(DeprecationWarning):
-            assert MetadataConfig.from_network_args(None) is None
-
-    def test_scheduler_shim_equals_spec_path(self):
-        from repro.scenario import SchedulerSpec, config_from_specs
-
-        base = MetadataConfig(bandwidth_model="fair", rpc_flow_weight=2.0)
-        with pytest.warns(DeprecationWarning):
-            shim = MetadataConfig.from_scheduler_args(
-                "hybrid",
-                hybrid_locality_weight=3.0,
-                bw_pending_penalty=0.5,
-                base=base,
-            )
-        spec = config_from_specs(
-            scheduler=SchedulerSpec(
-                name="hybrid",
-                hybrid_locality_weight=3.0,
-                bw_pending_penalty=0.5,
-            ),
-            base=base,
-        )
-        assert shim == spec
-        assert shim.bandwidth_model == "fair"
-
-    def test_workload_shim_equals_spec_path(self):
-        from repro.scenario import config_from_specs
-
-        with pytest.warns(DeprecationWarning):
-            shim = MetadataConfig.from_workload_args(
-                "max_in_flight", max_in_flight=4
-            )
-        spec = config_from_specs(admission="max_in_flight", max_in_flight=4)
-        assert shim == spec
-        assert shim.token_burst == 1
-
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: MetadataConfig.from_network_args(
-                "slots", egress_cap_mb=10.0
-            ),
-            lambda: MetadataConfig.from_scheduler_args(
-                "locality", hybrid_load_weight=2.0
-            ),
-            lambda: MetadataConfig.from_workload_args(
-                "unbounded", max_in_flight=2
-            ),
-        ],
-    )
-    def test_shims_still_enforce_cross_field_rules(self, call):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                call()
 
 
 def test_config_is_plain_dataclass():

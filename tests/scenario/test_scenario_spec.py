@@ -407,19 +407,34 @@ class TestConfigMapping:
     def test_default_spec_pins_nothing(self):
         assert ScenarioSpec().to_metadata_config() is None
 
-    def test_network_fields_mapped_with_unit_conversion(self):
-        cfg = ScenarioSpec(
+    def test_network_fields_reach_the_deployment(self, monkeypatch):
+        """A fair, capped spec builds its Deployment with the caps in
+        bytes/s and the RPC flow weight (no config in between)."""
+        from repro.cloud.deployment import Deployment
+
+        seen = {}
+        init = Deployment.__init__
+
+        def spy(self, *args, **kwargs):
+            seen.update(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Deployment, "__init__", spy)
+        ScenarioSpec(
+            surface="synthetic",
             network=NetworkSpec(
                 bandwidth_model="fair",
                 egress_cap_mb=10.0,
                 ingress_cap_mb=5.0,
                 rpc_flow_weight=2.0,
-            )
-        ).to_metadata_config()
-        assert cfg.bandwidth_model == "fair"
-        assert cfg.site_egress_bw == 10.0 * MB
-        assert cfg.site_ingress_bw == 5.0 * MB
-        assert cfg.rpc_flow_weight == 2.0
+            ),
+            ops_per_node=5,
+            n_nodes=4,
+        ).run()
+        assert seen["bandwidth_model"] == "fair"
+        assert seen["site_egress_bw"] == 10 * MB
+        assert seen["site_ingress_bw"] == 5 * MB
+        assert seen["rpc_flow_weight"] == 2.0
 
     def test_strategy_and_scheduler_fields_mapped(self):
         cfg = ScenarioSpec(

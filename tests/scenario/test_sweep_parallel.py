@@ -1,6 +1,7 @@
 """Parallel sweep contract: jobs=N is bit-for-bit serial, cells isolate failures."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -61,6 +62,17 @@ class TestParallelEquivalence:
         with pytest.raises(ValueError, match="jobs"):
             run_cells([({}, base)], jobs=-1)
 
+    def test_abandoned_parallel_stream_stops_its_workers(self):
+        # The figures stop reading at their first errored cell; closing
+        # the stream must shut the pool down rather than let it run on.
+        base = get_scenario("paper_synthetic")
+        cells = [({"seed": s}, base.replace(seed=s)) for s in range(4)]
+        stream = run_cells(cells, quick=True, jobs=2)
+        first = next(stream)
+        assert first.ok and first.overrides == {"seed": 0}
+        stream.close()
+        assert multiprocessing.active_children() == []
+
 
 class TestFailureIsolation:
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -79,6 +91,9 @@ class TestFailureIsolation:
         assert "nope" in bad.error
         assert res.ok_cells() == [ok]
         assert res.errored_cells() == [bad]
+        assert ok.unwrap() is ok.result
+        with pytest.raises(RuntimeError, match="nope"):
+            bad.unwrap()
 
     def test_runtime_failure_is_captured_per_cell(self):
         # An override that passes replace() but fails at run time:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -13,6 +14,9 @@ class TestParser:
     def test_figures_flags(self):
         args = build_parser().parse_args(["figures", "--quick", "--only", "fig1"])
         assert args.quick and args.only == "fig1"
+        assert args.jobs == 1
+        args = build_parser().parse_args(["figures", "--jobs", "4"])
+        assert args.jobs == 4
 
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate"])
@@ -64,6 +68,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Fig. 1" in out
 
+    def test_figures_sweep_in_worker_processes(self, capsys):
+        assert main(["figures", "--quick", "--only", "fig8", "--jobs", "2"]) == 0
+        assert "Fig. 8" in capsys.readouterr().out
+
+    def test_figures_rejects_bad_jobs(self, capsys):
+        assert main(["figures", "--only", "fig8", "--jobs", "0"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_run_with_workflow_file_and_export(self, capsys, tmp_path):
         from repro.workflow import pipeline, save_workflow
 
@@ -107,6 +119,82 @@ class TestCommands:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["advise"])
+
+
+class TestFiguresCommand:
+    """``figures`` is the one front door to the paper's figures."""
+
+    @pytest.fixture
+    def fake_figures(self, monkeypatch):
+        """Replace every figure with a stub recording ``(quick, jobs)``."""
+        calls = {}
+
+        class FakeResult:
+            def __init__(self, name):
+                self.name = name
+
+            def render(self):
+                return f"TABLE-{self.name}"
+
+        def stub(name):
+            def run(quick, jobs):
+                calls[name] = (quick, jobs)
+                return FakeResult(name)
+
+            return run
+
+        monkeypatch.setattr(
+            cli, "FIGURES", {name: stub(name) for name in cli.FIGURES}
+        )
+        return calls
+
+    def test_table_covers_every_paper_figure(self):
+        assert sorted(cli.FIGURES) == sorted(
+            ["fig1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig10"]
+        )
+        assert all(callable(run) for run in cli.FIGURES.values())
+
+    def test_runs_every_figure_and_prints_each_render(
+        self, fake_figures, capsys
+    ):
+        assert main(["figures", "--quick", "--jobs", "3"]) == 0
+        out = capsys.readouterr().out
+        assert fake_figures == {name: (True, 3) for name in cli.FIGURES}
+        headers = [line for line in out.splitlines() if line.startswith("===")]
+        assert headers == [f"=== {name} ===" for name in sorted(cli.FIGURES)]
+        for name in cli.FIGURES:
+            assert f"TABLE-{name}" in out
+
+    def test_only_runs_the_named_figure(self, fake_figures, capsys):
+        assert main(["figures", "--only", "fig6"]) == 0
+        assert fake_figures == {"fig6": (False, 1)}
+        assert "TABLE-fig6" in capsys.readouterr().out
+
+    def test_unknown_figure_rejected_by_parser(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--only", "fig2"])
+        assert exc.value.code == 2
+
+    def test_negative_jobs_rejected_before_any_figure_runs(
+        self, fake_figures, capsys
+    ):
+        assert main(["figures", "--jobs", "-1"]) == 2
+        assert fake_figures == {}
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["fig5", "fig6", "fig7", "fig8", "fig10"]
+    )
+    def test_jobs_reach_each_sweep_backed_figure(self, name, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, f"run_{name}", lambda **kwargs: seen.append(kwargs)
+        )
+        cli.FIGURES[name](True, 4)
+        cli.FIGURES[name](False, 4)
+        quick, full = seen
+        assert quick["jobs"] == full["jobs"] == 4
+        assert quick != full  # --quick shrinks the grid
 
 
 class TestSchedulerFlags:

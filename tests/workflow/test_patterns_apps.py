@@ -15,7 +15,7 @@ from repro.workflow.patterns import (
     reduce_tree,
     scatter,
 )
-from repro.experiments.scenarios import SCENARIOS
+from repro.experiments.fig10_workflows import TABLE_I
 
 
 class TestPipeline:
@@ -103,12 +103,9 @@ class TestBuzzFlow:
         assert all(len(lv) == 4 for lv in levels)
 
     def test_table1_totals(self):
-        for name, spec in SCENARIOS.items():
-            wf = buzzflow(
-                ops_per_task=spec.ops_per_task,
-                compute_time=spec.compute_time,
-            )
-            assert wf.total_metadata_ops == spec.paper_total_buzzflow
+        for row in TABLE_I.values():
+            wf = buzzflow(**row)
+            assert wf.total_metadata_ops == row["ops_per_task"] * BUZZFLOW_JOBS
 
     def test_stage_dependencies(self):
         wf = buzzflow(width=3, n_stages=4)
@@ -134,16 +131,12 @@ class TestMontage:
     def test_table1_totals(self):
         # SS: the split job's 156 mandatory output publishes exceed the
         # 100-op budget, so the total lands 0.35 % above Table I.
-        ss = SCENARIOS["SS"]
-        wf = montage(ops_per_task=ss.ops_per_task)
-        assert ss.paper_total_montage == 16_000
+        wf = montage(ops_per_task=TABLE_I["SS"]["ops_per_task"])
         assert abs(wf.total_metadata_ops - 16_000) / 16_000 < 0.005
         # CI and MI budgets exceed the structural op counts: exact.
-        ci = SCENARIOS["CI"]
-        wf = montage(ops_per_task=ci.ops_per_task)
+        wf = montage(ops_per_task=TABLE_I["CI"]["ops_per_task"])
         assert wf.total_metadata_ops == 32_000
-        mi = SCENARIOS["MI"]
-        wf = montage(ops_per_task=mi.ops_per_task)
+        wf = montage(ops_per_task=TABLE_I["MI"]["ops_per_task"])
         assert wf.total_metadata_ops == 160_000  # paper rounds to 150k
 
     def test_split_fans_out_to_all_projections(self):
