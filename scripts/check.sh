@@ -1,7 +1,7 @@
 #!/bin/sh
 # Single entry point for the pre-commit checks:
 #   1. fast test profile (everything except the @slow figure
-#      regenerations, ~20 s; see pytest.ini for the profiles) --
+#      regenerations, ~1-1.5 min; see pytest.ini for the profiles) --
 #      explicitly including the scheduling-subsystem modules
 #      (tests/scheduling, the seed-compat goldens and the scheduler
 #      CLI/config validation), the workload-subsystem modules

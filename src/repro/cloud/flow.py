@@ -664,6 +664,16 @@ class FlowNetwork:
                 egress.add(src)
             if dst is not None and math.isfinite(caps(dst)[1]):
                 ingress.add(dst)
+        if not egress and not ingress:
+            # No seed touches a finite site cap, so nothing couples the
+            # seeds to any other link: the fixpoint below would admit
+            # exactly the active seed links.
+            links = self._links
+            return [
+                links[key]
+                for key in sorted(seed_keys)
+                if key in links and links[key].flows
+            ]
         active = self._active_links()
         in_comp: set = set()
         grew = True
@@ -717,6 +727,12 @@ class FlowNetwork:
                 links=len(links),
                 flows=sum(len(link.flows) for link in links),
             )
+        if not links:
+            # Nothing active in the component (typically a lone flow
+            # just drained): no rate to settle, re-solve or reschedule.
+            if self.solver == "verify":
+                self._verify_against_global()
+            return
         for link in links:
             link.stats.rebalances += 1
             link._settle(now)
@@ -799,6 +815,70 @@ class FlowNetwork:
         return rates[id(probe)]
 
     def _solve(
+        self,
+        links: List[FairShareLink],
+        extra: Optional[List["_Probe"]] = None,
+        extra_capacity: Optional[Tuple[Tuple[str, str], float]] = None,
+    ) -> Dict[int, float]:
+        """Rates of ``links``' flows plus the ``extra`` probes.
+
+        Returns ``id(flow) -> rate``.  A solve over one record (a lone
+        flow, or one probe and no active link) takes the closed form of
+        :meth:`_lone_rate`; anything else runs :meth:`_water_fill`.
+        """
+        if extra:
+            if not links and len(extra) == 1:
+                probe = extra[0]
+                return {
+                    id(probe): self._lone_rate(
+                        probe.src, probe.dst, extra_capacity[1],
+                        probe.weight, probe.max_rate,
+                    )
+                }
+        elif len(links) == 1 and len(links[0].flows) == 1:
+            link = links[0]
+            flow = link.flows[0]
+            return {
+                id(flow): self._lone_rate(
+                    link.src, link.dst, link.capacity,
+                    flow.weight, flow.max_rate,
+                )
+            }
+        return self._water_fill(links, extra, extra_capacity)
+
+    def _lone_rate(
+        self,
+        src: str,
+        dst: str,
+        capacity: float,
+        weight: float,
+        max_rate: float,
+    ) -> float:
+        """:meth:`_water_fill`'s single round for a one-record solve.
+
+        The lone record freezes in the first round, at the lowest
+        saturation level among its link capacity, its source's egress
+        cap, its destination's ingress cap and its own rate cap.  The
+        level comes from the loop's float operations in the loop's
+        order, so the rate is bit-identical; an infinite site cap, which
+        the loop leaves out, gives an infinite level that never wins.
+        The site caps are still read live.
+        """
+        egress = self._site_caps(src)[0]
+        ingress = self._site_caps(dst)[1]
+        level = math.inf
+        for cap in (capacity, egress, ingress):
+            lvl = max(0.0, cap) / weight
+            if lvl < level:
+                level = lvl
+        ratio = max_rate / weight
+        if ratio < level:
+            level = ratio
+        if not math.isfinite(level):
+            level = 0.0
+        return min(max_rate, level * weight)
+
+    def _water_fill(
         self,
         links: List[FairShareLink],
         extra: Optional[List["_Probe"]] = None,
@@ -892,9 +972,9 @@ class FlowNetwork:
             for i in alive:
                 if ratios[i] < level:
                     level = ratios[i]
-            if not math.isfinite(level):  # pragma: no cover - every flow
-                # sits on a finite-capacity link, so a finite level must
-                # exist; guard against a degenerate empty constraint set.
+            if not math.isfinite(level):
+                # Nothing bounds the level (infinite capacity, no finite
+                # site cap, no rate cap): such records get rate 0.0.
                 level = 0.0
 
             threshold = level * (1.0 + _LEVEL_RTOL)

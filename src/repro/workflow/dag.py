@@ -8,6 +8,7 @@ inputs/outputs rather than explicit edges.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
@@ -215,22 +216,26 @@ class Workflow:
 
     def topological_order(self) -> List[Task]:
         """Kahn's algorithm; raises on cycles."""
-        indeg = {tid: len(self.parents(t)) for tid, t in self.tasks.items()}
-        # Deterministic ordering: process ready tasks in id order.
+        indeg: Dict[str, int] = {}
+        # Child lists come from parents(), which reads the producer
+        # index; children() would rescan every task's inputs per call.
+        kids: Dict[str, List[str]] = {tid: [] for tid in self.tasks}
+        for tid, task in self.tasks.items():
+            parents = self.parents(task)
+            indeg[tid] = len(parents)
+            for p in parents:
+                kids[p.task_id].append(tid)
+        # Deterministic ordering: process ready tasks in id order (so
+        # the order children are released in does not matter).
         ready = sorted(tid for tid, d in indeg.items() if d == 0)
         order: List[Task] = []
         while ready:
             tid = ready.pop(0)
-            task = self.tasks[tid]
-            order.append(task)
-            for child in sorted(
-                self.children(task), key=lambda t: t.task_id
-            ):
-                indeg[child.task_id] -= 1
-                if indeg[child.task_id] == 0:
-                    # Insertion keeping 'ready' sorted (small lists).
-                    ready.append(child.task_id)
-                    ready.sort()
+            order.append(self.tasks[tid])
+            for child in kids[tid]:
+                indeg[child] -= 1
+                if indeg[child] == 0:
+                    bisect.insort(ready, child)
         if len(order) != len(self.tasks):
             raise WorkflowValidationError(
                 f"workflow {self.name!r} contains a cycle"

@@ -126,6 +126,39 @@ class TestVerifyModeChurn:
         churn(env, fn, seed=5)
 
 
+class TestVerifyModeScenarios:
+    """Real scenario traffic under solver="verify".
+
+    Every ``FlowNetwork`` the run builds is forced into verify mode, so
+    each rebalance and estimate of the metadata RPC legs and transfers
+    is checked against a global solve.  ``fair_capped`` caps every
+    site, so its lone flows take the closed form under finite caps
+    (where the component shortcut does not apply).
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["fanout_bandwidth_aware", "fair_capped"]
+    )
+    def test_quick_run_matches_incremental(self, name, monkeypatch):
+        from repro.results import result_metrics
+        from repro.scenario import get_scenario
+
+        spec = get_scenario(name)
+        want = result_metrics(spec.run(quick=True))
+        solvers = []
+        init = FlowNetwork.__init__
+
+        def verify(self, env, site_caps=None, solver="incremental"):
+            solvers.append(solver)
+            init(self, env, site_caps=site_caps, solver="verify")
+
+        monkeypatch.setattr(FlowNetwork, "__init__", verify)
+        got = spec.run(quick=True)
+        assert solvers == ["incremental"]
+        assert got.provenance["flow_solver"] == "fair/verify"
+        assert result_metrics(got) == want
+
+
 class TestIncrementalEqualsGlobal:
     """Same seed, both solvers: identical end-to-end behavior."""
 

@@ -1,9 +1,12 @@
 """Tests for the workflow DAG structures."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.scenario.spec import WORKFLOW_BUILDERS
 from repro.workflow.dag import (
     Task,
     Workflow,
@@ -26,6 +29,44 @@ def wf_chain(n):
             )
         )
         prev = out
+    return wf
+
+
+def reference_order(wf):
+    """Task ids in Kahn order, walking ``children()`` per task: the
+    quadratic reference sort.  A cycle leaves tasks out."""
+    indeg = {tid: len(wf.parents(t)) for tid, t in wf.tasks.items()}
+    ready = sorted(tid for tid, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        tid = ready.pop(0)
+        order.append(tid)
+        for child in sorted(
+            wf.children(wf.tasks[tid]), key=lambda t: t.task_id
+        ):
+            indeg[child.task_id] -= 1
+            if indeg[child.task_id] == 0:
+                ready.append(child.task_id)
+                ready.sort()
+    return order
+
+
+def random_dag(seed, n=40):
+    """A seeded DAG whose id order differs from its dependency order:
+    each task reads a random subset (with repeats) of earlier outputs
+    and some initial inputs, under a shuffled id."""
+    rng = random.Random(seed)
+    ids = [f"t{i:02d}" for i in range(n)]
+    rng.shuffle(ids)
+    wf = Workflow(f"random-{seed}")
+    files = [WorkflowFile(f"in{i}") for i in range(3)]
+    for tid in ids:
+        inputs = [rng.choice(files) for _ in range(rng.randrange(4))]
+        outputs = [
+            WorkflowFile(f"{tid}/{k}") for k in range(rng.randint(1, 2))
+        ]
+        wf.add_task(Task(tid, inputs=inputs, outputs=outputs))
+        files.extend(outputs)
     return wf
 
 
@@ -155,6 +196,7 @@ class TestDagProperties:
             prev_outputs = outputs
         order = wf.topological_order()
         assert len(order) == sum(widths)
+        assert [t.task_id for t in order] == reference_order(wf)
         pos = {t.task_id: i for i, t in enumerate(order)}
         for t in wf:
             for p in wf.parents(t):
@@ -163,3 +205,43 @@ class TestDagProperties:
         assert [len(lv) for lv in levels] == widths
         # Critical path: one task per layer.
         assert wf.critical_path_time() == pytest.approx(len(widths) * 1.0)
+
+
+class TestTopologicalOrderMatchesReference:
+    """The O(V + E) sort visits tasks exactly as the children()-based
+    Kahn sort it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(WORKFLOW_BUILDERS))
+    @pytest.mark.parametrize("prefix", [None, "tenant-07"])
+    def test_application_dags(self, name, prefix):
+        wf = WORKFLOW_BUILDERS[name]()
+        if prefix is not None:
+            wf = wf.namespaced(prefix)
+        order = [t.task_id for t in wf.topological_order()]
+        assert order == reference_order(wf)
+        assert len(order) == len(wf)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_dags(self, seed):
+        wf = random_dag(seed)
+        order = [t.task_id for t in wf.topological_order()]
+        assert order == reference_order(wf)
+        assert len(order) == len(wf)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cycle_behind_valid_prefix_raises(self, seed):
+        wf = random_dag(seed)
+        f1, f2, f3 = (WorkflowFile(f"cyc{i}") for i in range(3))
+        wf.add_task(Task("zz-a", inputs=[f3], outputs=[f1]))
+        wf.add_task(Task("zz-b", inputs=[f1], outputs=[f2]))
+        wf.add_task(Task("zz-c", inputs=[f2], outputs=[f3]))
+        assert len(reference_order(wf)) == len(wf) - 3
+        with pytest.raises(WorkflowValidationError, match="cycle"):
+            wf.topological_order()
+
+    def test_self_loop_raises(self):
+        wf = Workflow("loop")
+        f = WorkflowFile("f")
+        wf.add_task(Task("a", inputs=[f], outputs=[f]))
+        with pytest.raises(WorkflowValidationError, match="cycle"):
+            wf.validate()
