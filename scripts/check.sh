@@ -37,11 +37,14 @@
 #      section (docs/elasticity.md);
 #   7. a figures smoke: Fig. 8 at CI sizes through the sweep path in
 #      two worker processes (repro.cli figures --jobs) must render;
-#   8. unused-import lint over the source tree.
+#   8. lint over the source tree: unused imports and yielded
+#      timeouts (step 1 also runs tests/test_lint.py, which holds
+#      tests/, benchmarks/, examples/, scripts/ and bench/ to the
+#      unused-import rule).
 #
 # Usage, from the repo root:
 #   scripts/check.sh            # fast profile + lint
-#   FULL=1 scripts/check.sh     # full tier-1 suite + lint (~3.5 min)
+#   FULL=1 scripts/check.sh     # full tier-1 suite + lint (~4-5 min)
 set -eu
 
 cd "$(dirname "$0")/.."

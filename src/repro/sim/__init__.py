@@ -27,13 +27,23 @@ shared, cancelled or rescheduled.
 
 Public API
 ----------
-- :class:`Environment` -- event loop and virtual clock.
+Only what the model runs; the module each part serves is named.
+
+- :class:`Environment` -- event loop and virtual clock, with
+  ``reschedule``/``cancel`` for the flow solver's completion timers
+  (``cloud/flow.py``).
 - :class:`Event`, :class:`Timeout`, :class:`Process` -- awaitables.
-- :class:`AllOf`, :class:`AnyOf` -- condition events.
-- :class:`Interrupt` -- cooperative process interruption.
-- :class:`Resource`, :class:`PriorityResource` -- bounded servers with queues.
-- :class:`Store`, :class:`FilterStore` -- producer/consumer channels.
-- :class:`Container` -- continuous-quantity resource.
+  Every layer runs as processes; a bare ``Event`` signals flow and task
+  completion (``cloud/flow.py``, ``workflow/engine.py``).
+- :class:`AllOf`, :class:`AnyOf` -- condition events.  ``AllOf`` joins
+  task, stage and tenant processes (``workflow/engine.py``,
+  ``workload/runner.py``); ``a | b`` builds the one ``AnyOf``, the
+  replication pump's timer-or-nudge wait (``metadata/consistency.py``).
+- :class:`Resource` -- bounded FIFO slots: registry servers, link
+  slots, VM cores and the ``max_in_flight`` admission semaphore.
+- :class:`Store` -- the replication pump's unbounded FIFO nudge buffer.
+- :class:`EventPriority`, :class:`SimulationError` -- same-instant
+  ordering and kernel errors.
 """
 
 from repro.sim.core import (
@@ -42,42 +52,22 @@ from repro.sim.core import (
     Environment,
     Event,
     EventPriority,
-    Interrupt,
     Process,
     SimulationError,
-    StopSimulation,
     Timeout,
 )
-from repro.sim.resources import (
-    Container,
-    FilterStore,
-    PreemptivePriorityResource,
-    PriorityRequest,
-    PriorityResource,
-    Preempted,
-    Request,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Request, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "EventPriority",
-    "FilterStore",
-    "Interrupt",
-    "Preempted",
-    "PreemptivePriorityResource",
-    "PriorityRequest",
-    "PriorityResource",
     "Process",
     "Request",
     "Resource",
     "SimulationError",
-    "StopSimulation",
     "Store",
     "Timeout",
 ]

@@ -61,10 +61,8 @@ __all__ = [
     "Environment",
     "Event",
     "EventPriority",
-    "Interrupt",
     "Process",
     "SimulationError",
-    "StopSimulation",
     "Timeout",
 ]
 
@@ -82,30 +80,17 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel itself."""
 
 
-class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Environment.run` early.
-
-    Users normally stop a run by passing ``until`` to
-    :meth:`Environment.run`; this exception also supports
-    :meth:`Environment.exit`-style termination from inside a process.
-    """
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
-
-
 class EventPriority:
     """Symbolic priorities for same-timestamp event ordering.
 
-    Lower values fire first.  ``URGENT`` is used by the kernel for process
-    bootstrapping and interrupts so they preempt normal activity scheduled
-    at the same instant; ``NORMAL`` is the default for user events.
+    Lower values fire first.  ``URGENT`` is used by the kernel to start
+    a process and to resume one that yielded an already-processed event,
+    so both run ahead of normal activity scheduled at the same instant;
+    ``NORMAL`` is the default for user events.
     """
 
     URGENT = 0
     NORMAL = 1
-    LOW = 2
 
 
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
@@ -201,28 +186,7 @@ class Event:
         self.env._schedule(self, EventPriority.NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper).
-
-        The source event must itself be triggered already; forwarding a
-        still-pending event would otherwise read as "failed" (``_ok`` is
-        ``None``) and surface as a baffling ``TypeError`` from
-        :meth:`fail` receiving the ``_PENDING`` sentinel.
-        """
-        if event._value is _PENDING:
-            raise SimulationError(
-                f"cannot forward the state of {event!r}: it has not been "
-                "triggered yet"
-            )
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     # -- composition ------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
 
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.env, [self, other])
@@ -293,25 +257,6 @@ class Initialize(Event):
             )
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` carries arbitrary context (e.g. "preempted", a failed
-    node id).  Interrupts are cooperative: the target may catch the
-    exception and keep running.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
-
-    def __str__(self) -> str:
-        return f"Interrupt({self.args[0]!r})"
-
-
 class Process(Event):
     """Wraps a generator; the process event fires when the generator ends.
 
@@ -328,7 +273,7 @@ class Process(Event):
       succeed with ``value``, waking anything waiting on the process.
     """
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -336,49 +281,11 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None if running
-        #: or finished).  Needed for interrupt bookkeeping.
-        self._target: Optional[Event] = None
         Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not terminated."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process as soon as possible.
-
-        Interrupting a dead process is an error; interrupting a process
-        that is about to be resumed is safe (the interrupt wins because it
-        is scheduled URGENT).  A sleeping process's wake-up is withdrawn.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        if self is self.env.active_process:
-            raise SimulationError("A process cannot interrupt itself")
-        wakeup = Event(self.env)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        wakeup.callbacks = [self._resume]
-        self.env._schedule(wakeup, EventPriority.URGENT)
-        # Detach from the wake-up or event we were waiting on: it must no
-        # longer resume us when it fires (we might be waiting on something
-        # new by then, or be dead).
-        if self._entry is not None:
-            self.env.cancel(self)  # asleep: withdraw the wake-up
-        elif self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._target = None
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's outcome."""
         env = self.env
-        env._active_process = self
-        self._target = None
         try:
             if event._ok:
                 next_target = self._generator.send(event._value)
@@ -387,14 +294,11 @@ class Process(Event):
                 event.defused = True
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process crashed
-            env._active_process = None
             self.fail(exc)
             return
-        env._active_process = None
 
         cls = next_target.__class__
         if cls is float or cls is int or (
@@ -430,13 +334,12 @@ class Process(Event):
             immediate._value = next_target._value
             immediate.callbacks = [self._resume]
             env._schedule(immediate, EventPriority.URGENT)
-            self._target = immediate
         else:
             next_target.callbacks.append(self._resume)
-            self._target = next_target
 
     def __repr__(self) -> str:
-        return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
+        state = "alive" if self._value is _PENDING else "done"
+        return f"<Process {self.name!r} {state}>"
 
 
 class ConditionEvent(Event):
@@ -527,7 +430,6 @@ class Environment:
         self._queue: List[list] = []
         self._seq = count()
         self._dead = 0
-        self._active_process: Optional[Process] = None
         #: Observability hook (a ``repro.obs.Tracer``), attached via
         #: :meth:`attach_tracer`; ``None`` while tracing is off.
         #: ``_trace_kernel`` caches ``tracer.wants("kernel")`` as a plain
@@ -535,17 +437,12 @@ class Environment:
         #: branch when disabled.
         self.tracer = None
         self._trace_kernel = False
-        #: Events dispatched by :meth:`run`/:meth:`step` over this
-        #: environment's lifetime -- the cheapest observability counter,
-        #: maintained whether or not a tracer is attached.
+        #: Events dispatched by :meth:`run` over this environment's
+        #: lifetime -- the cheapest observability counter, maintained
+        #: whether or not a tracer is attached.
         self.events_processed = 0
 
     # -- clock ------------------------------------------------------------
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     @property
     def queued(self) -> int:
@@ -579,12 +476,6 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ---------------------------------------------------------
 
     def _schedule(
@@ -600,19 +491,14 @@ class Environment:
                 depth=len(self._queue),
             )
 
-    def reschedule(
-        self,
-        event: Event,
-        delay: float,
-        priority: Optional[int] = None,
-    ) -> None:
+    def reschedule(self, event: Event, delay: float) -> None:
         """Move a scheduled, not-yet-processed event to fire ``delay`` from now.
 
         O(log n): the old calendar entry is lazily deleted in place and a
         re-keyed entry is pushed.  This is the primitive the flow-level
         bandwidth model leans on -- every fair-share rebalance reschedules
-        the completion of each affected transfer.  The entry's priority
-        is preserved unless a new one is given.
+        the completion of each affected transfer.  The entry keeps its
+        priority.
         """
         if not delay >= 0:
             raise _invalid_delay(delay)
@@ -620,7 +506,7 @@ class Environment:
         if entry is None or entry[3] is None or event.processed:
             raise SimulationError(f"{event!r} is not scheduled; cannot reschedule")
         entry[3] = None  # lazy-delete the stale entry
-        self._schedule(event, entry[1] if priority is None else priority, delay)
+        self._schedule(event, entry[1], delay)
         if self._trace_kernel:
             self.tracer.emit(
                 "kernel", "reschedule",
@@ -666,47 +552,6 @@ class Environment:
         heapq.heapify(queue)
         self._dead = 0
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        Purges lazily-deleted entries from the queue head as a side effect.
-        """
-        queue = self._queue
-        while queue and queue[0][3] is None:
-            heappop(queue)
-            self._dead -= 1
-        return queue[0][0] if queue else _INF
-
-    def step(self) -> None:
-        """Pop and process exactly one (live) event."""
-        queue = self._queue
-        while queue:
-            entry = heappop(queue)
-            event = entry[3]
-            if event is not None:
-                break
-            self._dead -= 1  # lazily-deleted (cancelled or rescheduled)
-        else:
-            raise SimulationError("No scheduled events")
-        self.now = entry[0]
-        self.events_processed += 1
-        if self._trace_kernel:
-            self.tracer.emit(
-                "kernel", "pop",
-                t=entry[0], prio=entry[1], depth=len(queue),
-            )
-        event._entry = None
-        if event._ok is None:
-            event._resume(_WAKE)  # a sleeping process's wake-up
-            return
-        callbacks = event.callbacks
-        event.callbacks = None
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event.defused:
-            # A failure nobody waited on: surface it rather than lose it.
-            raise event._value
-
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until the calendar drains, a time is reached, or an event fires.
 
@@ -738,22 +583,21 @@ class Environment:
                     f"until={deadline} is NaN or in the past (now={self.now})"
                 )
 
-        # The loop below is Environment.step() inlined: the entry at the
-        # head was already verified live, so popping and dispatching it
-        # here avoids a re-peek and a method call per event -- this is
-        # the hottest loop in the whole simulator.
+        # The hottest loop in the whole simulator: each pass purges one
+        # dead entry from the head, or pops the live head entry and
+        # dispatches it -- a sleeping process's wake-up resumes the
+        # process, any other event runs its callbacks.
         queue = self._queue
         trace = self._trace_kernel
         processed = 0
         # The dispatch count is kept in a local and folded back in the
-        # finally block (the loop has three exits: break, early return,
+        # finally block (the loop exits by break, by draining or by a
         # raise) -- one C-level int add per event instead of an
         # attribute store, keeping the tracing-off cost unmeasurable.
         try:
             while queue:
                 if stop_event is not None and stop_event.callbacks is None:
                     break  # the 'until' event has been processed
-                # Inline peek: purge dead entries, read the horizon.
                 entry = queue[0]
                 if entry[3] is None:
                     heappop(queue)
@@ -777,11 +621,8 @@ class Environment:
                     continue
                 callbacks = event.callbacks
                 event.callbacks = None
-                try:
-                    for cb in callbacks:
-                        cb(event)
-                except StopSimulation as stop:
-                    return stop.value
+                for cb in callbacks:
+                    cb(event)
                 if not event._ok and not event.defused:
                     # A failure nobody waited on: surface it, don't lose it.
                     raise event._value

@@ -1,48 +1,32 @@
 """Shared resources for the simulation kernel.
 
-Three families, mirroring the classic DES resource taxonomy:
+Two families, each exactly what the model runs:
 
-- :class:`Resource` / :class:`PriorityResource`: bounded number of usage
-  slots with a FIFO (or priority) wait queue -- used to model registry
-  service concurrency, network link capacity and VM cores.
-- :class:`Store` / :class:`FilterStore`: producer/consumer buffers of
-  discrete items -- used for message queues and task queues.
-- :class:`Container`: continuous quantity (e.g. bytes of cache memory).
+- :class:`Resource`: a bounded number of usage slots with a FIFO wait
+  queue.  It models registry service concurrency
+  (``metadata/registry.py``), network link slots (``cloud/network.py``),
+  VM cores (``cloud/vm.py``) and the ``max_in_flight`` admission
+  semaphore (``workload/admission.py``), which hands its slot back
+  through :meth:`Resource.release`.
+- :class:`Store`: an unbounded FIFO buffer of items.  The hybrid
+  strategy's replication pump (``metadata/consistency.py``) sleeps on
+  one until its flush timer fires or a full batch nudges it.
 
 Requests are events; acquiring with a ``with`` block guarantees release
-even if the holding process crashes or is interrupted::
+even if the holding process crashes::
 
     with resource.request() as req:
         yield req
-        yield env.timeout(service_time)
+        yield service_time
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.sim.core import Environment, Event
 
-__all__ = [
-    "Container",
-    "FilterStore",
-    "Preempted",
-    "PreemptivePriorityResource",
-    "PriorityRequest",
-    "PriorityResource",
-    "Request",
-    "Resource",
-    "Store",
-]
-
-
-class Preempted(Exception):
-    """Cause attached to interrupts raised by preemptive resources."""
-
-    def __init__(self, by: Any, usage_since: float):
-        super().__init__(by, usage_since)
-        self.by = by
-        self.usage_since = usage_since
+__all__ = ["Request", "Resource", "Store"]
 
 
 class Request(Event):
@@ -72,34 +56,12 @@ class Request(Event):
         self.resource._release(self)
 
 
-class PriorityRequest(Request):
-    """A request with a priority; smaller values are served first.
-
-    Ties break by issue order (FIFO within a priority class).
-    ``preempt`` only matters for :class:`PreemptivePriorityResource`.
-    """
-
-    __slots__ = ("priority", "preempt", "process", "granted_at", "_key")
-
-    def __init__(
-        self,
-        resource: "PriorityResource",
-        priority: int = 0,
-        preempt: bool = False,
-    ):
-        self.priority = priority
-        self.preempt = preempt
-        #: The process issuing the request (preemption target bookkeeping).
-        self.process = resource.env.active_process
-        #: Set when the slot is granted (for Preempted.usage_since).
-        self.granted_at: float = -1.0
-        self._key = (priority,)  # set before super(): _request reads it
-        super().__init__(resource)
-        self._key = (priority, self.issued_at)
-
-
 class Release(Event):
-    """Immediate event confirming a release (kept for symmetry/testing)."""
+    """Immediate event confirming a release through :meth:`Resource.release`.
+
+    The ``max_in_flight`` admission policy releases its slots this way,
+    so each release is one scheduled (and traced) kernel event.
+    """
 
     __slots__ = ("request",)
 
@@ -190,10 +152,8 @@ class Resource:
         self._trigger()
 
     def _trigger(self) -> None:
-        # FIFO grants pop from the queue head; the priority variants
-        # override this with a selection policy.  This loop runs twice
-        # per request on the hottest service paths (registry servers,
-        # link slots), so it avoids any selection indirection.
+        # Runs twice per request on the hottest service paths (registry
+        # servers, link slots), hence the local aliases.
         users = self.users
         queue = self.queue
         now = self.env.now
@@ -204,279 +164,57 @@ class Resource:
             nxt.succeed()
 
 
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority."""
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def try_acquire(self) -> Optional[Request]:
-        # The fast path would hand out a plain Request, which lacks the
-        # priority/preemption bookkeeping the selection and eviction
-        # policies read off the users list.  Priority resources always
-        # take the full request path.
-        return None
-
-    def _select(self) -> Optional[Request]:
-        if not self.queue:
-            return None
-        return min(self.queue, key=lambda r: getattr(r, "_key", (0,)))
-
-    def _trigger(self) -> None:
-        while len(self.users) < self._capacity:
-            nxt = self._select()
-            if nxt is None:
-                return
-            self.queue.remove(nxt)
-            self.users.append(nxt)
-            self.total_wait_time += self.env.now - nxt.issued_at
-            nxt.granted_at = self.env.now
-            nxt.succeed()
-
-
-class PreemptivePriorityResource(PriorityResource):
-    """A priority resource where urgent requests may evict slot holders.
-
-    A request issued with ``preempt=True`` that finds all slots taken
-    by strictly lower-priority holders (larger priority numbers) evicts
-    the worst of them: the victim's process receives an
-    :class:`~repro.sim.core.Interrupt` whose cause is a
-    :class:`Preempted` record.  Victims may catch it and re-request.
-    """
-
-    def request(  # type: ignore[override]
-        self, priority: int = 0, preempt: bool = True
-    ) -> PriorityRequest:
-        return PriorityRequest(self, priority, preempt=preempt)
-
-    def _request(self, request: Request) -> None:
-        super()._request(request)
-        # Not granted by the normal path: consider eviction.
-        if (
-            not request.triggered
-            and getattr(request, "preempt", False)
-            and self.users
-        ):
-            victim = max(
-                self.users,
-                key=lambda r: getattr(r, "_key", (float("inf"),)),
-            )
-            if getattr(victim, "priority", 0) > getattr(
-                request, "priority", 0
-            ):
-                self.users.remove(victim)
-                proc = getattr(victim, "process", None)
-                if proc is not None and proc.is_alive:
-                    proc.interrupt(
-                        Preempted(
-                            by=getattr(request, "process", None),
-                            usage_since=getattr(
-                                victim, "granted_at", victim.issued_at
-                            ),
-                        )
-                    )
-                self._trigger()
-
-
 class StorePut(Event):
-    __slots__ = ("item",)
+    """Confirms a put; the item goes to the oldest waiting getter, or
+    into the store."""
+
+    __slots__ = ()
 
     def __init__(self, store: "Store", item: Any):
         super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._dispatch()
+        # Scheduled before the getter the item satisfies.
+        self.succeed()
+        if store._get_queue:
+            store._get_queue.pop(0).succeed(item)
+        else:
+            store.items.append(item)
 
 
 class StoreGet(Event):
+    """Takes the oldest item, waiting while the store is empty."""
+
     __slots__ = ("_store",)
 
     def __init__(self, store: "Store"):
         super().__init__(store.env)
-        store._get_queue.append(self)
-        store._dispatch()
+        self._store = store
+        if store.items:
+            self.succeed(store.items.pop(0))
+        else:
+            store._get_queue.append(self)
 
     def cancel(self) -> None:
         """Withdraw a not-yet-satisfied get (e.g. on timeout races)."""
-        if not self.triggered:
-            try:
-                self.env  # keep attribute access explicit
-                self_store = self._store  # type: ignore[attr-defined]
-            except AttributeError:
-                self_store = None
-            if self_store is not None and self in self_store._get_queue:
-                self_store._get_queue.remove(self)
-
-
-class FilterStoreGet(StoreGet):
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "FilterStore", filter_fn: Callable[[Any], bool]):
-        self.filter = filter_fn
-        super().__init__(store)
+        getters = self._store._get_queue
+        if self in getters:
+            getters.remove(self)
 
 
 class Store:
-    """An unbounded-or-bounded FIFO buffer of Python objects.
+    """An unbounded FIFO buffer of Python objects.
 
-    ``put`` blocks only when a finite ``capacity`` is set and full;
-    ``get`` blocks while empty.  Used throughout as mailboxes: network
-    message queues, task dispatch queues, synchronization-agent inboxes.
+    ``put`` never blocks; ``get`` blocks while the store is empty, and
+    waiting getters are served in arrival order.  Items and waiting
+    getters never coexist: a put hands its item straight to a waiter.
     """
 
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self.items: List[Any] = []
-        self._put_queue: List[StorePut] = []
         self._get_queue: List[StoreGet] = []
 
     def put(self, item: Any) -> StorePut:
         return StorePut(self, item)
 
     def get(self) -> StoreGet:
-        ev = StoreGet(self)
-        ev._store = self  # type: ignore[attr-defined]
-        return ev
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    # -- internal ----------------------------------------------------------
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.pop(0))
-            return True
-        return False
-
-    def _dispatch(self) -> None:
-        # Alternate put/get matching until no further progress.
-        progress = True
-        while progress:
-            progress = False
-            while self._put_queue and self._do_put(self._put_queue[0]):
-                self._put_queue.pop(0)
-                progress = True
-            while self._get_queue and self._do_get(self._get_queue[0]):
-                self._get_queue.pop(0)
-                progress = True
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose consumers take the first item matching a
-    predicate -- used e.g. to let workers pull only tasks scheduled to
-    their own site."""
-
-    def get(self, filter_fn: Callable[[Any], bool] = lambda item: True) -> FilterStoreGet:  # type: ignore[override]
-        ev = FilterStoreGet(self, filter_fn)
-        ev._store = self  # type: ignore[attr-defined]
-        return ev
-
-    def _do_get(self, event: StoreGet) -> bool:
-        filt = getattr(event, "filter", lambda item: True)
-        for i, item in enumerate(self.items):
-            if filt(item):
-                self.items.pop(i)
-                event.succeed(item)
-                return True
-        return False
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._put_queue and self._do_put(self._put_queue[0]):
-                self._put_queue.pop(0)
-                progress = True
-            # Unlike the FIFO store, later getters may match even when the
-            # head getter does not; scan all waiting getters.
-            satisfied = []
-            for ev in self._get_queue:
-                if self._do_get(ev):
-                    satisfied.append(ev)
-                    progress = True
-            for ev in satisfied:
-                self._get_queue.remove(ev)
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._dispatch()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._dispatch()
-
-
-class Container:
-    """A continuous quantity with blocking put/get (e.g. cache memory)."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._put_queue: List[ContainerPut] = []
-        self._get_queue: List[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._put_queue:
-                ev = self._put_queue[0]
-                if self._level + ev.amount <= self.capacity:
-                    self._level += ev.amount
-                    ev.succeed()
-                    self._put_queue.pop(0)
-                    progress = True
-            if self._get_queue:
-                ev = self._get_queue[0]
-                if ev.amount <= self._level:
-                    self._level -= ev.amount
-                    ev.succeed()
-                    self._get_queue.pop(0)
-                    progress = True
+        return StoreGet(self)

@@ -12,7 +12,6 @@ from repro.metadata.controller import StrategyName
 from repro.metadata.stats import OpKind, OpRecord, OpStats
 from repro.util.units import KB, MB
 from repro.workflow.applications import buzzflow, montage
-from repro.workflow.patterns import pipeline, scatter
 
 
 def profile(**kw):

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.monitor import RegistryMonitor
 from repro.cloud.deployment import Deployment
 from repro.cloud.presets import azure_4dc_topology
-from repro.experiments.synthetic import run_synthetic_workload
 from repro.metadata.controller import ArchitectureController
 from repro.metadata.entry import RegistryEntry
 

@@ -17,7 +17,7 @@ from repro.analysis.queueing import (
 )
 from repro.metadata.config import MetadataConfig
 from repro.metadata.registry import MetadataRegistry
-from repro.sim import AllOf, Environment
+from repro.sim import Environment
 
 
 class TestFormulas:

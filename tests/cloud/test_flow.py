@@ -13,7 +13,7 @@ import pytest
 from repro.cloud.flow import FairShareLink, FlowAborted, FlowNetwork
 from repro.cloud.network import Network
 from repro.cloud.presets import azure_4dc_topology, make_topology
-from repro.sim import Environment
+from repro.sim import AllOf, Environment
 from repro.util.units import MB
 
 WAN_BW = 50 * MB  # azure preset WAN bandwidth, bytes/s
@@ -45,7 +45,7 @@ class TestFairShareLink:
         flows = [link.open(size=100) for _ in range(n)]
         for f in flows:
             assert f.rate == pytest.approx(100.0 / n)
-        env.run(until=env.all_of([f.done for f in flows]))
+        env.run(until=AllOf(env, [f.done for f in flows]))
         # 100 bytes each at 25 B/s: all finish together at t=4.
         assert env.now == pytest.approx(4.0)
 
@@ -120,7 +120,7 @@ class TestFairShareLink:
     def test_stats_track_concurrency(self, env):
         link = FairShareLink(env, capacity=100.0)
         flows = [link.open(size=50) for _ in range(3)]
-        env.run(until=env.all_of([f.done for f in flows]))
+        env.run(until=AllOf(env, [f.done for f in flows]))
         assert link.stats.flows == 3
         assert link.stats.bytes == 150
         assert link.stats.max_concurrent == 3

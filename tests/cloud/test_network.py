@@ -4,7 +4,6 @@ import pytest
 
 from repro.cloud.network import Network
 from repro.cloud.presets import azure_4dc_topology
-from repro.sim import Environment
 from repro.util.units import MB
 
 

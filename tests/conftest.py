@@ -5,7 +5,7 @@ import pytest
 from repro.sim import Environment
 from repro.cloud.deployment import Deployment
 from repro.cloud.network import Network
-from repro.cloud.presets import azure_4dc_topology, make_topology
+from repro.cloud.presets import azure_4dc_topology
 from repro.metadata.config import MetadataConfig
 
 

@@ -1,9 +1,6 @@
 """Tests for the Fig. 3 local-replication micro-experiment."""
 
-import pytest
-
 from repro.experiments.fig3_replication import run_fig3
-from repro.metadata.config import MetadataConfig
 
 
 class TestFig3:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.synthetic import run_synthetic_workload
-from repro.metadata.config import MetadataConfig
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ import pytest
 
 from repro.cloud.deployment import Deployment
 from repro.cloud.presets import azure_4dc_topology, make_topology
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController, StrategyName
 from repro.metadata.entry import RegistryEntry
 from repro.workflow.applications import buzzflow, montage

@@ -9,7 +9,7 @@ A sequential in-memory reference model computes the expected final
 state; hypothesis generates adversarial multi-site write sequences.
 """
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings

@@ -10,7 +10,6 @@ from repro.metadata.controller import (
     StrategyName,
 )
 from repro.metadata.entry import RegistryEntry
-from repro.metadata.strategies import MetadataStrategy
 from repro.metadata.strategies.base import MetadataStrategy as Base
 
 

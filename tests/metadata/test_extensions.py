@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud.deployment import Deployment
-from repro.cloud.presets import AZURE_4DC, azure_4dc_topology
+from repro.cloud.presets import azure_4dc_topology
 from repro.metadata.controller import ArchitectureController
 from repro.metadata.entry import RegistryEntry
 from repro.metadata.strategies.extensions import (

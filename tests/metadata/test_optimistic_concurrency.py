@@ -12,7 +12,7 @@ from repro.cloud.presets import azure_4dc_topology
 from repro.metadata.config import MetadataConfig
 from repro.metadata.entry import RegistryEntry, VersionConflict
 from repro.metadata.registry import MetadataRegistry
-from repro.sim import AllOf, Environment
+from repro.sim import AllOf
 
 
 @pytest.fixture

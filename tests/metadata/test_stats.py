@@ -2,7 +2,6 @@
 
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from repro.metadata.stats import OpKind, OpRecord, OpStats

@@ -4,14 +4,12 @@ import pytest
 
 from repro.cloud.deployment import Deployment
 from repro.cloud.presets import AZURE_4DC, azure_4dc_topology
-from repro.metadata.config import MetadataConfig
 from repro.metadata.entry import RegistryEntry
 from repro.metadata.stats import OpKind
 from repro.metadata.strategies import (
     CentralizedStrategy,
     DecentralizedStrategy,
     HybridStrategy,
-    MetadataStrategy,
     ReplicatedStrategy,
 )
 from repro.metadata.strategies.base import ReadMissError

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.cloud.deployment import Deployment
-from repro.cloud.presets import (
-    azure_4dc_topology,
-    heterogeneous_fanout_topology,
-)
+from repro.cloud.presets import azure_4dc_topology
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController
 from repro.scheduling import (

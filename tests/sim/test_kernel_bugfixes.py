@@ -6,30 +6,17 @@ Each test pins a behavior that used to be wrong:
   event returned the exception object instead of raising it (the
   during-run path raised; the early-return path leaked the exception as
   a value).
-- ``Event.trigger`` on a not-yet-triggered source forwarded the internal
-  ``_PENDING`` sentinel into ``fail`` and surfaced as a baffling
-  ``TypeError``; it now raises a clear :class:`SimulationError`.
-
-- ``Process.interrupt`` compared the awaited event, not the process,
-  with ``env.active_process``, so a process interrupting itself was not
-  rejected: its pending wait then resumed it early and the run died.
 - NaN times passed every ``delay < 0`` / ``deadline < now`` check: a
   NaN calendar key breaks heap order (the clock runs backwards) and
   ``run(until=nan)`` ran everything and left ``now`` at NaN.
 
-Plus the cancel/reschedule/interrupt races the lazy-deletion calendar
-has to get right.
+Plus the cancel/reschedule races the lazy-deletion calendar has to get
+right.
 """
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import SimulationError, Timeout
 
 
 class Boom(Exception):
@@ -78,32 +65,6 @@ class TestRunUntilProcessedFailure:
             env.run(until=ev)
 
 
-class TestTriggerPendingSource:
-    def test_trigger_from_pending_source_raises_clearly(self, env):
-        """S2: forwarding a pending event is an error, not a TypeError."""
-        src = env.event()
-        dst = env.event()
-        with pytest.raises(SimulationError, match="not been .*triggered"):
-            dst.trigger(src)
-        # Neither event changed state.
-        assert not src.triggered and not dst.triggered
-
-    def test_trigger_forwards_success_and_failure(self, env):
-        ok_src = env.event().succeed(5)
-        ok_dst = env.event()
-        ok_dst.trigger(ok_src)
-        assert ok_dst.triggered and ok_dst._ok
-
-        bad_src = env.event().fail(Boom())
-        bad_dst = env.event()
-        bad_dst.trigger(bad_src)
-        assert bad_dst.triggered and not bad_dst._ok
-        # Defuse both failures so run() doesn't surface them.
-        bad_src.defused = True
-        bad_dst.defused = True
-        env.run()
-
-
 class TestCancelTriggerRaces:
     def test_cancel_then_trigger(self, env):
         """A withdrawn event can be re-armed: cancel only unschedules."""
@@ -150,98 +111,6 @@ class TestCancelTriggerRaces:
         assert ev.processed
         with pytest.raises(SimulationError, match="not scheduled"):
             env.reschedule(ev, 1.0)
-
-
-class TestInterruptRaces:
-    def test_interrupt_beats_already_triggered_target(self, env):
-        """Interrupting a process whose wait target already fired.
-
-        The timeout is scheduled (triggered) for the same instant the
-        interrupt lands; the URGENT interrupt must win and the stale
-        timeout must NOT resume the process afterwards.
-        """
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(1.0, value="slept")
-                log.append("slept")
-            except Interrupt as intr:
-                log.append(("interrupted", intr.cause))
-                # Keep living past the timeout instant to prove the old
-                # target does not resume us a second time.
-                yield env.timeout(5.0)
-                log.append("resumed-later")
-
-        def interrupter():
-            yield env.timeout(1.0)
-            proc.interrupt(cause="race")
-
-        # Created first, so the interrupter's t=1.0 timeout pops before
-        # the sleeper's: the interrupt lands while the sleeper's own
-        # timeout is already triggered and sitting in the calendar.
-        env.process(interrupter())
-        proc = env.process(sleeper())
-        env.run()
-        assert log == [("interrupted", "race"), "resumed-later"]
-
-    def test_interrupt_detaches_from_old_target(self, env):
-        """The interrupted process's old target fires without effect."""
-        target = env.timeout(3.0, value="late")
-
-        def sleeper():
-            try:
-                yield target
-            except Interrupt:
-                return "out"
-
-        proc = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(1.0)
-            proc.interrupt()
-
-        env.process(interrupter())
-        assert env.run(until=proc) == "out"
-        env.run()
-        assert target.processed  # fired later, resuming nobody
-
-
-class TestSelfInterrupt:
-    def test_process_cannot_interrupt_itself(self, env):
-        log = []
-
-        def selfish():
-            try:
-                env.active_process.interrupt()
-            except SimulationError as exc:
-                log.append(str(exc))
-            yield env.timeout(5)
-            log.append(env.now)
-
-        env.process(selfish())
-        env.run()
-        assert log == ["A process cannot interrupt itself", 5.0]
-
-    def test_uncaught_self_interrupt_fails_the_process(self, env):
-        """Before the fix the interrupt was delivered at the next wait,
-        the wait after that resumed at t=1 and the run then died with
-        "already triggered"."""
-        log = []
-
-        def selfish():
-            env.active_process.interrupt()
-            try:
-                yield env.timeout(1)
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield env.timeout(5)
-            log.append(env.now)
-
-        env.process(selfish())
-        with pytest.raises(SimulationError, match="cannot interrupt itself"):
-            env.run()
-        assert log == []
 
 
 NAN = float("nan")

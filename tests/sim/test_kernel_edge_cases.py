@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    SimulationError,
-    Store,
-)
+from repro.sim import AllOf, AnyOf, Store
 
 
 class TestConditionValues:
@@ -45,26 +38,6 @@ class TestConditionValues:
             return result
 
         assert env.run(until=env.process(waiter()))[ev] == 7
-
-
-class TestEventTrigger:
-    def test_trigger_copies_success(self, env):
-        src, dst = env.event(), env.event()
-        src.succeed("payload")
-        env.run()
-        dst.trigger(src)
-        assert dst.triggered and dst.ok
-        assert dst.value == "payload"
-
-    def test_trigger_copies_failure(self, env):
-        src, dst = env.event(), env.event()
-        src.fail(RuntimeError("x"))
-        src.defused = True
-        env.run()
-        dst.trigger(src)
-        assert dst.triggered and not dst.ok
-        dst.defused = True
-        env.run()
 
 
 class TestRunSemantics:

@@ -1,15 +1,9 @@
-"""Unit tests for Resource, PriorityResource, Store, FilterStore, Container."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim import Resource, Store
+from repro.sim.resources import StoreGet
 
 
 class TestResource:
@@ -116,52 +110,6 @@ class TestResource:
         assert len(res.queue) == 0
 
 
-class TestPriorityResource:
-    def test_priority_order(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(tag, prio):
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(tag)
-                yield env.timeout(1)
-
-        def submit():
-            # Occupy the resource, then enqueue contenders.
-            with res.request(priority=0) as req:
-                yield req
-                env.process(user("low", 5))
-                env.process(user("high", 1))
-                env.process(user("mid", 3))
-                yield env.timeout(1)
-
-        env.process(submit())
-        env.run()
-        assert order == ["high", "mid", "low"]
-
-    def test_fifo_within_priority(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(tag):
-            with res.request(priority=1) as req:
-                yield req
-                order.append(tag)
-                yield env.timeout(1)
-
-        def submit():
-            with res.request(priority=0) as req:
-                yield req
-                for tag in "abc":
-                    env.process(user(tag))
-                yield env.timeout(1)
-
-        env.process(submit())
-        env.run()
-        assert order == list("abc")
-
-
 class TestStore:
     def test_put_get_fifo(self, env):
         store = Store(env)
@@ -196,116 +144,22 @@ class TestStore:
         env.process(producer())
         assert env.run(until=c) == (5.0, "late")
 
-    def test_bounded_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer():
-            for i in range(2):
-                yield store.put(i)
-                times.append(env.now)
-
-        def consumer():
-            yield env.timeout(3)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
+    def test_put_schedules_before_the_getter_it_satisfies(self, env):
+        store = Store(env)
+        getter = store.get()
+        put = store.put("x")
+        order = []
+        for ev in (getter, put):
+            ev.callbacks.append(lambda e: order.append(type(e).__name__))
         env.run()
-        assert times == [0.0, 3.0]
+        assert order == ["StorePut", "StoreGet"]
+        assert getter.value == "x"
 
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
-
-class TestFilterStore:
-    def test_filter_selects_matching(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def producer():
-            for item in ("apple", "banana", "cherry"):
-                yield store.put(item)
-
-        def consumer():
-            item = yield store.get(lambda x: x.startswith("b"))
-            got.append(item)
-
-        env.process(producer())
-        env.process(consumer())
+    def test_directly_built_getter_can_be_cancelled(self, env):
+        store = Store(env)
+        getter = StoreGet(store)
+        getter.cancel()
+        store.put("x")
         env.run()
-        assert got == ["banana"]
-        assert store.items == ["apple", "cherry"]
-
-    def test_later_getter_can_match_first(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def want(prefix):
-            item = yield store.get(lambda x, p=prefix: x.startswith(p))
-            got.append(item)
-
-        env.process(want("z"))  # never satisfied first in queue
-        env.process(want("a"))
-
-        def producer():
-            yield store.put("avocado")
-
-        env.process(producer())
-        env.run(until=2)
-        assert got == ["avocado"]
-
-
-class TestContainer:
-    def test_levels(self, env):
-        c = Container(env, capacity=10, init=5)
-
-        def ops():
-            yield c.get(3)
-            assert c.level == 2
-            yield c.put(8)
-            assert c.level == 10
-
-        env.run(until=env.process(ops()))
-
-    def test_get_blocks_until_available(self, env):
-        c = Container(env, capacity=10, init=0)
-
-        def consumer():
-            yield c.get(4)
-            return env.now
-
-        def producer():
-            yield env.timeout(2)
-            yield c.put(4)
-
-        p = env.process(consumer())
-        env.process(producer())
-        assert env.run(until=p) == 2.0
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=5, init=5)
-
-        def producer():
-            yield c.put(1)
-            return env.now
-
-        def consumer():
-            yield env.timeout(3)
-            yield c.get(2)
-
-        p = env.process(producer())
-        env.process(consumer())
-        assert env.run(until=p) == 3.0
-
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=5, init=9)
-        c = Container(env, capacity=5)
-        with pytest.raises(ValueError):
-            c.put(0)
-        with pytest.raises(ValueError):
-            c.get(-1)
+        assert not getter.triggered
+        assert store.items == ["x"]

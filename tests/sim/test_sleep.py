@@ -3,14 +3,13 @@
 ``yield delay`` puts the process itself on the calendar where
 ``Timeout(env, delay)`` would have gone; the pop-order equivalence with
 ``Timeout`` is pinned by seeded plans in ``test_queue_backends.py``.
-These are the kernel cases around it: accepted and rejected delays,
-dispatch through ``step()`` and interrupting a sleeper.
+These are the kernel cases around it: accepted and rejected delays.
 """
 
 import numpy as np
 import pytest
 
-from repro.sim import Interrupt, SimulationError
+from repro.sim import SimulationError
 
 
 class TestAcceptedDelays:
@@ -66,66 +65,3 @@ class TestRejectedDelays:
             env.run()
         assert env.now == 0.0
         assert env.queued == 0  # nothing was scheduled
-
-
-class TestStep:
-    def test_step_dispatches_a_wake(self, env):
-        log = []
-
-        def sleeper():
-            yield 2.0
-            log.append(env.now)
-
-        proc = env.process(sleeper())
-        env.step()  # Initialize: the process starts and falls asleep
-        assert env.peek() == 2.0 and log == []
-        env.step()  # the wake-up
-        assert log == [2.0]
-        assert env.now == 2.0
-        assert env.events_processed == 2
-        env.step()  # the process's completion
-        assert not proc.is_alive
-
-
-class TestInterruptSleeper:
-    def test_interrupt_arrives_at_interrupt_instant(self, env):
-        log = []
-
-        def sleeper():
-            try:
-                yield 10.0
-            except Interrupt as intr:
-                log.append((env.now, intr.cause))
-            yield 1.0
-            log.append(env.now)
-
-        proc = env.process(sleeper())
-
-        def interrupter():
-            yield 3.0
-            proc.interrupt("wake up")
-
-        env.process(interrupter())
-        env.run()
-        assert log == [(3.0, "wake up"), 4.0]
-        # The withdrawn 10.0 wake never fired: the run ended at 4.0.
-        assert env.now == 4.0
-
-    def test_withdrawn_wake_is_a_counted_dead_entry(self, env):
-        def sleeper():
-            try:
-                yield 10.0
-            except Interrupt:
-                pass
-
-        proc = env.process(sleeper())
-        env.step()  # start: asleep until 10.0
-        assert env.queued == 1 and env._dead == 0
-        proc.interrupt()
-        # The wake entry stays in the heap, dead; the interrupt is live.
-        assert env.queued == 2 and env._dead == 1
-        env.run()
-        assert env._dead == 0 and env.queued == 0
-        assert env.now == 0.0
-        # Initialize, the interrupt, the completion -- no wake.
-        assert env.events_processed == 3

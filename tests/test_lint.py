@@ -1,5 +1,6 @@
 """CI lint step: the source tree must stay free of unused imports and
-of processes yielding ``Timeout``/``.timeout(...)`` instead of sleeping.
+of processes yielding ``Timeout``/``.timeout(...)`` instead of sleeping,
+and the test and harness trees free of unused imports.
 
 Backed by :mod:`repro.util.lint` (AST-based; the container ships no
 third-party linter).  Runs as part of the default pytest entry point so
@@ -13,9 +14,23 @@ from repro.util import lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: Trees outside ``src/`` held to the unused-import rule only: kernel
+#: tests yield ``Timeout`` on purpose.
+HARNESS_TREES = ("tests", "benchmarks", "examples", "scripts", "bench")
+
 
 def test_src_tree_has_no_unused_imports():
     findings = lint.check_tree(REPO_ROOT / "src")
+    assert not findings, "\n".join(str(f) for f in findings)
+
+
+def test_test_and_harness_trees_have_no_unused_imports():
+    findings = [
+        f
+        for tree in HARNESS_TREES
+        for f in lint.check_tree(REPO_ROOT / tree)
+        if f.rule == "unused-import"
+    ]
     assert not findings, "\n".join(str(f) for f in findings)
 
 
@@ -103,7 +118,7 @@ class TestYieldTimeout:
             yield net.env.timeout(3.0)
             yield 4.0
             timer = env.timeout(5.0)
-            yield env.any_of([timer, Timeout(env, 6.0)])
+            yield timer | Timeout(env, 6.0)
             yield timer
         """
 

@@ -1,7 +1,5 @@
 """Tests for RNG streams and unit helpers."""
 
-import pytest
-
 from repro.util.rng import RngStreams, derive_seed
 from repro.util.units import GB, KB, MB, fmt_bytes, fmt_duration
 

@@ -1,7 +1,5 @@
 """Tests for the Section III-C speculative data provisioner."""
 
-import pytest
-
 from repro.cloud.deployment import Deployment
 from repro.cloud.presets import azure_4dc_topology
 from repro.metadata.controller import ArchitectureController

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.workflow.applications import montage
-from repro.workflow.dag import Task, Workflow, WorkflowFile
 from repro.workflow.patterns import gather, pipeline
 from repro.workflow.serialization import (
     WorkflowFormatError,

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.units import KB, MB
-from repro.workflow.applications import buzzflow, montage
+from repro.workflow.applications import montage
 from repro.workflow.patterns import broadcast, gather, pipeline, scatter
 from repro.workflow.traces import (
     HUMAN_GENOME,
