@@ -115,6 +115,25 @@ class TestTracer:
         assert "pop" in names
         assert env.events_processed == 2
 
+    def test_kernel_trace_records_reschedule_and_cancel(self):
+        env = Environment()
+        env.attach_tracer(Tracer(env, categories=("kernel",)))
+        moved = Timeout(env, 1.0)
+        dropped = Timeout(env, 2.0)
+        env.reschedule(moved, 3.0)
+        env.cancel(dropped)
+        env.run()
+        kernel = [(name, args) for _, _, name, args in env.tracer.events]
+        assert kernel == [
+            ("schedule", {"t": 1.0, "prio": 1, "kind": "Timeout", "depth": 1}),
+            ("schedule", {"t": 2.0, "prio": 1, "kind": "Timeout", "depth": 2}),
+            ("schedule", {"t": 3.0, "prio": 1, "kind": "Timeout", "depth": 3}),
+            ("reschedule", {"old_t": 1.0, "t": 3.0, "depth": 3}),
+            ("cancel", {"t": 2.0, "depth": 3}),
+            ("pop", {"t": 3.0, "prio": 1, "depth": 0}),
+        ]
+        assert env.events_processed == 1
+
     def test_export_summary(self):
         env = make_env()
         tracer = Tracer(env)

@@ -36,6 +36,35 @@ class TestClock:
         with pytest.raises(ValueError):
             env.timeout(-1)
 
+    def test_run_on_empty_calendar_returns_at_once(self, env):
+        assert env.run() is None
+        assert env.now == 0.0
+        assert env.events_processed == 0
+
+    def test_run_until_time_fires_events_at_the_deadline(self, env):
+        at_deadline = env.timeout(4.0)
+        after = env.timeout(4.5)
+        env.run(until=4.0)
+        assert at_deadline.processed
+        assert not after.processed
+        assert env.now == 4.0
+
+    def test_timeouts_count_from_the_initial_time(self):
+        env = Environment(initial_time=10.0)
+        ev = env.timeout(2.5)
+        env.run()
+        assert ev.processed
+        assert env.now == 12.5
+
+    def test_events_processed_counts_live_dispatches_across_runs(self, env):
+        for delay in (1.0, 2.0, 3.0):
+            env.timeout(delay)
+        env.cancel(env.timeout(2.5))
+        env.run(until=1.5)
+        assert env.events_processed == 1
+        env.run()
+        assert env.events_processed == 3  # the cancelled entry is not one
+
 
 class TestEvents:
     def test_succeed_delivers_value(self, env):
@@ -89,6 +118,14 @@ class TestEvents:
         with pytest.raises(SimulationError):
             env.event().ok
 
+    def test_repr_tracks_state(self, env):
+        ev = env.event()
+        assert "pending" in repr(ev)
+        ev.succeed()
+        assert "triggered" in repr(ev)
+        env.run()
+        assert "processed" in repr(ev)
+
 
 class TestOrdering:
     def test_simultaneous_events_fifo(self, env):
@@ -132,6 +169,22 @@ class TestOrdering:
             return trace
 
         assert run_once() == run_once()
+
+    def test_resume_on_processed_event_precedes_same_instant_events(self, env):
+        """Yielding a processed event resumes at URGENT priority."""
+        done = env.event()
+        done.succeed()
+        env.run()
+        order = []
+
+        def late():
+            yield done
+            order.append("resumed")
+
+        env.timeout(0).callbacks.append(lambda _: order.append("timeout"))
+        env.process(late())
+        env.run()
+        assert order == ["resumed", "timeout"]
 
 
 class TestProcesses:
@@ -184,6 +237,69 @@ class TestProcesses:
 
         assert env.run(until=env.process(late_waiter())) == "early"
 
+    def test_yield_already_processed_failure_throws(self, env):
+        ev = env.event()
+        ev.fail(RuntimeError("old news"))
+        ev.defused = True
+        env.run()
+
+        def late_waiter():
+            try:
+                yield ev
+            except RuntimeError as exc:
+                return str(exc)
+
+        assert env.run(until=env.process(late_waiter())) == "old news"
+
+    def test_lifecycle_states(self, env):
+        def worker():
+            yield 1
+            return "done"
+
+        proc = env.process(worker(), name="w")
+        assert not proc.triggered
+        assert repr(proc) == "<Process 'w' alive>"
+        env.run(until=0.5)
+        assert not proc.triggered  # asleep, not finished
+        env.run()
+        assert proc.processed
+        assert proc.value == "done"
+        assert repr(proc) == "<Process 'w' done>"
+
+    def test_name_defaults_to_the_generator_function(self, env):
+        def worker():
+            yield 1
+
+        assert env.process(worker()).name == "worker"
+        assert env.process(worker(), name="w7").name == "w7"
+
+    def test_generator_function_rejected(self, env):
+        def worker():
+            yield 1
+
+        with pytest.raises(TypeError, match="not a generator"):
+            env.process(worker)  # forgot to call it
+
+    def test_yield_event_from_another_environment_raises(self, env):
+        other = Environment()
+
+        def confused():
+            yield other.timeout(1)
+
+        env.process(confused())
+        with pytest.raises(SimulationError, match="another environment"):
+            env.run()
+
+    def test_crash_nobody_waits_on_surfaces(self, env):
+        def orphan():
+            yield 1
+            raise KeyError("unwatched")
+
+        env.process(orphan())
+        with pytest.raises(KeyError, match="unwatched"):
+            env.run()
+        assert env.now == 1.0
+
 
 class TestConditions:
     def test_all_of_waits_for_all(self, env):
@@ -229,6 +345,21 @@ class TestConditions:
         with pytest.raises(RuntimeError, match="member failed"):
             env.run(until=env.process(waiter()))
         assert env.now == 1.0
+
+    def test_any_of_fails_when_the_first_member_to_fire_fails(self, env):
+        bad = env.event()
+
+        def waiter():
+            yield AnyOf(env, [bad, env.timeout(5)])
+
+        bad.fail(RuntimeError("first to fire failed"))
+        with pytest.raises(RuntimeError, match="first to fire failed"):
+            env.run(until=env.process(waiter()))
+        assert env.now == 0.0
+
+    def test_condition_mixing_environments_raises(self, env):
+        with pytest.raises(SimulationError, match="mixes environments"):
+            AllOf(env, [env.timeout(1), Environment().timeout(1)])
 
     def test_deadlock_detected(self, env):
         never = env.event()

@@ -62,6 +62,14 @@ class TestRunSemantics:
         with pytest.raises(ValueError, match="boom"):
             env.run(until=ev)
 
+    def test_run_until_event_leaves_same_instant_successors_queued(self, env):
+        stop = env.timeout(1, value="stop")
+        after = env.timeout(1)
+        assert env.run(until=stop) == "stop"
+        assert not after.processed
+        env.run()
+        assert after.processed
+
     def test_run_to_time_with_empty_queue(self, env):
         env.run(until=5.0)
         assert env.now == 5.0
