@@ -27,13 +27,15 @@
 #      zero-overhead guard (docs/observability.md);
 #   4. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
-#      scheduler and span layers;
+#      scheduler and span layers (the exporter turns every row of the
+#      tracer's event log into an event, kernel rows included);
 #   5. an analyze smoke: repro.cli analyze on the SLO-bearing registry
 #      scenario must render an observed-critical-path section and an
 #      SLO verdict line (docs/observability.md);
 #   6. an elasticity smoke: a quick autoscale_ramp run must emit at
-#      least one scale_up event under the elastic trace category, and
-#      repro.cli analyze on it must render the capacity-timeline
+#      least one scale_up event under the elastic trace category, read
+#      through tracer.events_of("elastic") as capacity_timeline reads
+#      it, and repro.cli analyze on it must render the capacity-timeline
 #      section (docs/elasticity.md);
 #   7. a figures smoke: Fig. 8 at CI sizes through the sweep path in
 #      two worker processes (repro.cli figures --jobs) must render;
@@ -98,7 +100,9 @@ sys.exit(1 if bad else 0)
 PY
 
 # Trace smoke: full tracing on a quick scenario must yield a valid,
-# non-empty Chrome trace with every major layer represented.
+# non-empty Chrome trace with every major layer represented.  The
+# export reads tracer.events, so it also covers turning the whole log
+# (kernel rows and kwargs rows) into events.
 python -m repro.cli trace fanout_bandwidth_aware --quick \
     --out "$TMP/trace.json" > /dev/null
 python - "$TMP/trace.json" <<'PY'
@@ -119,16 +123,17 @@ grep -qi "observed critical path" "$TMP/analyze.txt"
 grep -q "SLO verdict:" "$TMP/analyze.txt"
 
 # Elasticity smoke: the autoscaler must actually scale on the ramp
-# scenario (>= 1 scale_up trace event) and the analyze report must
-# carry the capacity timeline built from those events.
+# scenario (>= 1 scale_up trace event, read by category as
+# capacity_timeline reads it) and the analyze report must carry the
+# capacity timeline built from those events.
 python - <<'PY'
 from repro.scenario import get_scenario
 
 res = get_scenario("autoscale_ramp").run(quick=True)
 ups = [
     (ts, args)
-    for ts, cat, name, args in res.tracer.events
-    if cat == "elastic" and name == "scale_up"
+    for ts, _, name, args in res.tracer.events_of("elastic")
+    if name == "scale_up"
 ]
 assert ups, "autoscale_ramp --quick ordered no capacity"
 assert res.elastic is not None and res.elastic.stranded_tasks == 0

@@ -1,7 +1,10 @@
 """Trace analysis: observed critical paths, attribution, utilization.
 
 Everything in this module is a **pure consumer** of a
-:class:`~repro.obs.trace.Tracer`'s recorded events and spans: it runs
+:class:`~repro.obs.trace.Tracer`'s recorded events and spans: it reads
+``tracer.spans``, ``tracer.events_of(category)`` for the point-event
+categories it uses and ``tracer.dropped``, never ``tracer.events``
+(which would turn every row of the log, kernel rows included).  It runs
 after the simulation, touches no simulation RNG and schedules nothing,
 so analyzed and non-analyzed runs of the same spec+seed produce
 bit-for-bit identical scenario metrics (pinned by
@@ -402,9 +405,12 @@ def _analyze_workflow(
 def analyze_tracer(tracer) -> RunAnalysis:
     """Build a :class:`RunAnalysis` from a finished run's tracer.
 
-    Reads only ``tracer.spans`` / ``tracer.events`` / ``tracer.dropped``
-    -- never the environment -- so it can run on a live tracer or on one
-    reconstructed from an export.  Unfinished spans are skipped.
+    Reads only ``tracer.spans``, ``tracer.events_of("workload")``,
+    ``tracer.events_of("registry")`` and ``tracer.dropped`` -- never
+    the environment, and never the whole ``tracer.events`` list -- so
+    it can run on a live tracer or on any object with those three
+    members, and a traced run never turns its kernel rows into
+    event tuples.  Unfinished spans are skipped.
     """
     finished = [s for s in tracer.spans if s.end is not None]
     by_parent: Dict[int, list] = {}
@@ -426,8 +432,8 @@ def analyze_tracer(tracer) -> RunAnalysis:
     # Workload correlation: submit times and admission waits by run tag.
     submit_ts: Dict[str, float] = {}
     admit_wait: Dict[str, float] = {}
-    for ts, cat, name, args in tracer.events:
-        if cat != "workload" or not args:
+    for ts, _, name, args in tracer.events_of("workload"):
+        if not args:
             continue
         run = str(args.get("run", ""))
         if name == "submit":
@@ -509,8 +515,8 @@ def analyze_tracer(tracer) -> RunAnalysis:
     # Registry slot-wait pressure by site (queueing at saturated
     # registry instances; uncorrelated with tasks by design).
     registry_wait: Dict[str, Dict[str, float]] = {}
-    for ts, cat, name, args in tracer.events:
-        if cat != "registry" or name != "slot_wait" or not args:
+    for _, _, name, args in tracer.events_of("registry"):
+        if name != "slot_wait" or not args:
             continue
         site = str(args.get("site", ""))
         wait = float(args.get("wait", 0.0))
@@ -543,8 +549,8 @@ def capacity_timeline(tracer) -> Dict[str, List[Tuple[float, int]]]:
     no elastic controller or the category was not recorded.
     """
     out: Dict[str, List[Tuple[float, int]]] = {}
-    for ts, cat, name, args in tracer.events:
-        if cat != "elastic" or not args or "vms" not in args:
+    for ts, _, _, args in tracer.events_of("elastic"):
+        if not args or "vms" not in args:
             continue
         out.setdefault(str(args.get("site", "")), []).append(
             (ts, int(args["vms"]))

@@ -259,7 +259,7 @@ class MetricsRegistry:
     _MAX_SAMPLES = 100_000
 
     def __init__(self, sample_interval: float = 1.0, histogram_capacity: int = 2048):
-        if sample_interval <= 0:
+        if not sample_interval > 0:  # NaN fails too
             raise ValueError(
                 f"sample_interval must be > 0, got {sample_interval}"
             )

@@ -18,13 +18,22 @@ construction so the per-event cost with tracing off is one attribute
 load and a falsy branch.  The tracer itself never touches any RNG and
 never schedules simulation events, so enabling it cannot perturb a run.
 
+Point events are kept in one flat, append-only log of scalars, eight
+slots a row: ``now``, ``cat``, ``name``, then either the kwargs dict of
+an :meth:`Tracer.emit` (``None`` when it had none) and four unused
+slots, or the kernel's field-name tuple and up to four values passed
+positionally to :meth:`Tracer.kernel`.  A kernel record therefore
+builds no dict and keeps no tuple.  ``tracer.events`` turns rows into
+``(ts, cat, name, args)`` tuples when it is read, and
+:meth:`Tracer.events_of` yields only the rows of one category.
+
 Event volume is bounded by ``max_events``; beyond the cap events and
 spans are counted (``dropped``) but not retained.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -114,6 +123,9 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+#: Slots per row of :attr:`Tracer._log`.
+_STRIDE = 8
+
 
 class Tracer:
     """Collects events and spans from an instrumented simulation.
@@ -145,7 +157,10 @@ class Tracer:
         self._cats = frozenset(
             TRACE_CATEGORIES if categories is None else categories
         )
-        self.events: List[Tuple[float, str, str, Optional[dict]]] = []
+        #: The point-event log, ``_STRIDE`` slots a row (module doc).
+        self._log: list = []
+        #: Rows already turned into ``events`` tuples (a prefix).
+        self._events: List[Tuple[float, str, str, Optional[dict]]] = []
         self.spans: List[Span] = []
         self.counts: Dict[str, int] = {}
         self.dropped = 0
@@ -170,7 +185,29 @@ class Tracer:
         now = self._env.now
         if self._budget > 0:
             self._budget -= 1
-            self.events.append((now, cat, name, args or None))
+            self._log += (
+                now, cat, name, args or None, None, None, None, None
+            )
+        else:
+            self.dropped += 1
+        self.metrics.maybe_sample(now)
+
+    def kernel(
+        self, name: str, keys: Tuple[str, ...], a, b, c=None, d=None
+    ) -> None:
+        """Record one ``kernel`` event whose fields ``keys`` name the
+        values ``a``..``d`` in order (as many as there are keys).
+
+        The kernel's trace sites call this instead of :meth:`emit`, and
+        only while ``wants("kernel")``: the row keeps the values
+        themselves, so no dict is built until ``events`` is read.
+        """
+        counts = self.counts
+        counts["kernel"] = counts.get("kernel", 0) + 1
+        now = self._env.now
+        if self._budget > 0:
+            self._budget -= 1
+            self._log += (now, "kernel", name, keys, a, b, c, d)
         else:
             self.dropped += 1
         self.metrics.maybe_sample(now)
@@ -198,6 +235,55 @@ class Tracer:
         self.metrics.maybe_sample(span.start)
         return span
 
+    # -- reading ------------------------------------------------------------------
+
+    @staticmethod
+    def _row(log: list, i: int) -> Tuple[float, str, str, Optional[dict]]:
+        """The ``(ts, cat, name, args)`` tuple of the row at slot ``i``."""
+        args = log[i + 3]
+        if type(args) is tuple:  # kernel row: field names, then values
+            args = dict(zip(args, log[i + 4:i + _STRIDE]))
+        return log[i], log[i + 1], log[i + 2], args
+
+    @property
+    def events(self) -> List[Tuple[float, str, str, Optional[dict]]]:
+        """Every retained point event as ``(ts, cat, name, args)``, in
+        emission order.
+
+        Built from the log on read and cached: a later read extends the
+        same list with the rows recorded since, so an earlier result is
+        a prefix of a later one.
+        """
+        cached = self._events
+        log = self._log
+        row = self._row
+        for i in range(len(cached) * _STRIDE, len(log), _STRIDE):
+            cached.append(row(log, i))
+        return cached
+
+    def events_of(
+        self, cat: str
+    ) -> Iterator[Tuple[float, str, str, Optional[dict]]]:
+        """Yield the retained events of one category, in emission order,
+        as ``events`` lists them, without turning the other categories'
+        rows.
+
+        A generator, so a reader that only loops holds one event tuple
+        at a time instead of a list of them.
+        """
+        log = self._log
+        cats = log[1::_STRIDE]
+        row = self._row
+        # list.index scans the category column in C, so only the rows
+        # of ``cat`` cost interpreted work.
+        i = -1
+        while True:
+            try:
+                i = cats.index(cat, i + 1)
+            except ValueError:  # no further row of ``cat``
+                return
+            yield row(log, i * _STRIDE)
+
     # -- export -------------------------------------------------------------------
 
     def export(self) -> Dict[str, object]:
@@ -210,7 +296,7 @@ class Tracer:
         self.metrics.sample(self._env.now, force=True)
         return {
             "events": dict(sorted(self.counts.items())),
-            "n_events": len(self.events),
+            "n_events": len(self._log) // _STRIDE,
             "n_spans": len(self.spans),
             "dropped": self.dropped,
             "metrics": self.metrics.export(),

@@ -35,7 +35,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.cloud.network import BANDWIDTH_MODELS
@@ -98,6 +100,11 @@ FAULT_KINDS: Tuple[str, ...] = (
     "link_flap",
     "latency_spike",
 )
+
+
+def _is_int(value) -> bool:
+    """True for an integer count (``bool`` is not one)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_keys(label: str, data: Mapping, allowed) -> None:
@@ -545,14 +552,26 @@ class ObservabilitySpec:
                     f"unknown trace categories {unknown}; expected a "
                     f"subset of {list(TRACE_CATEGORIES)}"
                 )
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        if self.max_events <= 0:
-            raise ValueError("max_events must be positive")
-        if self.histogram_capacity < 5:
+        # Written so that NaN fails too: every comparison with NaN is
+        # False, and a NaN knob would otherwise corrupt the run silently.
+        if not (
+            self.sample_interval > 0 and math.isfinite(self.sample_interval)
+        ):
             raise ValueError(
-                "histogram_capacity must be >= 5 (quantile sketches "
-                "need at least five retained points)"
+                "sample_interval must be a positive finite number, got "
+                f"{self.sample_interval!r}"
+            )
+        if not (_is_int(self.max_events) and self.max_events > 0):
+            raise ValueError(
+                "max_events must be a positive integer, got "
+                f"{self.max_events!r}"
+            )
+        if not (_is_int(self.histogram_capacity)
+                and self.histogram_capacity >= 5):
+            raise ValueError(
+                "histogram_capacity must be an integer >= 5 (quantile "
+                "sketches need at least five retained points), got "
+                f"{self.histogram_capacity!r}"
             )
         if not self.enabled and (
             self.categories is not None

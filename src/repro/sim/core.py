@@ -68,6 +68,13 @@ __all__ = [
 
 _INF = float("inf")
 
+#: Field names of the kernel's trace records, in the order each trace
+#: site passes the values to ``tracer.kernel`` (``repro.obs.Tracer``).
+_SCHEDULE = ("t", "prio", "kind", "depth")
+_POP = ("t", "prio", "depth")
+_RESCHEDULE = ("old_t", "t", "depth")
+_CANCEL = ("t", "depth")
+
 
 def _invalid_delay(delay: Any) -> ValueError:
     """The error for a delay that fails ``delay >= 0`` (negative or NaN)."""
@@ -226,9 +233,9 @@ class Timeout(Event):
         self._entry = entry
         heappush(env._queue, entry)
         if env._trace_kernel:
-            env.tracer.emit(
-                "kernel", "schedule",
-                t=entry[0], prio=1, kind="Timeout", depth=len(env._queue),
+            env.tracer.kernel(
+                "schedule", _SCHEDULE,
+                entry[0], 1, "Timeout", len(env._queue),
             )
 
     def __repr__(self) -> str:
@@ -251,9 +258,9 @@ class Initialize(Event):
         self._entry = entry
         heappush(env._queue, entry)
         if env._trace_kernel:
-            env.tracer.emit(
-                "kernel", "schedule",
-                t=entry[0], prio=0, kind="Initialize", depth=len(env._queue),
+            env.tracer.kernel(
+                "schedule", _SCHEDULE,
+                entry[0], 0, "Initialize", len(env._queue),
             )
 
 
@@ -314,9 +321,9 @@ class Process(Event):
             self._entry = entry
             heappush(env._queue, entry)
             if env._trace_kernel:
-                env.tracer.emit(
-                    "kernel", "schedule",
-                    t=entry[0], prio=1, kind="Timeout", depth=len(env._queue),
+                env.tracer.kernel(
+                    "schedule", _SCHEDULE,
+                    entry[0], 1, "Timeout", len(env._queue),
                 )
             return
         if not isinstance(next_target, Event):
@@ -485,10 +492,9 @@ class Environment:
         event._entry = entry
         heappush(self._queue, entry)
         if self._trace_kernel:
-            self.tracer.emit(
-                "kernel", "schedule",
-                t=entry[0], prio=priority, kind=type(event).__name__,
-                depth=len(self._queue),
+            self.tracer.kernel(
+                "schedule", _SCHEDULE,
+                entry[0], priority, type(event).__name__, len(self._queue),
             )
 
     def reschedule(self, event: Event, delay: float) -> None:
@@ -508,9 +514,9 @@ class Environment:
         entry[3] = None  # lazy-delete the stale entry
         self._schedule(event, entry[1], delay)
         if self._trace_kernel:
-            self.tracer.emit(
-                "kernel", "reschedule",
-                old_t=entry[0], t=event._entry[0], depth=len(self._queue),
+            self.tracer.kernel(
+                "reschedule", _RESCHEDULE,
+                entry[0], event._entry[0], len(self._queue),
             )
         self._note_dead()
 
@@ -526,8 +532,8 @@ class Environment:
         entry[3] = None
         event._entry = None
         if self._trace_kernel:
-            self.tracer.emit(
-                "kernel", "cancel", t=entry[0], depth=len(self._queue)
+            self.tracer.kernel(
+                "cancel", _CANCEL, entry[0], len(self._queue)
             )
         self._note_dead()
 
@@ -611,9 +617,8 @@ class Environment:
                 self.now = entry[0]
                 processed += 1
                 if trace:
-                    self.tracer.emit(
-                        "kernel", "pop",
-                        t=entry[0], prio=entry[1], depth=len(queue),
+                    self.tracer.kernel(
+                        "pop", _POP, entry[0], entry[1], len(queue)
                     )
                 event._entry = None
                 if event._ok is None:

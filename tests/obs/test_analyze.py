@@ -1,6 +1,6 @@
 """Trace analysis: critical paths, attribution, utilization.
 
-The analyzer duck-types the tracer (``spans``/``events``/``dropped``),
+The analyzer duck-types the tracer (``spans``/``events_of``/``dropped``),
 so the unit tests drive it with hand-built span graphs; the
 integration tests run real traced scenarios and pin the two load-
 bearing contracts: buckets partition the observed makespan exactly,
@@ -41,6 +41,9 @@ class FakeTracer:
         self.spans = list(spans)
         self.events = list(events)
         self.dropped = dropped
+
+    def events_of(self, cat):
+        return [e for e in self.events if e[1] == cat]
 
 
 def task(name, start, end, run="wf#1", site="a", vm="a-0"):

@@ -174,6 +174,8 @@ class TestMetricsRegistry:
     def test_sample_interval_validated(self):
         with pytest.raises(ValueError):
             MetricsRegistry(sample_interval=0.0)
+        with pytest.raises(ValueError):
+            MetricsRegistry(sample_interval=float("nan"))
 
 
 class TestDegenerateInputSentinels:

@@ -1,4 +1,4 @@
-"""Kernel traces are pinned byte for byte.
+"""Kernel traces and the outputs built from them are pinned byte for byte.
 
 Three quick registry scenarios run fully traced, and the whole JSONL
 event stream of each (every category, spans included) is pinned by its
@@ -10,6 +10,13 @@ them they schedule every event class the model runs (``Initialize``,
 order or at which instant shows up here.  A digest that moves means
 the simulated behaviour moved: find the first diverging line with
 ``repro.cli trace --jsonl`` on both trees, do not re-pin casually.
+
+Three more quick traced runs pin what is built from a trace: the
+Chrome trace document, the ``obs`` export (counts, the metric series
+and the sketches), the post-run analysis and the elastic capacity
+timeline, each by the sha256 of its key-sorted JSON.  These move when
+the tracer's storage or the analyzer's reading of it changes what
+comes out, even where the JSONL stream does not.
 """
 
 import hashlib
@@ -21,7 +28,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import events_jsonl
+from repro.obs import (
+    TRACE_CATEGORIES,
+    capacity_timeline,
+    chrome_trace_doc,
+    events_jsonl,
+)
 from repro.scenario import ObservabilitySpec, get_scenario
 
 #: scenario -> (sha256 of the JSONL stream, lines, events_processed)
@@ -41,6 +53,28 @@ TRACE_GOLDEN = {
         39_720,
         11_383,
     ),
+}
+
+#: scenario -> sha256 of the key-sorted JSON of each traced output
+OUTPUT_GOLDEN = {
+    "multi_tenant_slo": {
+        "chrome": "37152573f4ce0237bdc1ebe55fda3989515d785ea8384dffce879818270eec64",
+        "obs": "84d2c4074a82e36bf8a86c2744d53baa78ea7c7633342a7909327dfb4de18436",
+        "analysis": "a5f449b5705d20755c3e7726411f6286568d7940361318f2385214d8f4a8f9ad",
+        "capacity": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    },
+    "fair_capped": {
+        "chrome": "8ab09db931c6ae16ccca75b1c97df887d3f1099310d3086ad2f34fcd2e7ae9da",
+        "obs": "84983cbb693ac062e488268700d1b3ce275ea37dbc504bd8ad7ea8b96044abd3",
+        "analysis": "b566094c159f4522e360efe84cf27022cccc8477ce72d448fe738b4d7ac13016",
+        "capacity": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    },
+    "autoscale_ramp": {
+        "chrome": "639514b68c1f9c00908f7ed08277b4a00280fa3252781512aa31bff8829ee3fb",
+        "obs": "b9ea2f8b89ba8693c1a599142ad5fed642b210cccf0747e8bad65ec8560fc4c4",
+        "analysis": "6033882e39c0aa144ffeb671274688d936cdb0eec20d561f21662019c866cc63",
+        "capacity": "e4a2f2bf448b8155c2d5e92ca53669487d8350f973813057ef9e29520e7cbb72",
+    },
 }
 
 #: Every event class the model schedules; the trace records each by
@@ -69,14 +103,50 @@ def trace_digest(result):
     return digest.hexdigest(), lines, result.provenance["events_processed"]
 
 
+def output_digests(result):
+    """sha256 of the key-sorted JSON of each output built from a trace
+    (the capacity timeline is empty for a run without an autoscaler)."""
+    docs = {
+        "chrome": chrome_trace_doc(result.tracer),
+        "obs": result.obs,
+        "analysis": result.analysis.to_dict(),
+        "capacity": capacity_timeline(result.tracer),
+    }
+    return {
+        key: hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()
+        ).hexdigest()
+        for key, doc in docs.items()
+    }
+
+
+def traced_runs():
+    """One quick traced run of every pinned scenario."""
+    names = sorted(set(TRACE_GOLDEN) | set(OUTPUT_GOLDEN))
+    return {name: traced_run(name) for name in names}
+
+
+def all_digests(runs):
+    """Every pinned digest of ``traced_runs()``."""
+    return {
+        "trace": {n: trace_digest(runs[n]) for n in TRACE_GOLDEN},
+        "output": {n: output_digests(runs[n]) for n in OUTPUT_GOLDEN},
+    }
+
+
 @pytest.fixture(scope="module")
 def traced():
-    return {name: traced_run(name) for name in TRACE_GOLDEN}
+    return traced_runs()
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_GOLDEN))
 def test_trace_matches_golden(traced, name):
     assert trace_digest(traced[name]) == TRACE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_GOLDEN))
+def test_outputs_match_golden(traced, name):
+    assert output_digests(traced[name]) == OUTPUT_GOLDEN[name]
 
 
 def test_goldens_cover_every_kernel_class_and_reschedule(traced):
@@ -91,21 +161,30 @@ def test_goldens_cover_every_kernel_class_and_reschedule(traced):
     assert reschedules
 
 
+def test_events_of_is_the_category_filter_of_events(traced):
+    for name in TRACE_GOLDEN:
+        tracer = traced[name].tracer
+        events = tracer.events
+        for cat in TRACE_CATEGORIES:
+            of_cat = list(tracer.events_of(cat))
+            assert of_cat == [e for e in events if e[1] == cat]
+
+
 def test_digests_do_not_depend_on_the_hash_seed():
     """The in-process runs above use this session's hash seed; a child
-    under a fixed one must produce the same streams."""
+    under a fixed one must produce the same streams and outputs."""
     src = Path(__file__).resolve().parents[2] / "src"
     script = (
         "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import test_trace_golden as g\n"
-        "print(json.dumps({n: g.trace_digest(g.traced_run(n)) "
-        "for n in g.TRACE_GOLDEN}))\n"
+        "print(json.dumps(g.all_digests(g.traced_runs())))\n"
     )
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", script, str(Path(__file__).parent)],
         env=env, capture_output=True, text=True, check=True,
     )
-    got = {n: tuple(v) for n, v in json.loads(out.stdout).items()}
-    assert got == TRACE_GOLDEN
+    got = json.loads(out.stdout)
+    assert {n: tuple(v) for n, v in got["trace"].items()} == TRACE_GOLDEN
+    assert got["output"] == OUTPUT_GOLDEN

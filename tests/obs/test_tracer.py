@@ -1,9 +1,11 @@
-"""Unit tests for the tracer core: events, spans, the null fast path."""
+"""Unit tests for the tracer core: events, spans, the null fast path,
+and the flat event log behind ``events``/``events_of``."""
 
 import pytest
 
 from repro.obs import NULL_TRACER, TRACE_CATEGORIES, Tracer
 from repro.obs.trace import NULL_SPAN
+from repro.scenario import get_scenario
 from repro.sim import Environment, Timeout
 
 
@@ -153,3 +155,84 @@ class TestTracer:
         env.tracer.emit("workload", "submit")
         env.tracer.span("task")
         assert env.queued == 0
+
+
+class TestEventLog:
+    """Point events live in one flat log; ``events`` is built on read."""
+
+    def traced_env(self, **kwargs):
+        env = Environment()
+        tracer = Tracer(env, **kwargs)
+        env.attach_tracer(tracer)
+        return env, tracer
+
+    def test_a_later_read_extends_an_earlier_one(self):
+        env, tracer = self.traced_env()
+        Timeout(env, 1.0)
+        tracer.emit("workload", "submit", tenant="t0")
+        first = list(tracer.events)
+        assert first == [
+            (0.0, "kernel", "schedule",
+             {"t": 1.0, "prio": 1, "kind": "Timeout", "depth": 1}),
+            (0.0, "workload", "submit", {"tenant": "t0"}),
+        ]
+        assert list(first[0][3]) == ["t", "prio", "kind", "depth"]
+        env.run()
+        tracer.emit("workload", "complete")
+        second = tracer.events
+        assert all(a is b for a, b in zip(first, second))
+        assert second[len(first):] == [
+            (1.0, "kernel", "pop", {"t": 1.0, "prio": 1, "depth": 0}),
+            (1.0, "workload", "complete", None),
+        ]
+        assert tracer.events is second
+
+    def test_budget_cut_keeps_the_first_rows_in_emission_order(self):
+        env, tracer = self.traced_env(max_events=3)
+        Timeout(env, 1.0)
+        tracer.emit("workload", "submit", tenant="t0")
+        tracer.emit("kernel", "pop", t=0.5)
+        Timeout(env, 2.0)  # past the budget from here on
+        tracer.emit("workload", "submit", tenant="t1")
+        env.run()
+        assert tracer.events == [
+            (0.0, "kernel", "schedule",
+             {"t": 1.0, "prio": 1, "kind": "Timeout", "depth": 1}),
+            (0.0, "workload", "submit", {"tenant": "t0"}),
+            (0.0, "kernel", "pop", {"t": 0.5}),
+        ]
+        assert tracer.dropped == 4
+        assert tracer.counts == {"kernel": 5, "workload": 2}
+
+    def test_generic_kernel_emit_keeps_its_kwargs(self):
+        env, tracer = self.traced_env()
+        args = {"t": 2.0, "note": "by hand"}
+        tracer.emit("kernel", "pop", **args)
+        tracer.emit("kernel", "schedule")
+        assert tracer.events == [
+            (0.0, "kernel", "pop", args),
+            (0.0, "kernel", "schedule", None),
+        ]
+        assert list(tracer.events_of("kernel")) == tracer.events
+
+    def test_export_counts_rows_without_reading_events(self):
+        env, tracer = self.traced_env()
+        Timeout(env, 1.0)
+        env.reschedule(Timeout(env, 2.0), 3.0)
+        tracer.emit("network", "transfer_retry", size=1.0)
+        env.run()
+        n_events = tracer.export()["n_events"]
+        assert tracer._events == []  # nothing was turned into tuples
+        assert n_events == len(tracer.events) == 7
+
+    def test_a_traced_run_never_reads_events(self, monkeypatch):
+        """Finalize (analysis, SLO) and export read the log by category
+        or by count only, so a run never builds every event tuple."""
+
+        def refuse(self):
+            raise AssertionError("the run path read tracer.events")
+
+        monkeypatch.setattr(Tracer, "events", property(refuse))
+        result = get_scenario("autoscale_ramp").run(quick=True)
+        assert result.analysis is not None and result.analysis.workflows
+        assert result.obs["n_events"] > 0

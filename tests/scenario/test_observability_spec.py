@@ -1,5 +1,7 @@
 """ObservabilitySpec: validation, round-trip, and hash exemption."""
 
+import json
+
 import pytest
 
 from repro.scenario import ObservabilitySpec, ScenarioSpec
@@ -38,6 +40,32 @@ class TestValidation:
             ObservabilitySpec(
                 enabled=True, histogram_capacity=4
             ).validate()
+
+    # NaN passes every "<= 0" style check, and ``sweep --set`` values go
+    # through json.loads, which accepts NaN: each knob must refuse it.
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1.0"])
+    def test_sample_interval_must_be_positive_and_finite(self, value):
+        spec = spec_with(ObservabilitySpec(enabled=True)).replace(
+            **{"observability.sample_interval": json.loads(value)}
+        )
+        with pytest.raises(ValueError, match="sample_interval"):
+            spec.validate()
+
+    @pytest.mark.parametrize("value", ["NaN", "2.5", "1e6", "true"])
+    def test_max_events_must_be_a_positive_integer(self, value):
+        spec = spec_with(ObservabilitySpec(enabled=True)).replace(
+            **{"observability.max_events": json.loads(value)}
+        )
+        with pytest.raises(ValueError, match="max_events"):
+            spec.validate()
+
+    @pytest.mark.parametrize("value", ["NaN", "2048.0", "16.5", "true"])
+    def test_histogram_capacity_must_be_an_integer(self, value):
+        spec = spec_with(ObservabilitySpec(enabled=True)).replace(
+            **{"observability.histogram_capacity": json.loads(value)}
+        )
+        with pytest.raises(ValueError, match="histogram_capacity"):
+            spec.validate()
 
     def test_masquerade_guard(self):
         """Non-default knobs without enabled=True are a config mistake."""
