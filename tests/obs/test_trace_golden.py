@@ -1,13 +1,17 @@
 """Kernel traces and the outputs built from them are pinned byte for byte.
 
-Three quick registry scenarios run fully traced, and the whole JSONL
+Four quick registry scenarios run fully traced, and the whole JSONL
 event stream of each (every category, spans included) is pinned by its
 sha256, its line count and the kernel's ``events_processed``.  Between
 them they schedule every event class the model runs (``Initialize``,
 ``Timeout``, ``Process``, ``Event``, ``Request``, ``AllOf``,
 ``Release``, ``AnyOf``, ``StorePut``, ``StoreGet``) and exercise
 ``reschedule``, so any change to what the kernel schedules, in which
-order or at which instant shows up here.  A digest that moves means
+order or at which instant shows up here.  The fair model is pinned
+twice: ``fair_capped`` caps every site, so each of its links is coupled
+to others, while ``fanout_bandwidth_aware`` caps only the fan-out hub,
+so most of its flows run on uncoupled links (each its own constraint
+component).  A digest that moves means
 the simulated behaviour moved: find the first diverging line with
 ``repro.cli trace --jsonl`` on both trees, do not re-pin casually.
 
@@ -52,6 +56,11 @@ TRACE_GOLDEN = {
         "ff6c42bd304358a95726e409bd35b634878937bc85d58dad04ec132a51669b90",
         39_720,
         11_383,
+    ),
+    "fanout_bandwidth_aware": (
+        "8839b3c5db5bc0aa7b9a762a45d8b4f78234e71bd2fe5e08129940174a4689c9",
+        115_822,
+        31_419,
     ),
 }
 
