@@ -25,21 +25,24 @@
 #      (kernel-regression smoke); the bench runs with tracing
 #      disabled, so the gate doubles as the observability plane's
 #      zero-overhead guard (docs/observability.md);
-#   4. a trace smoke: a quick fully-traced scenario must export valid,
+#   4. a bad-spec smoke: a sweep cell with a NaN fair-model knob
+#      (network.transfer_flow_weight=NaN) must be marked errored with
+#      the validate() message instead of running to a wrong makespan;
+#   5. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
 #      tracer's event log into an event, kernel rows included);
-#   5. an analyze smoke: repro.cli analyze on the SLO-bearing registry
+#   6. an analyze smoke: repro.cli analyze on the SLO-bearing registry
 #      scenario must render an observed-critical-path section and an
 #      SLO verdict line (docs/observability.md);
-#   6. an elasticity smoke: a quick autoscale_ramp run must emit at
+#   7. an elasticity smoke: a quick autoscale_ramp run must emit at
 #      least one scale_up event under the elastic trace category, read
 #      through tracer.events_of("elastic") as capacity_timeline reads
 #      it, and repro.cli analyze on it must render the capacity-timeline
 #      section (docs/elasticity.md);
-#   7. a figures smoke: Fig. 8 at CI sizes through the sweep path in
+#   8. a figures smoke: Fig. 8 at CI sizes through the sweep path in
 #      two worker processes (repro.cli figures --jobs) must render;
-#   8. lint over the source tree: unused imports and yielded
+#   9. lint over the source tree: unused imports and yielded
 #      timeouts (step 1 also runs tests/test_lint.py, which holds
 #      tests/, benchmarks/, examples/, scripts/ and bench/ to the
 #      unused-import rule).
@@ -98,6 +101,14 @@ for name, got, ref in bad:
           f"1.25 x baseline wall {ref}s ({sys.argv[2]})", file=sys.stderr)
 sys.exit(1 if bad else 0)
 PY
+
+# Bad-spec smoke: NaN passes a "<= 0" check and json.loads accepts it,
+# so a NaN knob given to sweep --set must be refused by validate() and
+# the cell reported as errored with that message.
+python -m repro.cli sweep --scenario fanout_bandwidth_aware \
+    --set network.transfer_flow_weight=NaN --quick > "$TMP/nan.txt" 2>&1
+grep -q "ERROR: ValueError: transfer_flow_weight must be a positive finite" \
+    "$TMP/nan.txt"
 
 # Trace smoke: full tracing on a quick scenario must yield a valid,
 # non-empty Chrome trace with every major layer represented.  The

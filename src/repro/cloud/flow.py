@@ -57,6 +57,15 @@ rates of flows in its own component.  :meth:`FlowNetwork.rebalance`
 exploits this (``solver="incremental"``, the default): given the link
 a change originated on, it settles and re-solves just that component
 and leaves every other flow's rate, timer, and calendar entry alone.
+
+A link whose source has no finite egress cap and whose destination has
+no finite ingress cap is *uncoupled*: it is a component of its own.
+``rebalance`` (for one changed link) and ``estimate_rate`` test for that
+first, reading each of the two caps once, and then skip the component
+search.  A lone flow on an uncoupled link is settled, given the
+closed-form rate of the loop's single round and (re)timed directly; a
+probe on an idle uncoupled link gets the closed form too.  Every rate,
+timer instant, counter and trace record is the general path's.
 ``solver="global"`` restores the legacy full re-solve per change, and
 ``solver="verify"`` runs the incremental update *and* a shadow global
 solve, asserting the rates agree (used by the equivalence tests; the
@@ -406,17 +415,21 @@ class FairShareLink:
     def _reschedule(self, old_rates: List[float]) -> None:
         """(Re)schedule completion timers for flows whose rate changed."""
         for flow, old_rate in zip(self.flows, old_rates):
-            if flow._timer is not None and flow.rate == old_rate:
-                # Unchanged rate -> the scheduled completion instant is
-                # still exact (e.g. rate-capped flows riding out churn).
-                continue
-            delay = flow.remaining / flow.rate if flow.rate > 0 else math.inf
-            if flow._timer is None:
-                timer = self.env.timeout(delay)
-                timer.callbacks.append(self._make_completion(flow))
-                flow._timer = timer
-            else:
-                self.env.reschedule(flow._timer, delay)
+            self._retime(flow, old_rate)
+
+    def _retime(self, flow: Flow, old_rate: float) -> None:
+        """(Re)schedule one flow's completion timer if its rate changed."""
+        if flow._timer is not None and flow.rate == old_rate:
+            # Unchanged rate -> the scheduled completion instant is
+            # still exact (e.g. rate-capped flows riding out churn).
+            return
+        delay = flow.remaining / flow.rate if flow.rate > 0 else math.inf
+        if flow._timer is None:
+            timer = self.env.timeout(delay)
+            timer.callbacks.append(self._make_completion(flow))
+            flow._timer = timer
+        else:
+            self.env.reschedule(flow._timer, delay)
 
     def _make_completion(self, flow: Flow):
         def _complete(_event: Event) -> None:
@@ -664,16 +677,6 @@ class FlowNetwork:
                 egress.add(src)
             if dst is not None and math.isfinite(caps(dst)[1]):
                 ingress.add(dst)
-        if not egress and not ingress:
-            # No seed touches a finite site cap, so nothing couples the
-            # seeds to any other link: the fixpoint below would admit
-            # exactly the active seed links.
-            links = self._links
-            return [
-                links[key]
-                for key in sorted(seed_keys)
-                if key in links and links[key].flows
-            ]
         active = self._active_links()
         in_comp: set = set()
         grew = True
@@ -699,6 +702,24 @@ class FlowNetwork:
                         ingress.add(link.dst)
         return [link for link in active if link in in_comp]
 
+    def _uncoupled_caps(
+        self, src: str, dst: str
+    ) -> Optional[Tuple[float, float]]:
+        """The ``(egress, ingress)`` site caps of link ``src -> dst`` if
+        the link is its own constraint component, else ``None``.
+
+        A link couples to others only through a finite egress cap at its
+        source or a finite ingress cap at its destination (see
+        :meth:`_component`).  With neither, the component of the link is
+        the link alone, and no search is needed.  Each cap is read live,
+        once; the caller passes them on to :func:`_lone_rate`.
+        """
+        egress = self._site_caps(src)[0]
+        ingress = self._site_caps(dst)[1]
+        if math.isfinite(egress) or math.isfinite(ingress):
+            return None
+        return egress, ingress
+
     def rebalance(self, changed=None) -> None:
         """Settle affected links, re-solve their rates, reschedule.
 
@@ -706,17 +727,27 @@ class FlowNetwork:
         :class:`FairShareLink`, an iterable of them, or ``None`` for "no
         idea -- re-solve everything".  Under the incremental solver only
         the constraint component of the changed links is touched; the
-        global solver ignores the hint.
+        global solver ignores the hint.  A single changed link that is
+        uncoupled (:meth:`_uncoupled_caps`) is its own component: with
+        one flow it takes :meth:`_rebalance_lone`.
         """
         now = self.env.now
         self.rebalances += 1
         if changed is None or self.solver == "global":
             scope = "global"
             links = self._active_links()
+        elif isinstance(changed, FairShareLink):
+            scope = "component"
+            caps = self._uncoupled_caps(changed.src, changed.dst)
+            if caps is None:
+                links = self._component([(changed.src, changed.dst)])
+            elif len(changed.flows) == 1:
+                self._rebalance_lone(changed, caps)
+                return
+            else:
+                links = [changed] if changed.flows else []
         else:
             scope = "component"
-            if isinstance(changed, FairShareLink):
-                changed = (changed,)
             links = self._component(
                 {(link.src, link.dst) for link in changed}
             )
@@ -744,6 +775,31 @@ class FlowNetwork:
             for flow in link.flows:
                 flow.rate = rates[id(flow)]
             link._reschedule(old[link])
+        if self.solver == "verify":
+            self._verify_against_global()
+
+    def _rebalance_lone(
+        self, link: FairShareLink, caps: Tuple[float, float]
+    ) -> None:
+        """:meth:`rebalance` of an uncoupled link carrying one flow.
+
+        Records, settles, solves and reschedules exactly as the general
+        path would for this one-link component, without its rate maps
+        and lists: the rate is :func:`_lone_rate` of the ``caps`` just
+        read, and the timer step is :meth:`FairShareLink._retime`.
+        """
+        flow = link.flows[0]
+        if self._trace_flow:
+            self._tracer.emit(
+                "flow", "rebalance", scope="component", links=1, flows=1
+            )
+        link.stats.rebalances += 1
+        link._settle(self.env.now)
+        old_rate = flow.rate
+        flow.rate = _lone_rate(
+            link.capacity, flow.weight, flow.max_rate, *caps
+        )
+        link._retime(flow, old_rate)
         if self.solver == "verify":
             self._verify_against_global()
 
@@ -785,34 +841,36 @@ class FlowNetwork:
         egress/ingress caps and the load of *other* links sharing those
         caps are all reflected.  Pure: no RNG, no state changes.  Under
         the incremental solver the probe only interacts with its own
-        constraint component, so only that component is solved.
+        constraint component, so only that component is solved; a single
+        probe on an idle uncoupled link gets :func:`_lone_rate` directly.
         """
+        caps = None
         if self.solver == "global":
             links = self._active_links()
         else:
-            links = self._component([(src, dst)])
-        probes = max(1, extra_flows)
+            caps = self._uncoupled_caps(src, dst)
+            if caps is None:
+                links = self._component([(src, dst)])
+            else:
+                link = self._links.get((src, dst))
+                links = [link] if link is not None and link.flows else []
         probe = _Probe(src, dst, max_flow_rate, weight)
-        rates = self._solve(
-            links,
-            extra=[probe] * probes,
-            extra_capacity=((src, dst), capacity),
-        )
+        extra = [probe] * max(1, extra_flows)
+        extra_capacity = ((src, dst), capacity)
+        if caps is not None and not links and len(extra) == 1:
+            rate = _lone_rate(capacity, weight, max_flow_rate, *caps)
+        else:
+            rate = self._solve(links, extra, extra_capacity)[id(probe)]
         if self.solver == "verify":
-            full = self._solve(
-                self._active_links(),
-                extra=[probe] * probes,
-                extra_capacity=((src, dst), capacity),
-            )
-            if not math.isclose(
-                rates[id(probe)], full[id(probe)],
-                rel_tol=1e-9, abs_tol=1e-6,
-            ):
+            want = self._solve(
+                self._active_links(), extra, extra_capacity
+            )[id(probe)]
+            if not math.isclose(rate, want, rel_tol=1e-9, abs_tol=1e-6):
                 raise SimulationError(
                     f"incremental estimate_rate diverged for {src}->{dst}: "
-                    f"{rates[id(probe)]!r} vs global {full[id(probe)]!r}"
+                    f"{rate!r} vs global {want!r}"
                 )
-        return rates[id(probe)]
+        return rate
 
     def _solve(
         self,
@@ -824,59 +882,28 @@ class FlowNetwork:
 
         Returns ``id(flow) -> rate``.  A solve over one record (a lone
         flow, or one probe and no active link) takes the closed form of
-        :meth:`_lone_rate`; anything else runs :meth:`_water_fill`.
+        :func:`_lone_rate`; anything else runs :meth:`_water_fill`.
         """
+        caps = self._site_caps
         if extra:
             if not links and len(extra) == 1:
                 probe = extra[0]
                 return {
-                    id(probe): self._lone_rate(
-                        probe.src, probe.dst, extra_capacity[1],
-                        probe.weight, probe.max_rate,
+                    id(probe): _lone_rate(
+                        extra_capacity[1], probe.weight, probe.max_rate,
+                        caps(probe.src)[0], caps(probe.dst)[1],
                     )
                 }
         elif len(links) == 1 and len(links[0].flows) == 1:
             link = links[0]
             flow = link.flows[0]
             return {
-                id(flow): self._lone_rate(
-                    link.src, link.dst, link.capacity,
-                    flow.weight, flow.max_rate,
+                id(flow): _lone_rate(
+                    link.capacity, flow.weight, flow.max_rate,
+                    caps(link.src)[0], caps(link.dst)[1],
                 )
             }
         return self._water_fill(links, extra, extra_capacity)
-
-    def _lone_rate(
-        self,
-        src: str,
-        dst: str,
-        capacity: float,
-        weight: float,
-        max_rate: float,
-    ) -> float:
-        """:meth:`_water_fill`'s single round for a one-record solve.
-
-        The lone record freezes in the first round, at the lowest
-        saturation level among its link capacity, its source's egress
-        cap, its destination's ingress cap and its own rate cap.  The
-        level comes from the loop's float operations in the loop's
-        order, so the rate is bit-identical; an infinite site cap, which
-        the loop leaves out, gives an infinite level that never wins.
-        The site caps are still read live.
-        """
-        egress = self._site_caps(src)[0]
-        ingress = self._site_caps(dst)[1]
-        level = math.inf
-        for cap in (capacity, egress, ingress):
-            lvl = max(0.0, cap) / weight
-            if lvl < level:
-                level = lvl
-        ratio = max_rate / weight
-        if ratio < level:
-            level = ratio
-        if not math.isfinite(level):
-            level = 0.0
-        return min(max_rate, level * weight)
 
     def _water_fill(
         self,
@@ -1010,6 +1037,37 @@ class FlowNetwork:
             f"<FlowNetwork links={len(self._links)} "
             f"active_flows={active}>"
         )
+
+
+def _lone_rate(
+    capacity: float,
+    weight: float,
+    max_rate: float,
+    egress: float,
+    ingress: float,
+) -> float:
+    """:meth:`FlowNetwork._water_fill`'s single round for a one-record
+    solve.
+
+    The lone record freezes in the first round, at the lowest saturation
+    level among its link ``capacity``, its source's ``egress`` cap, its
+    destination's ``ingress`` cap and its own ``max_rate``.  The level
+    comes from the loop's float operations in the loop's order, so the
+    rate is bit-identical; an infinite site cap, which the loop leaves
+    out, gives an infinite level that never wins.  The caller reads the
+    site caps live and passes them in.
+    """
+    level = math.inf
+    for cap in (capacity, egress, ingress):
+        lvl = max(0.0, cap) / weight
+        if lvl < level:
+            level = lvl
+    ratio = max_rate / weight
+    if ratio < level:
+        level = ratio
+    if not math.isfinite(level):
+        level = 0.0
+    return min(max_rate, level * weight)
 
 
 class _Probe:

@@ -69,7 +69,8 @@ class SiteSpec:
     ingress_bw: float = math.inf
 
     def validate(self) -> None:
-        if self.egress_bw <= 0 or self.ingress_bw <= 0:
+        # ``not x > 0`` so that NaN fails too; ``inf`` stays valid.
+        if not (self.egress_bw > 0 and self.ingress_bw > 0):
             raise ValueError(
                 "site egress/ingress caps must be positive "
                 f"(got egress={self.egress_bw}, ingress={self.ingress_bw})"
@@ -206,14 +207,17 @@ class CloudTopology:
         ``None`` leaves the corresponding cap unchanged; pass
         ``math.inf`` to lift one.  Enforced only by the flow-level
         fair-share bandwidth model, which consults the caps live -- a
-        change takes effect at the next rebalance.
+        change takes effect at the next rebalance.  A rejected cap
+        leaves the site's caps as they were.
         """
         spec = self.get(name).spec
-        if egress_bw is not None:
-            spec.egress_bw = float(egress_bw)
-        if ingress_bw is not None:
-            spec.ingress_bw = float(ingress_bw)
-        spec.validate()
+        caps = SiteSpec(
+            spec.egress_bw if egress_bw is None else float(egress_bw),
+            spec.ingress_bw if ingress_bw is None else float(ingress_bw),
+        )
+        caps.validate()
+        spec.egress_bw = caps.egress_bw
+        spec.ingress_bw = caps.ingress_bw
 
     def site_caps(self, name: str) -> Tuple[float, float]:
         """The ``(egress, ingress)`` caps of a site, bytes/second."""

@@ -300,14 +300,21 @@ class NetworkSpec:
             raise ValueError(
                 "transfer_flow_weight requires bandwidth_model='fair'"
             )
-        if self.egress_cap_mb is not None and self.egress_cap_mb <= 0:
-            raise ValueError("egress_cap_mb must be positive")
-        if self.ingress_cap_mb is not None and self.ingress_cap_mb <= 0:
-            raise ValueError("ingress_cap_mb must be positive")
-        if self.rpc_flow_weight <= 0:
-            raise ValueError("rpc_flow_weight must be positive")
-        if self.transfer_flow_weight <= 0:
-            raise ValueError("transfer_flow_weight must be positive")
+        # Written so that NaN fails too: every comparison with NaN is
+        # False, and a NaN cap or weight would otherwise corrupt the run
+        # or crash it mid-way.  An infinite cap means uncapped, as in
+        # SiteSpec; a weight must be finite.
+        for name in ("egress_cap_mb", "ingress_cap_mb"):
+            cap = getattr(self, name)
+            if cap is not None and not cap > 0:
+                raise ValueError(f"{name} must be positive, got {cap!r}")
+        for name in ("rpc_flow_weight", "transfer_flow_weight"):
+            weight = getattr(self, name)
+            if not (weight > 0 and math.isfinite(weight)):
+                raise ValueError(
+                    f"{name} must be a positive finite number, got "
+                    f"{weight!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ form is compared with the loop directly, bit for bit, on seeded random
 lone flows and probes (the seeded-RNG property idiom of
 ``test_flow_properties.py``).
 
+Two more cases pin the uncoupled entry's lone path bit for bit: a
+survivor left alone when the other flow on its link drains (rate,
+timer and counters, against ``_water_fill`` and a twin run under
+``solver="global"``), and a probe on an active link.
+
 The counter tests pin what a lone flow costs the rebalance counters
 that the benchmark gates on; they hold with and without the shortcuts.
 """
@@ -61,11 +66,30 @@ def cases(seed):
     return [ALL_INFINITE] + [random_case(rng) for _ in range(N_CASES)]
 
 
-def network(case):
+def network(case, solver="incremental"):
     caps = case["caps"]
-    fn = FlowNetwork(Environment(), site_caps=lambda site: caps[site])
+    fn = FlowNetwork(
+        Environment(), site_caps=lambda site: caps[site], solver=solver
+    )
     dst = "a" if case["loopback"] else "b"
     return fn, ("a", dst)
+
+
+def open_pair(case, solver="incremental"):
+    """A short flow and then the case's flow, on one link.
+
+    The first flow is capped at 300 B/s, so it always has a positive
+    rate, and it carries 100 bytes against the survivor's 10**9, so it
+    always drains first.  Returns the network, the link, both flows and
+    the survivor's timer.
+    """
+    fn, (src, dst) = network(case, solver)
+    link = fn.link(src, dst, capacity=case["capacity"])
+    first = link.open(100, max_rate=300.0)
+    survivor = link.open(
+        10**9, max_rate=case["max_rate"], weight=case["weight"]
+    )
+    return fn, link, first, survivor, survivor._timer
 
 
 class TestClosedFormEqualsLoop:
@@ -99,6 +123,48 @@ class TestClosedFormEqualsLoop:
             # An idle existing link is no different from a missing one.
             fn.link(src, dst, capacity=case["capacity"])
             assert fn.estimate_rate(src, dst, **kwargs) == want, case
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_survivor(self, seed):
+        """Two flows share a link and the first drains: the survivor is
+        alone again, so it gets the closed form and its timer moves."""
+        for case in cases(seed):
+            fn, link, first, survivor, timer = open_pair(case)
+            fn.env.run(until=first.done)
+            assert survivor in link.flows and not survivor.done.triggered
+            assert survivor.rate == fn._water_fill([link])[id(survivor)]
+            # The same Timeout, rescheduled in place rather than replaced.
+            assert survivor._timer is timer
+            assert fn.rebalances == 3 and link.stats.rebalances == 3
+            # The twin under the global solver takes the general path:
+            # same rate, same completion instant, same counters.
+            twin, twin_link, twin_first, twin_survivor, _ = open_pair(
+                case, solver="global"
+            )
+            twin.env.run(until=twin_first.done)
+            assert fn.env.now == twin.env.now, case
+            assert survivor.rate == twin_survivor.rate, case
+            assert timer._entry[0] == twin_survivor._timer._entry[0], case
+            assert survivor.remaining == twin_survivor.remaining, case
+            assert (fn.rebalances, link.stats.rebalances) == (
+                twin.rebalances, twin_link.stats.rebalances
+            )
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_probe_on_active_link(self, seed):
+        for case in cases(seed):
+            fn, (src, dst) = network(case)
+            link = fn.link(src, dst, capacity=case["capacity"])
+            link.open(1000, max_rate=case["max_rate"], weight=case["weight"])
+            probe = _Probe(src, dst, 300.0, 1.0)
+            want = fn._water_fill(
+                [link], extra=[probe],
+                extra_capacity=((src, dst), case["capacity"]),
+            )[id(probe)]
+            got = fn.estimate_rate(
+                src, dst, capacity=case["capacity"], max_flow_rate=300.0
+            )
+            assert got == want, case
 
     def test_unbounded_record_gets_rate_zero(self):
         fn, (src, dst) = network(ALL_INFINITE)

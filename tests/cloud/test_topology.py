@@ -1,9 +1,17 @@
 """Tests for datacenters, regions and the distance taxonomy."""
 
+import math
+
 import pytest
 
 from repro.cloud.presets import AZURE_4DC, azure_4dc_topology, make_topology
-from repro.cloud.topology import CloudTopology, Datacenter, Distance, Region
+from repro.cloud.topology import (
+    CloudTopology,
+    Datacenter,
+    Distance,
+    Region,
+    SiteSpec,
+)
 
 
 class TestDistance:
@@ -61,6 +69,20 @@ class TestTopology:
     def test_self_link_rejected(self, topo):
         with pytest.raises(ValueError):
             topo.set_link("west-europe", "west-europe", latency=0.001)
+
+    def test_nan_site_cap_rejected(self, topo):
+        """NaN passes a ``<= 0`` check, so it must be refused explicitly;
+        ``inf`` stays valid and means uncapped."""
+        with pytest.raises(ValueError, match="positive"):
+            SiteSpec(egress_bw=math.nan).validate()
+        with pytest.raises(ValueError, match="positive"):
+            SiteSpec(ingress_bw=math.nan).validate()
+        SiteSpec(egress_bw=math.inf, ingress_bw=math.inf).validate()
+        topo.set_site_caps("west-europe", egress_bw=5.0)
+        for caps in ({"egress_bw": math.nan}, {"ingress_bw": math.nan}):
+            with pytest.raises(ValueError, match="positive"):
+                topo.set_site_caps("west-europe", **caps)
+            assert topo.site_caps("west-europe") == (5.0, math.inf)
 
 
 class TestAzurePreset:

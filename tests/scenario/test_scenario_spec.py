@@ -1,6 +1,7 @@
 """Validation, serialization and builder tests for the scenario spec tree."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -241,6 +242,42 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="require --bandwidth-model fair"):
             spec.validate()
+
+    # ``sweep --set`` values go through json.loads, which accepts NaN,
+    # and NaN passes every ``<= 0`` style check: each fair-model knob
+    # must refuse it in validate() instead of corrupting or crashing the
+    # run (NaN weights used to shorten transfers or divide by zero).
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "egress_cap_mb",
+            "ingress_cap_mb",
+            "rpc_flow_weight",
+            "transfer_flow_weight",
+        ],
+    )
+    def test_fair_model_knob_rejects_nan(self, knob):
+        spec = get_scenario("fanout_bandwidth_aware").replace(
+            **{f"network.{knob}": json.loads("NaN")}
+        )
+        with pytest.raises(ValueError, match=knob):
+            spec.validate()
+
+    @pytest.mark.parametrize(
+        "knob", ["rpc_flow_weight", "transfer_flow_weight"]
+    )
+    def test_flow_weight_must_be_finite(self, knob):
+        spec = get_scenario("fanout_bandwidth_aware").replace(
+            **{f"network.{knob}": json.loads("Infinity")}
+        )
+        with pytest.raises(ValueError, match=f"{knob} must be .* finite"):
+            spec.validate()
+
+    @pytest.mark.parametrize("knob", ["egress_cap_mb", "ingress_cap_mb"])
+    def test_infinite_site_cap_means_uncapped(self, knob):
+        get_scenario("fanout_bandwidth_aware").replace(
+            **{f"network.{knob}": json.loads("Infinity")}
+        ).validate()
 
     def test_hybrid_knobs_rejected_under_other_policies(self):
         spec = ScenarioSpec(
