@@ -27,10 +27,10 @@ pytestmark = pytest.mark.slow
 N_NODES = 32
 
 
-def _run_workflow(strategy, cfg, ops=400, compute=0.5, locality=True, seed=7):
+def _run_workflow(strategy, cfg, ops=400, compute=0.5, scheduler=None, seed=7):
     dep = Deployment(n_nodes=N_NODES, seed=seed)
     ctrl = ArchitectureController(dep, strategy=strategy, config=cfg)
-    engine = WorkflowEngine(dep, ctrl.strategy, locality_scheduling=locality)
+    engine = WorkflowEngine(dep, ctrl.strategy, scheduler=scheduler)
     res = engine.run(montage(ops_per_task=ops, compute_time=compute))
     ctrl.shutdown()
     return res
@@ -172,11 +172,9 @@ def test_ablation_locality_scheduling(benchmark):
     (the engine premise of Section III-D)."""
 
     def run():
-        on = _run_workflow(
-            "hybrid", MetadataConfig(), ops=300, locality=True
-        )
+        on = _run_workflow("hybrid", MetadataConfig(), ops=300)
         off = _run_workflow(
-            "hybrid", MetadataConfig(), ops=300, locality=False
+            "hybrid", MetadataConfig(), ops=300, scheduler="round_robin"
         )
         return on, off
 

@@ -16,7 +16,17 @@ The makespan table over all five policies is printed for the report.
 
 import pytest
 
-from repro.experiments.scheduler_compare import run_scheduler_compare
+from repro.experiments.scheduler_compare import (
+    fanout_workflow,
+    run_scheduler_compare,
+)
+from repro.scenario import (
+    NetworkSpec,
+    ScenarioSpec,
+    SchedulerSpec,
+    StrategySpec,
+    TopologySpec,
+)
 from repro.scheduling import SCHEDULER_NAMES
 from repro.util.units import MB
 
@@ -55,34 +65,56 @@ def test_bandwidth_aware_beats_locality_on_capped_fanout(benchmark, model):
 def test_hybrid_weights_sweep_spans_locality_to_bandwidth(benchmark):
     """The hybrid coefficients interpolate the design space: a
     transfer-dominated weighting matches bandwidth-aware placement,
-    and every weighting stays no worse than blind round-robin."""
-    from repro.metadata.config import MetadataConfig
+    every weighting stays no worse than blind round-robin, and the
+    weights move tasks.  Each weighting is pinned on the spec the run
+    uses (the compare's setup: fair-model fan-out, decentralized
+    registry, data at the hub), so the weights reach the policy."""
+    weightings = {
+        "transfer-heavy": dict(hybrid_locality_weight=0.0),
+        "balanced": {},
+        "locality-heavy": dict(
+            hybrid_locality_weight=50.0, hybrid_transfer_weight=0.1
+        ),
+    }
+    base = ScenarioSpec(
+        name="hybrid-weights",
+        topology=TopologySpec(preset="hetero_fanout"),
+        network=NetworkSpec(bandwidth_model="fair"),
+        strategy=StrategySpec(name="decentralized"),
+        n_nodes=8,
+        seed=11,
+    )
 
     def run():
-        out = {}
-        for label, knobs in (
-            ("transfer-heavy", dict(hybrid_locality_weight=0.0)),
-            ("balanced", {}),
-            ("locality-heavy", dict(hybrid_locality_weight=50.0,
-                                    hybrid_transfer_weight=0.1)),
-        ):
-            cfg = MetadataConfig(scheduler="hybrid", **knobs)
-            res = run_scheduler_compare(
-                policies=("round_robin", "bandwidth_aware", "hybrid"),
-                bandwidth_model="fair",
-                config=cfg,
-            )
-            out[label] = res
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    for label, res in results.items():
-        print(f"\n[{label}]")
-        print(res.render())
-        assert (
-            res.makespan["hybrid"] <= res.makespan["round_robin"] * 1.05
+        reference = run_scheduler_compare(
+            policies=("round_robin", "bandwidth_aware"),
+            bandwidth_model="fair",
         )
-    transfer_heavy = results["transfer-heavy"]
-    assert transfer_heavy.makespan["hybrid"] == pytest.approx(
-        transfer_heavy.makespan["bandwidth_aware"], rel=0.10
+        workflow = fanout_workflow(
+            fan_out=12, file_size=24 * MB, compute_time=2.0
+        )
+        hybrid = {
+            label: base.replace(
+                scheduler=SchedulerSpec(
+                    name="hybrid", input_site="hub", **knobs
+                )
+            ).run(workflow=workflow).result
+            for label, knobs in weightings.items()
+        }
+        return reference, hybrid
+
+    reference, hybrid = benchmark.pedantic(run, rounds=1, iterations=1)
+    print("\n" + reference.render())
+    for label, res in hybrid.items():
+        print(
+            f"[{label}] makespan {res.makespan:.4f} s, "
+            f"tasks per site {res.tasks_per_site()}"
+        )
+        assert res.makespan <= reference.makespan["round_robin"] * 1.05
+    assert hybrid["transfer-heavy"].makespan == pytest.approx(
+        reference.makespan["bandwidth_aware"], rel=0.10
+    )
+    assert (
+        hybrid["locality-heavy"].tasks_per_site()
+        != hybrid["transfer-heavy"].tasks_per_site()
     )

@@ -4,7 +4,7 @@
 #      regenerations, ~1-1.5 min; see pytest.ini for the profiles) --
 #      explicitly including the scheduling-subsystem modules
 #      (tests/scheduling, the seed-compat goldens and the scheduler
-#      CLI/config validation), the workload-subsystem modules
+#      CLI/spec validation), the workload-subsystem modules
 #      (tests/workload, the engine op-attribution regression and the
 #      workload_compare scenario checks) and the declarative scenario
 #      API (tests/scenario: spec validation/round-trip/sweeps, plus
@@ -25,9 +25,12 @@
 #      (kernel-regression smoke); the bench runs with tracing
 #      disabled, so the gate doubles as the observability plane's
 #      zero-overhead guard (docs/observability.md);
-#   4. a bad-spec smoke: a sweep cell with a NaN fair-model knob
-#      (network.transfer_flow_weight=NaN) must be marked errored with
-#      the validate() message instead of running to a wrong makespan;
+#   4. a bad-spec smoke: sweep cells with a NaN fair-model knob
+#      (network.transfer_flow_weight=NaN) or a NaN placement penalty
+#      (scheduler.bw_pending_penalty=NaN), each of which used to run to
+#      a wrong makespan, and with a NaN admission limit
+#      (max_in_flight=NaN), which used to deadlock mid-run, must each
+#      be marked errored with the validate() message;
 #   5. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
@@ -108,6 +111,14 @@ PY
 python -m repro.cli sweep --scenario fanout_bandwidth_aware \
     --set network.transfer_flow_weight=NaN --quick > "$TMP/nan.txt" 2>&1
 grep -q "ERROR: ValueError: transfer_flow_weight must be a positive finite" \
+    "$TMP/nan.txt"
+python -m repro.cli sweep --scenario multi_tenant_8 \
+    --set max_in_flight=NaN --quick > "$TMP/nan.txt" 2>&1
+grep -q "ERROR: ValueError: max_in_flight must be a positive integer" \
+    "$TMP/nan.txt"
+python -m repro.cli sweep --scenario fanout_bandwidth_aware \
+    --set scheduler.bw_pending_penalty=NaN --quick > "$TMP/nan.txt" 2>&1
+grep -q "ERROR: ValueError: bw_pending_penalty must be a finite number >= 0" \
     "$TMP/nan.txt"
 
 # Trace smoke: full tracing on a quick scenario must yield a valid,

@@ -16,7 +16,6 @@ from repro.cloud.network import Network
 from repro.cloud.topology import CloudTopology, Datacenter
 from repro.cloud.vm import VMRole, VMSize, VirtualMachine
 from repro.cloud.presets import AZURE_SMALL_VM, azure_4dc_topology
-from repro.scheduling import SCHEDULER_NAMES
 from repro.util.rng import RngStreams
 
 __all__ = ["Deployment"]
@@ -56,20 +55,6 @@ class Deployment:
     rpc_flow_weight:
         Fair model only: weight of metadata RPC flows relative to bulk
         transfers (weight 1.0) at shared bottlenecks.
-    scheduler:
-        Default task-placement policy name for workflow engines built
-        on this deployment (one of
-        ``repro.scheduling.SCHEDULER_NAMES``); ``None`` keeps the
-        engine default (``"locality"``).  An explicit ``scheduler=``
-        on the engine, or one pinned in the metadata config, wins over
-        this value.  See ``docs/scheduling.md``.
-    admission:
-        Default admission-control policy name for workload runners
-        built on this deployment (one of
-        ``repro.workload.ADMISSION_NAMES``); ``None`` keeps the runner
-        default (``"unbounded"``).  An explicit ``admission=`` on the
-        runner, or one pinned in the metadata config, wins over this
-        value.  See ``docs/workloads.md``.
     """
 
     def __init__(
@@ -83,29 +68,9 @@ class Deployment:
         site_egress_bw: Optional[float] = None,
         site_ingress_bw: Optional[float] = None,
         rpc_flow_weight: float = 1.0,
-        scheduler: Optional[str] = None,
-        admission: Optional[str] = None,
     ):
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
-        if scheduler is not None and scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                f"{SCHEDULER_NAMES}"
-            )
-        self.scheduler = scheduler
-        if admission is not None:
-            # Lazy import: repro.workload layers above the deployment
-            # (its runner takes one), so validate only when the knob is
-            # actually used.
-            from repro.workload.admission import ADMISSION_NAMES
-
-            if admission not in ADMISSION_NAMES:
-                raise ValueError(
-                    f"unknown admission policy {admission!r}; expected "
-                    f"one of {ADMISSION_NAMES}"
-                )
-        self.admission = admission
         self.env = env or Environment()
         self.topology = topology or azure_4dc_topology()
         if site_egress_bw is not None or site_ingress_bw is not None:

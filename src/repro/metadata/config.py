@@ -13,15 +13,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.scheduling import SCHEDULER_NAMES
+from repro.util.checks import check_number
 from repro.util.units import MS
 
 __all__ = ["MetadataConfig"]
+
+#: ``(field, minimum)`` for every numeric bound ``validate()`` checks;
+#: ``None`` means the value must be positive.
+_BOUNDS = (
+    ("service_time", None),
+    ("service_concurrency", None),
+    ("client_overhead", 0),
+    ("merge_entry_time", 0),
+    ("sync_period", None),
+    ("replication_flush_interval", None),
+    ("replication_batch_size", None),
+    ("read_max_retries", 0),
+    ("read_retry_backoff", 1),
+    ("virtual_nodes", None),
+    ("read_retry_interval", 0),
+)
 
 
 @dataclass
 class MetadataConfig:
     """Configuration shared by all strategies.
+
+    Strategy and registry knobs only: the placement policy, admission
+    control and transfer weight of a run are built from its scenario
+    spec (``repro.scenario.runner``).
 
     Attributes
     ----------
@@ -76,37 +96,6 @@ class MetadataConfig:
     home_site:
         Site hosting the centralized registry / the sync agent; default
         (None) is the first site of the deployment.
-    transfer_flow_weight:
-        Fair model only: default flow weight of storage-layer bulk
-        transfers (data provisioning), folded in from
-        ``NetworkSpec.transfer_flow_weight``.  The other WAN settings
-        live on ``NetworkSpec`` alone and reach the ``Deployment``
-        from there.
-    scheduler:
-        Task-placement policy the workflow engine uses when an
-        experiment builds it from this config: ``None`` (engine
-        default, i.e. ``"locality"``) or one of
-        ``repro.scheduling.SCHEDULER_NAMES``.  See
-        ``docs/scheduling.md``.
-    hybrid_locality_weight / hybrid_load_weight / hybrid_transfer_weight:
-        ``scheduler="hybrid"`` only: coefficients of the hybrid
-        policy's locality, queue-depth and predicted-transfer-time
-        terms.
-    bw_pending_penalty:
-        ``scheduler="bandwidth_aware"`` or ``"hybrid"`` only: scale of
-        the pending-bytes ledger that pessimises staging estimates for
-        links this policy just committed transfers to (0 disables it).
-    admission:
-        Admission-control policy the workload runner uses when built
-        from this config: ``None`` (runner default, i.e.
-        ``"unbounded"``) or one of
-        ``repro.workload.ADMISSION_NAMES``.  See ``docs/workloads.md``.
-    max_in_flight:
-        ``admission="max_in_flight"`` only: the global cap on
-        concurrently executing workflows.
-    token_rate / token_burst:
-        ``admission="token_bucket"`` only: per-tenant admission rate
-        (workflows/second) and burst allowance.
     """
 
     service_time: float = 3 * MS
@@ -130,71 +119,12 @@ class MetadataConfig:
     virtual_nodes: int = 64
     write_lookup: bool = False
     home_site: Optional[str] = None
-    transfer_flow_weight: float = 1.0
-    scheduler: Optional[str] = None
-    hybrid_locality_weight: float = 1.0
-    hybrid_load_weight: float = 1.0
-    hybrid_transfer_weight: float = 1.0
-    bw_pending_penalty: float = 1.0
-    admission: Optional[str] = None
-    max_in_flight: Optional[int] = None
-    token_rate: Optional[float] = None
-    token_burst: int = 1
 
     def validate(self) -> None:
-        if self.service_time <= 0:
-            raise ValueError("service_time must be positive")
-        if self.service_concurrency <= 0:
-            raise ValueError("service_concurrency must be positive")
-        if self.client_overhead < 0:
-            raise ValueError("client_overhead must be >= 0")
-        if self.merge_entry_time < 0:
-            raise ValueError("merge_entry_time must be >= 0")
-        if self.sync_period <= 0:
-            raise ValueError("sync_period must be positive")
-        if self.replication_flush_interval <= 0:
-            raise ValueError("replication_flush_interval must be positive")
-        if self.replication_batch_size <= 0:
-            raise ValueError("replication_batch_size must be positive")
-        if self.read_max_retries < 0:
-            raise ValueError("read_max_retries must be >= 0")
-        if self.read_retry_backoff < 1.0:
-            raise ValueError("read_retry_backoff must be >= 1")
-        if self.read_retry_max_delay < self.read_retry_interval:
-            raise ValueError(
-                "read_retry_max_delay must be >= read_retry_interval"
-            )
-        if self.virtual_nodes <= 0:
-            raise ValueError("virtual_nodes must be positive")
-        if self.transfer_flow_weight <= 0:
-            raise ValueError("transfer_flow_weight must be positive")
-        if self.scheduler is not None and (
-            self.scheduler not in SCHEDULER_NAMES
-        ):
-            raise ValueError(
-                f"scheduler must be None or one of {SCHEDULER_NAMES}"
-            )
-        for label in (
-            "hybrid_locality_weight",
-            "hybrid_load_weight",
-            "hybrid_transfer_weight",
-            "bw_pending_penalty",
-        ):
-            if getattr(self, label) < 0:
-                raise ValueError(f"{label} must be >= 0")
-        if self.admission is not None:
-            # Imported lazily: repro.workload sits above this module in
-            # the layering (its runner imports the engine, which imports
-            # this config), so a top-level import would be circular.
-            from repro.workload.admission import ADMISSION_NAMES
-
-            if self.admission not in ADMISSION_NAMES:
-                raise ValueError(
-                    f"admission must be None or one of {ADMISSION_NAMES}"
-                )
-        if self.max_in_flight is not None and self.max_in_flight <= 0:
-            raise ValueError("max_in_flight must be positive")
-        if self.token_rate is not None and self.token_rate <= 0:
-            raise ValueError("token_rate must be positive")
-        if self.token_burst < 1:
-            raise ValueError("token_burst must be >= 1")
+        for name, minimum in _BOUNDS:
+            check_number(name, getattr(self, name), minimum)
+        check_number(
+            "read_retry_max_delay",
+            self.read_retry_max_delay,
+            minimum=self.read_retry_interval,
+        )

@@ -34,7 +34,6 @@ from repro.scenario.spec import (
     TopologySpec,
     WORKFLOW_APPLICATIONS,
     WORKFLOW_BUILDERS,
-    config_from_specs,
 )
 from repro.scenario.sweep import (
     SweepCell,
@@ -70,7 +69,6 @@ __all__ = [
     "TopologySpec",
     "WORKFLOW_APPLICATIONS",
     "WORKFLOW_BUILDERS",
-    "config_from_specs",
     "evaluate_slo",
     "get_scenario",
     "iter_sweep",

@@ -9,6 +9,12 @@ the right execution surface (workflow engine / synthetic benchmark /
 multi-tenant workload runner) and stats collection into one
 :class:`ScenarioResult`.
 
+It is also the one place a spec becomes run-level policy: the
+placement policy (:func:`_placement_policy`), the admission controller
+(:func:`_admission_controller`) and the weighted transfer service are
+built here and handed to the engine and the workload runner, which
+resolve no policy themselves.
+
 The dispatch preserves the seed-exact code paths bit-for-bit: a
 spec-driven run issues exactly the calls the pre-spec plumbing did
 (pinned by the golden equivalence tests in
@@ -33,10 +39,13 @@ from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController
 from repro.obs import RunAnalysis, Tracer, analyze_tracer
 from repro.scenario.slo import SLOReport, evaluate_slo
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, SchedulerSpec
+from repro.scheduling import PlacementPolicy, make_scheduler
 from repro.sim import Environment
+from repro.storage.transfer import TransferService
 from repro.util.units import MB
 from repro.workflow.engine import WorkflowEngine
+from repro.workload.admission import AdmissionController, make_admission
 from repro.workload.runner import WorkloadRunner
 
 __all__ = ["ScenarioResult", "run_scenario"]
@@ -295,6 +304,45 @@ def _start_elastic(
     return controller
 
 
+def _placement_policy(spec: SchedulerSpec) -> PlacementPolicy:
+    """The placement policy a scheduler spec names, with its knobs.
+
+    ``name=None`` is ``"locality"``; the pending penalty goes to the
+    two bandwidth-aware policies and the weights to ``hybrid`` only
+    (validation rejects them pinned anywhere else).
+    """
+    name = spec.name or "locality"
+    knobs: Dict[str, float] = {}
+    if name in ("bandwidth_aware", "hybrid"):
+        knobs["pending_penalty"] = spec.bw_pending_penalty
+    if name == "hybrid":
+        knobs.update(
+            locality_weight=spec.hybrid_locality_weight,
+            load_weight=spec.hybrid_load_weight,
+            transfer_weight=spec.hybrid_transfer_weight,
+        )
+    return make_scheduler(name, **knobs)
+
+
+def _admission_controller(
+    spec: ScenarioSpec, env: Environment
+) -> AdmissionController:
+    """The admission controller a validated spec names, with its knobs.
+
+    ``admission=None`` is ``"unbounded"``; an unset knob keeps the
+    controller's constructor default (validation ties each knob to its
+    policy).
+    """
+    knobs: Dict[str, float] = {}
+    if spec.max_in_flight is not None:
+        knobs["limit"] = spec.max_in_flight
+    if spec.token_rate is not None:
+        knobs["rate"] = spec.token_rate
+    if spec.token_burst is not None:
+        knobs["burst"] = spec.token_burst
+    return make_admission(spec.admission or "unbounded", env, **knobs)
+
+
 def _build_workflow(spec: ScenarioSpec):
     """The workflow-surface DAG, built exactly like the CLI built it."""
     if spec.workflow_file is not None:
@@ -329,9 +377,10 @@ def run_scenario(
         the spec's ``application``/``workflow_file`` (used by
         experiment harnesses with bespoke DAGs).
     config_base:
-        Optional :class:`MetadataConfig` supplying defaults that the
-        spec's own pins override (the ``base=`` merge the legacy
-        ``from_*_args`` chain performed).
+        Optional :class:`MetadataConfig` supplying strategy and
+        registry defaults that the spec's own strategy pins override.
+        It cannot change which placement or admission policy runs:
+        those come from the spec alone.
     """
     spec.validate()
     if quick:
@@ -407,10 +456,19 @@ def run_scenario(
     injectors = _wire_faults(
         spec, deployment, registries=controller.strategy.registries
     )
+    transfer = TransferService(
+        env,
+        deployment.network,
+        deployment.sites,
+        default_weight=net.transfer_flow_weight,
+    )
+    policy = _placement_policy(spec.scheduler)
     if spec.surface == "workflow":
         engine = WorkflowEngine(
             deployment,
             controller.strategy,
+            transfer=transfer,
+            scheduler=policy,
             input_site=spec.scheduler.input_site,
         )
         # Workflow surface has no admission layer, so the autoscaler
@@ -442,7 +500,12 @@ def run_scenario(
         _elastic_signals(spec) if spec.elasticity.enabled else None
     )
     runner = WorkloadRunner(
-        deployment, controller.strategy, elastic_signals=signals
+        deployment,
+        controller.strategy,
+        scheduler=policy,
+        admission=_admission_controller(spec, env),
+        transfer=transfer,
+        elastic_signals=signals,
     )
     elastic = _start_elastic(
         spec, deployment, runner.engine.cluster, signals, tracer

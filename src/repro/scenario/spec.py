@@ -35,9 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.cloud.network import BANDWIDTH_MODELS
@@ -55,6 +53,7 @@ from repro.metadata.controller import STRATEGIES, StrategyName
 from repro.obs import TRACE_CATEGORIES
 from repro.scenario.slo import SLOSpec
 from repro.scheduling import SCHEDULER_NAMES
+from repro.util.checks import check_number, is_int
 from repro.util.units import MB
 from repro.workflow.applications import buzzflow, montage
 from repro.workload.admission import ADMISSION_NAMES
@@ -75,7 +74,6 @@ __all__ = [
     "TopologySpec",
     "WORKFLOW_APPLICATIONS",
     "WORKFLOW_BUILDERS",
-    "config_from_specs",
 ]
 
 #: Recognized topology presets (see ``repro.cloud.presets``).
@@ -100,11 +98,6 @@ FAULT_KINDS: Tuple[str, ...] = (
     "link_flap",
     "latency_spike",
 )
-
-
-def _is_int(value) -> bool:
-    """True for an integer count (``bool`` is not one)."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_keys(label: str, data: Mapping, allowed) -> None:
@@ -309,12 +302,7 @@ class NetworkSpec:
             if cap is not None and not cap > 0:
                 raise ValueError(f"{name} must be positive, got {cap!r}")
         for name in ("rpc_flow_weight", "transfer_flow_weight"):
-            weight = getattr(self, name)
-            if not (weight > 0 and math.isfinite(weight)):
-                raise ValueError(
-                    f"{name} must be a positive finite number, got "
-                    f"{weight!r}"
-                )
+            check_number(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -343,8 +331,8 @@ class StrategySpec:
                 f"unknown strategy {self.name!r}; available: "
                 f"{sorted(STRATEGIES)}"
             )
-        if self.sync_period is not None and self.sync_period <= 0:
-            raise ValueError("sync_period must be positive")
+        if self.sync_period is not None:
+            check_number("sync_period", self.sync_period)
 
 
 @dataclass(frozen=True)
@@ -395,8 +383,7 @@ class SchedulerSpec:
             "hybrid_transfer_weight",
             "bw_pending_penalty",
         ):
-            if getattr(self, label) < 0:
-                raise ValueError(f"{label} must be >= 0")
+            check_number(label, getattr(self, label), minimum=0)
 
 
 @dataclass(frozen=True)
@@ -559,21 +546,9 @@ class ObservabilitySpec:
                     f"unknown trace categories {unknown}; expected a "
                     f"subset of {list(TRACE_CATEGORIES)}"
                 )
-        # Written so that NaN fails too: every comparison with NaN is
-        # False, and a NaN knob would otherwise corrupt the run silently.
-        if not (
-            self.sample_interval > 0 and math.isfinite(self.sample_interval)
-        ):
-            raise ValueError(
-                "sample_interval must be a positive finite number, got "
-                f"{self.sample_interval!r}"
-            )
-        if not (_is_int(self.max_events) and self.max_events > 0):
-            raise ValueError(
-                "max_events must be a positive integer, got "
-                f"{self.max_events!r}"
-            )
-        if not (_is_int(self.histogram_capacity)
+        check_number("sample_interval", self.sample_interval)
+        check_number("max_events", self.max_events, integer=True)
+        if not (is_int(self.histogram_capacity)
                 and self.histogram_capacity >= 5):
             raise ValueError(
                 "histogram_capacity must be an integer >= 5 (quantile "
@@ -760,95 +735,6 @@ class ElasticitySpec:
                 raise ValueError(
                     f"elasticity cost rate for {cls!r} must be positive"
                 )
-
-
-def _validate_admission_knobs(
-    admission: Optional[str],
-    max_in_flight: Optional[int],
-    token_rate: Optional[float],
-    token_burst: Optional[int],
-) -> None:
-    """The workload-policy knob rules shared by the spec and
-    :func:`config_from_specs`."""
-    if max_in_flight is not None and admission != "max_in_flight":
-        raise ValueError(
-            "--max-in-flight requires --admission max_in_flight"
-        )
-    if (
-        token_rate is not None or token_burst is not None
-    ) and admission != "token_bucket":
-        raise ValueError(
-            "--token-rate/--token-burst require "
-            "--admission token_bucket"
-        )
-    if admission is not None and admission not in ADMISSION_NAMES:
-        raise ValueError(
-            f"admission must be None or one of {ADMISSION_NAMES}"
-        )
-    if max_in_flight is not None and max_in_flight <= 0:
-        raise ValueError("max_in_flight must be positive")
-    if token_rate is not None and token_rate <= 0:
-        raise ValueError("token_rate must be positive")
-    if token_burst is not None and token_burst < 1:
-        raise ValueError("token_burst must be >= 1")
-
-
-def config_from_specs(
-    network: Optional[NetworkSpec] = None,
-    scheduler: Optional[SchedulerSpec] = None,
-    admission: Optional[str] = None,
-    max_in_flight: Optional[int] = None,
-    token_rate: Optional[float] = None,
-    token_burst: Optional[int] = None,
-    base: Optional[MetadataConfig] = None,
-) -> Optional[MetadataConfig]:
-    """Fold validated spec components into a :class:`MetadataConfig`.
-
-    Each component is validated, and contributes its fields on top of
-    ``base`` only when it actually pins something.  Returns ``base``
-    unchanged (possibly ``None``) when nothing is pinned, so callers
-    keep their defaults -- a ``None`` config stays ``None``.  Of the
-    network settings only ``transfer_flow_weight`` is folded (the
-    engine reads it from the config); the rest reach the
-    ``Deployment`` straight from the :class:`NetworkSpec`.
-    """
-    config = base
-    if network is not None:
-        network.validate()
-        if network.bandwidth_model is not None:
-            config = MetadataConfig(
-                **{
-                    **(config.__dict__ if config is not None else {}),
-                    "transfer_flow_weight": network.transfer_flow_weight,
-                }
-            )
-    if scheduler is not None:
-        scheduler.validate()
-        if scheduler.name is not None:
-            config = MetadataConfig(
-                **{
-                    **(config.__dict__ if config is not None else {}),
-                    "scheduler": scheduler.name,
-                    "hybrid_locality_weight": scheduler.hybrid_locality_weight,
-                    "hybrid_load_weight": scheduler.hybrid_load_weight,
-                    "hybrid_transfer_weight": scheduler.hybrid_transfer_weight,
-                    "bw_pending_penalty": scheduler.bw_pending_penalty,
-                }
-            )
-    _validate_admission_knobs(admission, max_in_flight, token_rate, token_burst)
-    if admission is not None:
-        config = MetadataConfig(
-            **{
-                **(config.__dict__ if config is not None else {}),
-                "admission": admission,
-                "max_in_flight": max_in_flight,
-                "token_rate": token_rate,
-                "token_burst": token_burst if token_burst is not None else 1,
-            }
-        )
-    if config is not None:
-        config.validate()
-    return config
 
 
 def _nested_replace(obj, path: str, value):
@@ -1042,10 +928,35 @@ class ScenarioSpec:
                     f"fault {fault.kind!r} names unknown region "
                     f"{fault.region!r}; topology has {list(regions)}"
                 )
-        _validate_admission_knobs(
-            self.admission, self.max_in_flight,
-            self.token_rate, self.token_burst,
-        )
+        if self.max_in_flight is not None and (
+            self.admission != "max_in_flight"
+        ):
+            raise ValueError(
+                "--max-in-flight requires --admission max_in_flight"
+            )
+        if (
+            self.token_rate is not None or self.token_burst is not None
+        ) and self.admission != "token_bucket":
+            raise ValueError(
+                "--token-rate/--token-burst require "
+                "--admission token_bucket"
+            )
+        if self.admission is not None and (
+            self.admission not in ADMISSION_NAMES
+        ):
+            raise ValueError(
+                f"admission must be None or one of {ADMISSION_NAMES}"
+            )
+        # NaN must fail here: a NaN limit would deadlock the run and a
+        # NaN rate would admit everything at once.
+        if self.max_in_flight is not None:
+            check_number("max_in_flight", self.max_in_flight, integer=True)
+        if self.token_rate is not None:
+            check_number("token_rate", self.token_rate)
+        if self.token_burst is not None:
+            check_number(
+                "token_burst", self.token_burst, minimum=1, integer=True
+            )
         if self.surface == "workload":
             if self.workload is None:
                 raise ValueError(
@@ -1120,39 +1031,33 @@ class ScenarioSpec:
     def to_metadata_config(
         self, base: Optional[MetadataConfig] = None
     ) -> Optional[MetadataConfig]:
-        """The :class:`MetadataConfig` this scenario pins, over ``base``.
+        """The :class:`MetadataConfig` this scenario's strategy pins.
 
-        ``None`` when the spec pins nothing config-level (callers keep
-        their defaults -- exactly what the pre-spec flag plumbing did).
+        Only the strategy knobs the spec actually pins override
+        ``base`` -- an unset default never clobbers a base-config
+        value -- and ``base`` comes back unchanged (possibly ``None``,
+        so callers keep their defaults) when nothing is pinned.  The
+        placement policy, admission control and transfer weight are no
+        config fields: ``repro.scenario.runner`` builds them from the
+        spec.
         """
         s = self.strategy
-        if (
-            s.home_site is not None
-            or s.hybrid_sync_replication
-            or s.write_lookup
-            or s.sync_period is not None
-        ):
-            # Only knobs the spec actually pins override the base --
-            # an unset default must never clobber a base-config value.
-            kwargs = dict(base.__dict__) if base is not None else {}
-            if s.home_site is not None:
-                kwargs["home_site"] = s.home_site
-            if s.hybrid_sync_replication:
-                kwargs["hybrid_sync_replication"] = True
-            if s.write_lookup:
-                kwargs["write_lookup"] = True
-            if s.sync_period is not None:
-                kwargs["sync_period"] = s.sync_period
-            base = MetadataConfig(**kwargs)
-        return config_from_specs(
-            network=self.network,
-            scheduler=self.scheduler,
-            admission=self.admission,
-            max_in_flight=self.max_in_flight,
-            token_rate=self.token_rate,
-            token_burst=self.token_burst,
-            base=base,
+        pins: Dict[str, Any] = {}
+        if s.home_site is not None:
+            pins["home_site"] = s.home_site
+        if s.hybrid_sync_replication:
+            pins["hybrid_sync_replication"] = True
+        if s.write_lookup:
+            pins["write_lookup"] = True
+        if s.sync_period is not None:
+            pins["sync_period"] = s.sync_period
+        if not pins:
+            return base
+        config = MetadataConfig(
+            **{**(base.__dict__ if base is not None else {}), **pins}
         )
+        config.validate()
+        return config
 
     def quick(self) -> "ScenarioSpec":
         """A CI-sized variant: same shape, reduced op volumes.

@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.scheduling.base import ClusterView, PlacementPolicy
+from repro.util.checks import check_number
 
 __all__ = [
     "BandwidthAwarePolicy",
@@ -159,8 +160,7 @@ class BandwidthAwarePolicy(PlacementPolicy):
     name = "bandwidth_aware"
 
     def __init__(self, pending_penalty: float = 1.0):
-        if pending_penalty < 0:
-            raise ValueError("pending_penalty must be >= 0")
+        check_number("pending_penalty", pending_penalty, minimum=0)
         self.pending_penalty = float(pending_penalty)
         #: (src site, dst site) -> bytes committed but not yet complete.
         self._pending: Dict[Tuple[str, str], float] = {}
@@ -252,8 +252,7 @@ class HybridPolicy(BandwidthAwarePolicy):
             ("load_weight", load_weight),
             ("transfer_weight", transfer_weight),
         ):
-            if w < 0:
-                raise ValueError(f"{label} must be >= 0")
+            check_number(label, w, minimum=0)
         self.locality_weight = float(locality_weight)
         self.load_weight = float(load_weight)
         self.transfer_weight = float(transfer_weight)
@@ -317,8 +316,8 @@ def make_scheduler(name: str, **knobs) -> PlacementPolicy:
     """Build a placement policy by registry name.
 
     ``knobs`` are passed to the policy's constructor; passing a knob the
-    policy does not accept raises ``TypeError`` (use the config/CLI
-    layer's validation for friendlier errors).
+    policy does not accept raises ``TypeError`` (the spec layer's
+    validation gives friendlier errors).
     """
     try:
         factory = SCHEDULERS[name]

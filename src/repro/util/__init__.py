@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic RNG streams and unit helpers."""
+"""Shared utilities: deterministic RNG streams, unit helpers and NaN-safe
+bound checks (``repro.util.checks``)."""
 
 from repro.util.rng import RngStreams, derive_seed
 from repro.util.units import (

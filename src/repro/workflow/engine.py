@@ -110,13 +110,12 @@ class WorkflowEngine:
     :class:`~repro.scheduling.PlacementPolicy` (see
     ``docs/scheduling.md``).  ``scheduler`` may be a policy instance or
     a registry name (``"locality"``, ``"round_robin"``,
-    ``"load_balanced"``, ``"bandwidth_aware"``, ``"hybrid"``); when
-    omitted it falls back to the strategy config's ``scheduler``, then
-    the deployment's, then the historical default -- ``"locality"``
-    (or ``"round_robin"`` with ``locality_scheduling=False``, the
-    legacy switch kept for backward compatibility).  Name-built
-    policies pick up their knobs (hybrid weights, pending penalty)
-    from the strategy config.
+    ``"load_balanced"``, ``"bandwidth_aware"``, ``"hybrid"``); a name
+    is built with its constructor defaults, and ``None`` means
+    ``"locality"``, the paper's heuristic.  Without ``transfer`` the
+    engine builds a :class:`~repro.storage.transfer.TransferService`
+    with the default flow weight 1.0.  A scenario run builds both from
+    its spec and passes them in (``repro.scenario.runner``).
 
     ``input_site`` selects the site where the workflow's external
     inputs are staged before the run (default: the deployment's first
@@ -129,7 +128,6 @@ class WorkflowEngine:
         deployment: Deployment,
         strategy: MetadataStrategy,
         transfer: Optional[TransferService] = None,
-        locality_scheduling: bool = True,
         proactive_provisioning: bool = False,
         data_provisioning: bool = False,
         scheduler: Optional[Union[str, PlacementPolicy]] = None,
@@ -138,16 +136,9 @@ class WorkflowEngine:
         self.deployment = deployment
         self.env: Environment = deployment.env
         self.strategy = strategy
-        config = getattr(strategy, "config", None)
         self.transfer = transfer or TransferService(
-            self.env,
-            deployment.network,
-            deployment.sites,
-            default_weight=(
-                config.transfer_flow_weight if config is not None else 1.0
-            ),
+            self.env, deployment.network, deployment.sites
         )
-        self.locality_scheduling = locality_scheduling
         if input_site is not None:
             deployment.topology.get(input_site)  # validate the site name
         self.input_site = input_site
@@ -180,7 +171,13 @@ class WorkflowEngine:
         # completion.
         deployment.add_fleet_listener(self._on_fleet_change)
         self.cluster = ClusterView(deployment, self.transfer, self._vm_load)
-        self.policy = self._resolve_policy(scheduler, config)
+        if scheduler is None:
+            scheduler = "locality"
+        self.policy = (
+            scheduler
+            if isinstance(scheduler, PlacementPolicy)
+            else make_scheduler(scheduler)
+        )
         # Observability: placement decisions under "scheduler" (with
         # per-site candidate scores), task lifecycles as spans with
         # staging/compute/publish children.  Category flags are cached
@@ -194,43 +191,6 @@ class WorkflowEngine:
         """Keep per-VM load counters in sync with an elastic fleet."""
         for vm in added:
             self._vm_load.setdefault(vm.name, 0)
-
-    def _resolve_policy(
-        self,
-        scheduler: Optional[Union[str, PlacementPolicy]],
-        config,
-    ) -> PlacementPolicy:
-        """Turn the ``scheduler`` argument into a policy instance.
-
-        Precedence: explicit argument > strategy config > deployment
-        default > the legacy ``locality_scheduling`` switch.
-        """
-        if scheduler is None:
-            scheduler = getattr(config, "scheduler", None)
-        if scheduler is None:
-            scheduler = getattr(self.deployment, "scheduler", None)
-        if scheduler is None:
-            scheduler = (
-                "locality" if self.locality_scheduling else "round_robin"
-            )
-        if isinstance(scheduler, PlacementPolicy):
-            return scheduler
-        knobs = {}
-        if scheduler in ("bandwidth_aware", "hybrid"):
-            knobs["pending_penalty"] = getattr(
-                config, "bw_pending_penalty", 1.0
-            )
-        if scheduler == "hybrid":
-            knobs.update(
-                locality_weight=getattr(
-                    config, "hybrid_locality_weight", 1.0
-                ),
-                load_weight=getattr(config, "hybrid_load_weight", 1.0),
-                transfer_weight=getattr(
-                    config, "hybrid_transfer_weight", 1.0
-                ),
-            )
-        return make_scheduler(scheduler, **knobs)
 
     # -- public API ---------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from typing import Dict, Generator, Optional
 
 from repro.sim import Environment
 from repro.sim.resources import Resource
+from repro.util.checks import check_number
 
 __all__ = [
     "ADMISSIONS",
@@ -90,8 +91,7 @@ class MaxInFlightAdmission(AdmissionController):
 
     def __init__(self, env: Environment, limit: int = 4):
         super().__init__(env)
-        if limit <= 0:
-            raise ValueError("max_in_flight limit must be positive")
+        check_number("max_in_flight limit", limit)
         self._slots = Resource(env, capacity=limit)
 
     @property
@@ -130,10 +130,8 @@ class TokenBucketAdmission(AdmissionController):
         self, env: Environment, rate: float = 1.0, burst: int = 1
     ):
         super().__init__(env)
-        if rate <= 0:
-            raise ValueError("token rate must be positive")
-        if burst < 1:
-            raise ValueError("token burst must be >= 1")
+        check_number("token rate", rate)
+        check_number("token burst", burst, minimum=1)
         self.rate = float(rate)
         self.burst = int(burst)
         #: Tenant -> theoretical arrival time of its next admission.

@@ -51,14 +51,13 @@ class WorkloadRunner:
         The shared substrate every tenant contends for.
     scheduler:
         Placement policy name or instance for the shared engine
-        (default: the engine's usual resolution -- config, deployment,
-        then ``"locality"``).
+        (``None``: ``"locality"``; see
+        :class:`~repro.workflow.engine.WorkflowEngine`).
     admission:
-        Admission controller instance, registry name, or ``None`` to
-        resolve from the strategy config's ``admission`` knob, then the
-        deployment's ``admission`` default, then ``"unbounded"``.
-        Name-built controllers pick up their knobs (``max_in_flight``,
-        ``token_rate``/``token_burst``) from the strategy config.
+        Admission controller instance or registry name; a name is built
+        with its constructor defaults, and ``None`` means
+        ``"unbounded"``.  A scenario run builds the controller from its
+        spec's admission fields and passes it in.
     transfer:
         Optional shared :class:`~repro.storage.transfer.TransferService`
         (the engine builds one otherwise).
@@ -84,7 +83,13 @@ class WorkloadRunner:
         self.engine = WorkflowEngine(
             deployment, strategy, transfer=transfer, scheduler=scheduler
         )
-        self.admission = self._resolve_admission(admission)
+        if admission is None:
+            admission = "unbounded"
+        self.admission = (
+            admission
+            if isinstance(admission, AdmissionController)
+            else make_admission(admission, self.env)
+        )
         self.elastic_signals = elastic_signals
         # Observability: instance arrival/admission/completion under
         # "workload", with an admission-wait histogram.  ("reject" is
@@ -103,30 +108,6 @@ class WorkloadRunner:
         # instances re-namespaced per epoch, so neither file/task keys
         # nor op-run tags ever collide with an earlier spec's.
         self._epoch = 0
-
-    def _resolve_admission(
-        self, admission: Optional[Union[str, AdmissionController]]
-    ) -> AdmissionController:
-        config = getattr(self.strategy, "config", None)
-        if admission is None:
-            admission = getattr(config, "admission", None)
-        if admission is None:
-            admission = getattr(self.deployment, "admission", None)
-        if admission is None:
-            admission = "unbounded"
-        if isinstance(admission, AdmissionController):
-            return admission
-        knobs = {}
-        if admission == "max_in_flight":
-            limit = getattr(config, "max_in_flight", None)
-            if limit is not None:
-                knobs["limit"] = limit
-        elif admission == "token_bucket":
-            rate = getattr(config, "token_rate", None)
-            if rate is not None:
-                knobs["rate"] = rate
-            knobs["burst"] = getattr(config, "token_burst", 1) or 1
-        return make_admission(admission, self.env, **knobs)
 
     # -- public API --------------------------------------------------------
 

@@ -29,7 +29,7 @@ def run_under(strategy, wf_builder, seed=111):
         replication_flush_interval=0.1,
     )
     ctrl = ArchitectureController(dep, strategy=strategy, config=cfg)
-    engine = WorkflowEngine(dep, ctrl.strategy, locality_scheduling=True)
+    engine = WorkflowEngine(dep, ctrl.strategy)
     res = engine.run(wf_builder())
     ctrl.shutdown()
     return res

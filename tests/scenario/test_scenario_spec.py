@@ -15,7 +15,6 @@ from repro.scenario import (
     SchedulerSpec,
     StrategySpec,
     TopologySpec,
-    config_from_specs,
     get_scenario,
     register_scenario,
 )
@@ -263,6 +262,62 @@ class TestValidation:
         with pytest.raises(ValueError, match=knob):
             spec.validate()
 
+    # The same for the policy knobs a run builds its scheduler and
+    # admission controller from, and the replicated sync period: a NaN
+    # penalty, weight or period ran to a wrong makespan, a NaN
+    # max_in_flight deadlocked mid-run and a NaN token_rate admitted
+    # everything at once.  Infinite and negative values fail as well.
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1.0"])
+    @pytest.mark.parametrize(
+        "scenario,overrides,knob",
+        [
+            ("fanout_bandwidth_aware", {}, "scheduler.bw_pending_penalty"),
+            (
+                "fanout_bandwidth_aware",
+                {"scheduler.name": "hybrid"},
+                "scheduler.hybrid_locality_weight",
+            ),
+            (
+                "fanout_bandwidth_aware",
+                {"scheduler.name": "hybrid"},
+                "scheduler.hybrid_load_weight",
+            ),
+            (
+                "fanout_bandwidth_aware",
+                {"scheduler.name": "hybrid"},
+                "scheduler.hybrid_transfer_weight",
+            ),
+            ("multi_tenant_8", {}, "max_in_flight"),
+            ("open_loop_tokens", {}, "token_rate"),
+            (
+                "paper_default",
+                {"strategy.name": "replicated"},
+                "strategy.sync_period",
+            ),
+        ],
+    )
+    def test_policy_knob_out_of_range_rejected(
+        self, scenario, overrides, knob, value
+    ):
+        spec = get_scenario(scenario).replace(
+            **overrides, **{knob: json.loads(value)}
+        )
+        with pytest.raises(ValueError, match=knob.rpartition(".")[2]):
+            spec.validate()
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize(
+        "scenario,knob",
+        [
+            ("multi_tenant_8", "max_in_flight"),
+            ("open_loop_tokens", "token_burst"),
+        ],
+    )
+    def test_admission_counts_must_be_integers(self, scenario, knob, value):
+        spec = get_scenario(scenario).replace(**{knob: value})
+        with pytest.raises(ValueError, match=f"{knob} must be .*integer"):
+            spec.validate()
+
     @pytest.mark.parametrize(
         "knob", ["rpc_flow_weight", "transfer_flow_weight"]
     )
@@ -293,6 +348,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="--bw-pending-penalty"):
             spec.validate()
 
+    @pytest.mark.parametrize(
+        "scheduler",
+        [
+            dict(name=None, hybrid_locality_weight=2.0),
+            dict(name="bandwidth_aware", hybrid_transfer_weight=2.0),
+            dict(name="round_robin", bw_pending_penalty=0.0),
+        ],
+    )
+    def test_scheduler_knobs_rejected_under_other_policies(self, scheduler):
+        spec = ScenarioSpec(scheduler=SchedulerSpec(**scheduler))
+        with pytest.raises(ValueError, match="require"):
+            spec.validate()
+
     def test_admission_rejected_in_single_workflow_mode(self):
         spec = ScenarioSpec(surface="workflow", admission="unbounded")
         with pytest.raises(ValueError, match="workload-surface"):
@@ -314,6 +382,28 @@ class TestValidation:
             token_rate=1.0,
         )
         with pytest.raises(ValueError, match="token_bucket"):
+            spec.validate()
+
+    @pytest.mark.parametrize(
+        "knobs,match",
+        [
+            (dict(max_in_flight=2), "max_in_flight"),
+            (dict(admission="unbounded", token_rate=1.0), "token_bucket"),
+            (dict(admission="max_in_flight", token_burst=2), "token_bucket"),
+            (dict(admission="nope"), "admission must be"),
+            (
+                dict(admission="max_in_flight", max_in_flight=0),
+                "max_in_flight",
+            ),
+            (dict(admission="token_bucket", token_rate=-1.0), "token_rate"),
+            (dict(admission="token_bucket", token_burst=0), "token_burst"),
+        ],
+    )
+    def test_admission_knob_values_checked(self, knobs, match):
+        spec = ScenarioSpec(
+            surface="workload", workload=workload_spec(), **knobs
+        )
+        with pytest.raises(ValueError, match=match):
             spec.validate()
 
     def test_workload_surface_needs_embedded_workload(self):
@@ -473,7 +563,85 @@ class TestConfigMapping:
         assert seen["site_ingress_bw"] == 5 * MB
         assert seen["rpc_flow_weight"] == 2.0
 
-    def test_strategy_and_scheduler_fields_mapped(self):
+    @staticmethod
+    def built(monkeypatch, cls):
+        """Record every instance of ``cls`` constructed from now on."""
+        seen = []
+        init = cls.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            seen.append(self)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+        return seen
+
+    def test_scheduler_and_transfer_weight_reach_the_engine(
+        self, monkeypatch
+    ):
+        """The spec's hybrid weights and penalty reach ``engine.policy``
+        and its transfer weight ``engine.transfer`` (no config in
+        between)."""
+        from repro.workflow.engine import WorkflowEngine
+        from repro.workflow.patterns import scatter
+
+        engines = self.built(monkeypatch, WorkflowEngine)
+        spec = ScenarioSpec(
+            network=NetworkSpec(
+                bandwidth_model="fair", transfer_flow_weight=2.0
+            ),
+            scheduler=SchedulerSpec(
+                name="hybrid",
+                hybrid_locality_weight=3.0,
+                hybrid_load_weight=0.5,
+                hybrid_transfer_weight=0.25,
+                bw_pending_penalty=0.0,
+            ),
+            n_nodes=4,
+        )
+        assert spec.to_metadata_config() is None
+        result = spec.run(workflow=scatter(3, compute_time=0.1))
+        (engine,) = engines
+        assert result.scheduler == "hybrid"
+        assert engine.policy.locality_weight == 3.0
+        assert engine.policy.load_weight == 0.5
+        assert engine.policy.transfer_weight == 0.25
+        assert engine.policy.pending_penalty == 0.0
+        assert engine.transfer.default_weight == 2.0
+
+    @pytest.mark.parametrize(
+        "admission,expected",
+        [
+            (dict(admission=None), dict(name="unbounded", bound=None)),
+            (
+                dict(admission="max_in_flight", max_in_flight=3),
+                dict(name="max_in_flight", bound=3),
+            ),
+            (
+                dict(admission="token_bucket", token_rate=2.0, token_burst=3),
+                dict(name="token_bucket", rate=2.0, burst=3),
+            ),
+            # Unset knobs keep the controller's defaults.
+            (
+                dict(admission="token_bucket"),
+                dict(name="token_bucket", rate=1.0, burst=1),
+            ),
+        ],
+    )
+    def test_admission_knobs_reach_the_runner(
+        self, monkeypatch, admission, expected
+    ):
+        from repro.workload import WorkloadRunner
+
+        runners = self.built(monkeypatch, WorkloadRunner)
+        get_scenario("multi_tenant_8").replace(
+            **{"max_in_flight": None, **admission}
+        ).run(quick=True)
+        (runner,) = runners
+        for attr, value in expected.items():
+            assert getattr(runner.admission, attr) == value
+
+    def test_strategy_fields_mapped(self):
         cfg = ScenarioSpec(
             strategy=StrategySpec(
                 home_site="east-us", hybrid_sync_replication=True
@@ -482,16 +650,15 @@ class TestConfigMapping:
         ).to_metadata_config()
         assert cfg.home_site == "east-us"
         assert cfg.hybrid_sync_replication is True
-        assert cfg.scheduler == "hybrid"
-        assert cfg.hybrid_load_weight == 2.0
+        assert not hasattr(cfg, "scheduler")
 
     def test_config_base_is_overridden_by_spec_pins(self):
-        base = MetadataConfig(sync_period=9.0)
+        base = MetadataConfig(sync_period=9.0, virtual_nodes=8)
         cfg = ScenarioSpec(
-            scheduler=SchedulerSpec(name="round_robin")
+            strategy=StrategySpec(sync_period=3.0)
         ).to_metadata_config(base=base)
-        assert cfg.sync_period == 9.0
-        assert cfg.scheduler == "round_robin"
+        assert cfg.sync_period == 3.0
+        assert cfg.virtual_nodes == 8
 
     def test_unpinned_strategy_knobs_never_clobber_the_base(self):
         """Pinning one strategy knob must not reset the base's others
@@ -506,15 +673,13 @@ class TestConfigMapping:
         assert cfg.hybrid_sync_replication is True
         assert cfg.write_lookup is True
 
-    def test_config_from_specs_returns_base_when_nothing_pinned(self):
-        assert config_from_specs() is None
+    def test_base_returned_unchanged_when_the_strategy_pins_nothing(self):
         base = MetadataConfig()
-        assert (
-            config_from_specs(
-                network=NetworkSpec(), scheduler=SchedulerSpec(), base=base
-            )
-            is base
+        spec = ScenarioSpec(
+            network=NetworkSpec(bandwidth_model="fair"),
+            scheduler=SchedulerSpec(name="round_robin"),
         )
+        assert spec.to_metadata_config(base=base) is base
 
 
 class TestQuick:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.cloud.deployment import Deployment
 from repro.cloud.presets import azure_4dc_topology
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController
 from repro.scheduling import (
+    HybridPolicy,
     LocalityPolicy,
     PlacementPolicy,
     RoundRobinPolicy,
@@ -31,48 +31,21 @@ def build(dep, fast_config, **kw):
 
 
 class TestPolicyResolution:
+    """The ``scheduler`` argument is the engine's only policy route."""
+
     def test_default_is_locality(self, dep, fast_config):
         engine, ctrl = build(dep, fast_config)
         ctrl.shutdown()
         assert isinstance(engine.policy, LocalityPolicy)
 
-    def test_legacy_flag_maps_to_round_robin(self, dep, fast_config):
-        engine, ctrl = build(dep, fast_config, locality_scheduling=False)
+    def test_name_builds_the_policy_with_its_defaults(self, dep, fast_config):
+        engine, ctrl = build(dep, fast_config, scheduler="hybrid")
         ctrl.shutdown()
-        assert isinstance(engine.policy, RoundRobinPolicy)
-
-    def test_config_pins_policy(self, dep, fast_config):
-        cfg = MetadataConfig(
-            **{**fast_config.__dict__, "scheduler": "load_balanced"}
-        )
-        engine, ctrl = build(dep, fast_config, config=cfg)
-        ctrl.shutdown()
-        assert engine.policy.name == "load_balanced"
-
-    def test_deployment_default_used_when_config_silent(self, fast_config):
-        dep = Deployment(
-            topology=azure_4dc_topology(jitter=False),
-            n_nodes=8,
-            seed=5,
-            scheduler="round_robin",
-        )
-        engine, ctrl = build(dep, fast_config)
-        ctrl.shutdown()
-        assert engine.policy.name == "round_robin"
-
-    def test_explicit_argument_wins(self, fast_config):
-        dep = Deployment(
-            topology=azure_4dc_topology(jitter=False),
-            n_nodes=8,
-            seed=5,
-            scheduler="round_robin",
-        )
-        cfg = MetadataConfig(
-            **{**fast_config.__dict__, "scheduler": "load_balanced"}
-        )
-        engine, ctrl = build(dep, fast_config, config=cfg, scheduler="hybrid")
-        ctrl.shutdown()
-        assert engine.policy.name == "hybrid"
+        assert isinstance(engine.policy, HybridPolicy)
+        assert engine.policy.locality_weight == 1.0
+        assert engine.policy.load_weight == 1.0
+        assert engine.policy.transfer_weight == 1.0
+        assert engine.policy.pending_penalty == 1.0
 
     def test_policy_instance_injected_directly(self, dep, fast_config):
         policy = RoundRobinPolicy()
@@ -80,29 +53,9 @@ class TestPolicyResolution:
         ctrl.shutdown()
         assert engine.policy is policy
 
-    def test_config_knobs_reach_the_policy(self, dep, fast_config):
-        cfg = MetadataConfig(
-            **{
-                **fast_config.__dict__,
-                "scheduler": "hybrid",
-                "hybrid_locality_weight": 3.0,
-                "hybrid_transfer_weight": 0.25,
-                "bw_pending_penalty": 2.0,
-            }
-        )
-        engine, ctrl = build(dep, fast_config, config=cfg)
-        ctrl.shutdown()
-        assert engine.policy.locality_weight == 3.0
-        assert engine.policy.transfer_weight == 0.25
-        assert engine.policy.pending_penalty == 2.0
-
     def test_unknown_scheduler_rejected(self, dep, fast_config):
         with pytest.raises(ValueError, match="unknown scheduler"):
             build(dep, fast_config, scheduler="work-stealing")
-
-    def test_unknown_deployment_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            Deployment(n_nodes=4, scheduler="work-stealing")
 
 
 class TestEveryPolicyRuns:

@@ -1,5 +1,7 @@
 """Unit and property tests for the placement policies."""
 
+import math
+
 import pytest
 
 from repro.cloud.deployment import Deployment
@@ -77,6 +79,11 @@ class TestRegistry:
             {"locality_weight": -0.1},
             {"load_weight": -2.0},
             {"transfer_weight": -0.5},
+            # NaN passes a "< 0" check and would run to a wrong placement.
+            {"pending_penalty": math.nan},
+            {"locality_weight": math.nan},
+            {"load_weight": math.nan},
+            {"transfer_weight": math.inf},
         ],
     )
     def test_negative_knobs_rejected(self, knob):

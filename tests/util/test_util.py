@@ -1,5 +1,10 @@
-"""Tests for RNG streams and unit helpers."""
+"""Tests for RNG streams, unit helpers and the NaN-safe bound check."""
 
+import math
+
+import pytest
+
+from repro.util.checks import check_number
 from repro.util.rng import RngStreams, derive_seed
 from repro.util.units import GB, KB, MB, fmt_bytes, fmt_duration
 
@@ -63,3 +68,37 @@ class TestUnits:
         assert fmt_duration(90) == "1m30.0s"
         assert fmt_duration(3725) == "1h02m05.0s"
         assert fmt_duration(-5).startswith("-")
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize(
+        "value,kwargs",
+        [
+            (1e-9, {}),
+            (0, {"minimum": 0}),
+            (3, {"integer": True}),
+            (1, {"minimum": 1, "integer": True}),
+        ],
+    )
+    def test_in_range_values_pass(self, value, kwargs):
+        check_number("knob", value, **kwargs)
+
+    @pytest.mark.parametrize(
+        "value,kwargs,message",
+        [
+            (math.nan, {}, "a positive finite number"),
+            (math.inf, {}, "a positive finite number"),
+            (0.0, {}, "a positive finite number"),
+            (math.nan, {"minimum": 0}, "a finite number >= 0"),
+            (-0.5, {"minimum": 0}, "a finite number >= 0"),
+            (2.5, {"integer": True}, "a positive integer"),
+            (True, {"integer": True}, "a positive integer"),
+            (math.nan, {"integer": True}, "a positive integer"),
+            (0, {"minimum": 1, "integer": True}, "an integer >= 1"),
+        ],
+    )
+    def test_out_of_range_values_named_in_the_error(
+        self, value, kwargs, message
+    ):
+        with pytest.raises(ValueError, match=f"knob must be {message}, got"):
+            check_number("knob", value, **kwargs)

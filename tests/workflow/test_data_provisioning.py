@@ -39,7 +39,7 @@ def run(data_provisioning, seed=91, fast_config=None):
         dep,
         ctrl.strategy,
         data_provisioning=data_provisioning,
-        locality_scheduling=False,  # spread producers across sites
+        scheduler="round_robin",  # spread producers across sites
     )
     res = engine.run(staggered_gather())
     ctrl.shutdown()

@@ -127,7 +127,7 @@ class TestScheduling:
 
     def test_round_robin_without_locality(self, dep, fast_config):
         engine, ctrl = build_engine(
-            dep, fast_config, locality_scheduling=False
+            dep, fast_config, scheduler="round_robin"
         )
         wf = scatter(15, compute_time=0.1)
         res = engine.run(wf)

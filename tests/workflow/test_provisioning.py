@@ -24,7 +24,7 @@ def run_gather(dep, fast_config, proactive):
         dep,
         ctrl.strategy,
         proactive_provisioning=proactive,
-        locality_scheduling=False,  # force remote inputs
+        scheduler="round_robin",  # force remote inputs
     )
     res = engine.run(gather(8, compute_time=0.05))
     ctrl.shutdown()

@@ -1,12 +1,12 @@
-"""Admission-control tests: policies, knob threading and validation."""
+"""Admission-control tests: policies and the runner's admission argument."""
+
+import math
 
 import pytest
 
 from repro.sim import Environment
 from repro.cloud.deployment import Deployment
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController
-from repro.scenario import config_from_specs
 from repro.workload import (
     ADMISSION_NAMES,
     MaxInFlightAdmission,
@@ -85,6 +85,12 @@ class TestPolicies:
             lambda env: MaxInFlightAdmission(env, limit=0),
             lambda env: TokenBucketAdmission(env, rate=0.0),
             lambda env: TokenBucketAdmission(env, rate=1.0, burst=0),
+            # NaN passes "<= 0" checks: a NaN limit deadlocks, a NaN
+            # rate admits everything at once.
+            lambda env: MaxInFlightAdmission(env, limit=math.nan),
+            lambda env: TokenBucketAdmission(env, rate=math.nan),
+            lambda env: TokenBucketAdmission(env, rate=math.inf),
+            lambda env: TokenBucketAdmission(env, rate=1.0, burst=math.nan),
         ],
     )
     def test_bad_knobs_rejected(self, factory):
@@ -104,74 +110,32 @@ class TestPolicies:
 
 
 class TestThreading:
+    """The ``admission`` argument is the runner's only policy route."""
+
+    @staticmethod
+    def runner(admission=None):
+        dep = Deployment(n_nodes=4, seed=0)
+        ctrl = ArchitectureController(dep, strategy="hybrid")
+        runner = WorkloadRunner(dep, ctrl.strategy, admission=admission)
+        ctrl.shutdown()
+        return runner
+
     def test_runner_default_is_unbounded(self):
+        assert self.runner().admission.name == "unbounded"
+
+    def test_name_builds_the_controller_with_its_defaults(self):
+        assert self.runner("max_in_flight").admission.bound == 4
+        bucket = self.runner("token_bucket").admission
+        assert (bucket.rate, bucket.burst) == (1.0, 1)
+
+    def test_controller_instance_injected_directly(self):
         dep = Deployment(n_nodes=4, seed=0)
         ctrl = ArchitectureController(dep, strategy="hybrid")
-        runner = WorkloadRunner(dep, ctrl.strategy)
-        assert runner.admission.name == "unbounded"
+        adm = MaxInFlightAdmission(dep.env, limit=2)
+        runner = WorkloadRunner(dep, ctrl.strategy, admission=adm)
         ctrl.shutdown()
+        assert runner.admission is adm
 
-    def test_config_admission_with_knobs_wins(self):
-        dep = Deployment(n_nodes=4, seed=0)
-        cfg = MetadataConfig(admission="max_in_flight", max_in_flight=3)
-        ctrl = ArchitectureController(dep, strategy="hybrid", config=cfg)
-        runner = WorkloadRunner(dep, ctrl.strategy)
-        assert runner.admission.name == "max_in_flight"
-        assert runner.admission.bound == 3
-        ctrl.shutdown()
-
-    def test_deployment_default_used_when_config_silent(self):
-        dep = Deployment(n_nodes=4, seed=0, admission="token_bucket")
-        ctrl = ArchitectureController(dep, strategy="hybrid")
-        runner = WorkloadRunner(dep, ctrl.strategy)
-        assert runner.admission.name == "token_bucket"
-        ctrl.shutdown()
-
-    def test_explicit_argument_wins_over_config(self):
-        dep = Deployment(n_nodes=4, seed=0)
-        cfg = MetadataConfig(admission="token_bucket", token_rate=2.0)
-        ctrl = ArchitectureController(dep, strategy="hybrid", config=cfg)
-        runner = WorkloadRunner(dep, ctrl.strategy, admission="unbounded")
-        assert runner.admission.name == "unbounded"
-        ctrl.shutdown()
-
-    def test_deployment_rejects_unknown_admission(self):
+    def test_runner_rejects_unknown_admission(self):
         with pytest.raises(ValueError, match="unknown admission"):
-            Deployment(n_nodes=4, admission="nope")
-
-
-class TestConfigValidation:
-    def test_admission_folding_roundtrip(self):
-        cfg = config_from_specs(
-            admission="token_bucket", token_rate=2.0, token_burst=3
-        )
-        assert cfg.admission == "token_bucket"
-        assert cfg.token_rate == 2.0
-        assert cfg.token_burst == 3
-
-    def test_no_knobs_returns_base(self):
-        base = MetadataConfig()
-        assert config_from_specs(base=base) is base
-        assert config_from_specs() is None
-
-    def test_max_in_flight_requires_policy(self):
-        with pytest.raises(ValueError, match="max_in_flight"):
-            config_from_specs(max_in_flight=2)
-        with pytest.raises(ValueError, match="max_in_flight"):
-            config_from_specs(admission="unbounded", max_in_flight=2)
-
-    def test_token_knobs_require_policy(self):
-        with pytest.raises(ValueError, match="token_bucket"):
-            config_from_specs(admission="unbounded", token_rate=1.0)
-        with pytest.raises(ValueError, match="token_bucket"):
-            config_from_specs(admission="max_in_flight", token_burst=2)
-
-    def test_validate_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="admission"):
-            MetadataConfig(admission="nope").validate()
-        with pytest.raises(ValueError, match="max_in_flight"):
-            MetadataConfig(max_in_flight=0).validate()
-        with pytest.raises(ValueError, match="token_rate"):
-            MetadataConfig(token_rate=-1.0).validate()
-        with pytest.raises(ValueError, match="token_burst"):
-            MetadataConfig(token_burst=0).validate()
+            self.runner("nope")
