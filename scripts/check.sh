@@ -4,17 +4,19 @@
 #      regenerations, ~1-1.5 min; see pytest.ini for the profiles) --
 #      explicitly including the scheduling-subsystem modules
 #      (tests/scheduling, the seed-compat goldens and the scheduler
-#      CLI/spec validation), the workload-subsystem modules
+#      spec validation), the workload-subsystem modules
 #      (tests/workload, the engine op-attribution regression and the
 #      workload_compare scenario checks) and the declarative scenario
 #      API (tests/scenario: spec validation/round-trip/sweeps, plus
 #      the spec-vs-direct golden equivalence in
-#      tests/experiments/test_seed_compat.py and the --dump-spec/--spec
-#      CLI smoke checks in tests/test_cli.py); the slow-marked benches
+#      tests/experiments/test_seed_compat.py, the spec-source CLI
+#      checks in tests/test_cli.py and the documented-command check in
+#      tests/test_cli_docs.py); the slow-marked benches
 #      (benchmarks/test_schedulers.py, benchmarks/test_workloads.py)
 #      run in the FULL profile;
-#   2. a --dump-spec smoke run (flags must keep compiling to a valid
-#      JSON scenario artifact);
+#   2. a --dump-spec replay: a registry scenario with a --set override
+#      is written as a JSON spec, and run --spec must run that file
+#      (--quick);
 #   3. the parallel experiment plane: a --jobs 2 sweep persisted to a
 #      result store, the serial twin, a store diff between them (must
 #      pair every artifact), and a quick BENCH trajectory run
@@ -30,7 +32,9 @@
 #      (scheduler.bw_pending_penalty=NaN), each of which used to run to
 #      a wrong makespan, and with a NaN admission limit
 #      (max_in_flight=NaN), which used to deadlock mid-run, must each
-#      be marked errored with the validate() message;
+#      be marked errored with the validate() message; and run with a
+#      NaN compute_time, which used to die mid-run in the kernel
+#      ("Invalid delay nan"), must exit 2 with the validate() message;
 #   5. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
@@ -63,10 +67,12 @@ if [ "${FULL:-0}" = "1" ]; then
 else
     python -m pytest -x -q -m "not slow" tests benchmarks
 fi
-python -m repro.cli run --workflow montage --dump-spec - > /dev/null
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+python -m repro.cli run --scenario paper_default --set ops_per_task=2 \
+    --dump-spec "$TMP/spec.json" > /dev/null
+python -m repro.cli run --spec "$TMP/spec.json" --quick > /dev/null
 python -m repro.cli sweep --scenario paper_synthetic \
     --set "strategy.name=centralized,hybrid" --quick \
     --jobs 2 --out "$TMP/par" > /dev/null
@@ -107,7 +113,8 @@ PY
 
 # Bad-spec smoke: NaN passes a "<= 0" check and json.loads accepts it,
 # so a NaN knob given to sweep --set must be refused by validate() and
-# the cell reported as errored with that message.
+# the cell reported as errored with that message; given to run --set,
+# it must stop the run before it starts (exit 2).
 python -m repro.cli sweep --scenario fanout_bandwidth_aware \
     --set network.transfer_flow_weight=NaN --quick > "$TMP/nan.txt" 2>&1
 grep -q "ERROR: ValueError: transfer_flow_weight must be a positive finite" \
@@ -120,12 +127,17 @@ python -m repro.cli sweep --scenario fanout_bandwidth_aware \
     --set scheduler.bw_pending_penalty=NaN --quick > "$TMP/nan.txt" 2>&1
 grep -q "ERROR: ValueError: bw_pending_penalty must be a finite number >= 0" \
     "$TMP/nan.txt"
+rc=0
+python -m repro.cli run --scenario paper_default --set compute_time=NaN \
+    --quick > "$TMP/nan.txt" 2>&1 || rc=$?
+[ "$rc" = 2 ]
+grep -q "error: compute_time must be a finite number >= 0" "$TMP/nan.txt"
 
 # Trace smoke: full tracing on a quick scenario must yield a valid,
 # non-empty Chrome trace with every major layer represented.  The
 # export reads tracer.events, so it also covers turning the whole log
 # (kernel rows and kwargs rows) into events.
-python -m repro.cli trace fanout_bandwidth_aware --quick \
+python -m repro.cli trace --scenario fanout_bandwidth_aware --quick \
     --out "$TMP/trace.json" > /dev/null
 python - "$TMP/trace.json" <<'PY'
 import json, sys
@@ -140,7 +152,8 @@ PY
 # Analyze smoke: the trace-analysis plane must turn a quick traced
 # run into a bottleneck report with an observed critical path and a
 # judged SLO verdict.
-python -m repro.cli analyze multi_tenant_slo --quick > "$TMP/analyze.txt"
+python -m repro.cli analyze --scenario multi_tenant_slo --quick \
+    > "$TMP/analyze.txt"
 grep -qi "observed critical path" "$TMP/analyze.txt"
 grep -q "SLO verdict:" "$TMP/analyze.txt"
 
@@ -160,7 +173,8 @@ ups = [
 assert ups, "autoscale_ramp --quick ordered no capacity"
 assert res.elastic is not None and res.elastic.stranded_tasks == 0
 PY
-python -m repro.cli analyze autoscale_ramp --quick > "$TMP/elastic.txt"
+python -m repro.cli analyze --scenario autoscale_ramp --quick \
+    > "$TMP/elastic.txt"
 grep -q "capacity timeline" "$TMP/elastic.txt"
 grep -q "elastic policy predictive" "$TMP/elastic.txt"
 

@@ -2,27 +2,27 @@
 
 ::
 
-    python -m repro.cli figures [--quick] [--only fig7] [--jobs 4]
-    python -m repro.cli simulate --strategy dr --nodes 32 --ops 1000
-    python -m repro.cli advise --workflow montage --ops 1000
-    python -m repro.cli advise --file my_workflow.json
-    python -m repro.cli run --workflow montage --strategy dr --export out.json
-    python -m repro.cli run --workflow montage --tenants 8 --admission max_in_flight --max-in-flight 4
-    python -m repro.cli run --workflow montage --dump-spec scenario.json
+    python -m repro.cli figures --quick --only fig7 --jobs 4
+    python -m repro.cli run --scenario paper_synthetic --set strategy.name=dr
+    python -m repro.cli run --scenario paper_default --set application=buzzflow --export out.json
+    python -m repro.cli run --scenario multi_tenant_8 --set max_in_flight=2 --quick
+    python -m repro.cli run --scenario paper_default --set ops_per_task=200 --dump-spec scenario.json
     python -m repro.cli run --spec scenario.json
-    python -m repro.cli trace fanout_bandwidth_aware --quick --out trace.json
-    python -m repro.cli run --workflow montage --tenants 4 --metrics
+    python -m repro.cli trace --scenario fanout_bandwidth_aware --quick --out trace.json
+    python -m repro.cli analyze --scenario multi_tenant_slo --quick
     python -m repro.cli sweep --scenario paper_synthetic --set "strategy.name=centralized,hybrid"
     python -m repro.cli sweep --scenario paper_synthetic --set "seed=0,1,2,3" --jobs 4 --out runs/
+    python -m repro.cli advise --workflow montage --ops 1000
     python -m repro.cli results runs/
     python -m repro.cli diff runs-before/ runs-after/
     python -m repro.cli scenarios
-    python -m repro.cli strategies
-    python -m repro.cli workloads
 
-Every ``run`` invocation compiles its flags into a declarative
-``repro.scenario.ScenarioSpec`` first; ``--dump-spec`` writes that spec
-as a JSON artifact and ``--spec`` replays one (see ``docs/scenarios.md``).
+``run``, ``trace``, ``analyze`` and ``sweep`` name an experiment one
+way: ``--scenario NAME`` (the registry, ``repro.cli scenarios``) or
+``--spec FILE`` (a ``repro.scenario.ScenarioSpec`` as JSON), plus
+repeatable ``--set dotted.path=value`` overrides and ``--quick``.
+``run --dump-spec`` writes the spec a run would run as a JSON file
+that ``--spec`` replays (see ``docs/scenarios.md``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.advisor import profile_workflow, recommend_strategy
-from repro.cloud.network import BANDWIDTH_MODELS
 from repro.elastic import ELASTICITY_NAMES, ELASTICITY_POLICIES
 from repro.experiments.fig1_latency import run_fig1
 from repro.experiments.fig3_replication import run_fig3
@@ -48,12 +47,7 @@ from repro.metadata.controller import STRATEGIES, StrategyName
 from repro.scenario import (
     SCENARIOS,
     WORKFLOW_BUILDERS,
-    ElasticitySpec,
-    NetworkSpec,
-    ObservabilitySpec,
     ScenarioSpec,
-    SchedulerSpec,
-    StrategySpec,
     get_scenario,
     run_sweep,
 )
@@ -63,12 +57,11 @@ from repro.workload import (
     ADMISSION_NAMES,
     APPLICATION_NAMES,
     APPLICATIONS,
-    WorkloadSpec,
 )
 from repro.workflow.serialization import load_workflow
 from repro.workflow.traces import characterize
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "load_spec", "parse_overrides"]
 
 #: Figure name -> ``(quick, jobs)`` runner; Figs. 1 and 3 are raw
 #: micro-benchmarks with no sweep to parallelise.
@@ -105,6 +98,50 @@ FIGURES = {
 WORKFLOWS = WORKFLOW_BUILDERS
 
 
+def _add_spec_source(parser, verb: str, axes=False, artifact=None):
+    """The one spec source of ``run``/``trace``/``analyze``/``sweep``.
+
+    A required ``--scenario NAME | --spec FILE`` (``artifact``, the help
+    of ``analyze``'s ``--artifact``, joins the same group), a repeatable
+    ``--set`` (grid axes with ``axes``, see :func:`parse_overrides`) and
+    ``--quick``; :func:`load_spec` reads them.
+    """
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument(
+        "--scenario",
+        metavar="NAME",
+        help=f"{verb} a named registry scenario (repro.cli scenarios)",
+    )
+    source.add_argument(
+        "--spec",
+        metavar="FILE",
+        help=f"{verb} a scenario spec JSON file (run --dump-spec writes one)",
+    )
+    if artifact is not None:
+        source.add_argument("--artifact", metavar="FILE", help=artifact)
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="PATH=V1,V2" if axes else "PATH=VALUE",
+        help=(
+            "one sweep axis: a dotted spec path with comma-separated "
+            "values, e.g. --set strategy.name=centralized,hybrid "
+            "(repeatable; axes combine as a cartesian product)"
+            if axes
+            else "override one spec field by dotted path, e.g. --set "
+            "strategy.name=dr or --set faults.0.duration=9 (repeatable; "
+            "a value is a JSON scalar when it parses as one, else a string)"
+        ),
+    )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help=f"{verb} the CI-sized variant (ScenarioSpec.quick)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -132,49 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    sim = sub.add_parser(
-        "simulate", help="run the synthetic reader/writer benchmark"
-    )
-    sim.add_argument(
-        "--strategy",
-        default="hybrid",
-        help="strategy name or alias (dn, dr, baseline, subtree, ...)",
-    )
-    sim.add_argument("--nodes", type=int, default=32)
-    sim.add_argument("--ops", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--bandwidth-model",
-        choices=BANDWIDTH_MODELS,
-        default="slots",
-        help="WAN bandwidth sharing: concurrency-capped slots (default) "
-        "or flow-level hierarchical max-min fair sharing "
-        "(docs/network-model.md)",
-    )
-    sim.add_argument(
-        "--egress-cap-mb",
-        type=float,
-        default=None,
-        metavar="MB_PER_S",
-        help="fair model only: per-site aggregate outbound WAN cap "
-        "(megabytes/s)",
-    )
-    sim.add_argument(
-        "--ingress-cap-mb",
-        type=float,
-        default=None,
-        metavar="MB_PER_S",
-        help="fair model only: per-site aggregate inbound WAN cap "
-        "(megabytes/s)",
-    )
-    sim.add_argument(
-        "--rpc-flow-weight",
-        type=float,
-        default=1.0,
-        help="fair model only: metadata RPC flow weight vs weight-1 "
-        "bulk transfers",
-    )
-
     adv = sub.add_parser(
         "advise", help="characterize a workflow and recommend a strategy"
     )
@@ -184,202 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--ops", type=int, default=1000)
     adv.add_argument("--nodes", type=int, default=32)
 
-    runp = sub.add_parser(
-        "run", help="execute a workflow under a strategy and report"
-    )
-    rtarget = runp.add_mutually_exclusive_group(required=True)
-    rtarget.add_argument("--workflow", choices=sorted(WORKFLOWS))
-    rtarget.add_argument("--file", help="path to a workflow JSON document")
-    rtarget.add_argument(
-        "--spec",
-        metavar="FILE",
-        help=(
-            "run a declarative scenario spec (JSON, as written by "
-            "--dump-spec or repro.scenario); replaces the direct flags"
-        ),
-    )
+    runp = sub.add_parser("run", help="run one scenario spec and report")
+    _add_spec_source(runp, "run")
     runp.add_argument(
         "--dump-spec",
         metavar="PATH",
         help=(
-            "compile the flags into a scenario spec, write it as JSON "
-            "('-' for stdout) and exit without running"
+            "write the spec this run would run (overrides and --quick "
+            "applied) as JSON ('-' for stdout) and exit without running"
         ),
     )
-    runp.add_argument("--strategy", default="hybrid")
-    runp.add_argument("--nodes", type=int, default=32)
-    runp.add_argument("--ops", type=int, default=100)
-    runp.add_argument("--seed", type=int, default=7)
     runp.add_argument(
         "--export", metavar="PATH", help="write the run result as JSON"
-    )
-    runp.add_argument(
-        "--scheduler",
-        choices=SCHEDULER_NAMES,
-        default=None,
-        help=(
-            "task-placement policy (default: locality, the paper's "
-            "heuristic); see docs/scheduling.md"
-        ),
-    )
-    runp.add_argument(
-        "--hybrid-locality-weight",
-        type=float,
-        default=1.0,
-        help="hybrid scheduler only: locality-term coefficient",
-    )
-    runp.add_argument(
-        "--hybrid-load-weight",
-        type=float,
-        default=1.0,
-        help="hybrid scheduler only: queue-depth-term coefficient",
-    )
-    runp.add_argument(
-        "--hybrid-transfer-weight",
-        type=float,
-        default=1.0,
-        help="hybrid scheduler only: transfer-time-term coefficient",
-    )
-    runp.add_argument(
-        "--bw-pending-penalty",
-        type=float,
-        default=1.0,
-        help=(
-            "bandwidth_aware/hybrid schedulers only: pending-bytes "
-            "staging pessimism (0 disables)"
-        ),
-    )
-    runp.add_argument(
-        "--tenants",
-        type=int,
-        default=1,
-        help=(
-            "run a multi-tenant workload: this many tenants submit the "
-            "workflow concurrently to one shared deployment (default 1: "
-            "single-workflow mode); see docs/workloads.md"
-        ),
-    )
-    runp.add_argument(
-        "--instances",
-        type=int,
-        default=1,
-        help="workload mode only: workflow instances per tenant",
-    )
-    runp.add_argument(
-        "--mode",
-        choices=("closed", "open"),
-        default="closed",
-        help=(
-            "workload mode only: closed loop (one in flight per tenant, "
-            "think time between) or open loop (Poisson arrivals)"
-        ),
-    )
-    runp.add_argument(
-        "--think-time",
-        type=float,
-        default=0.0,
-        help="closed-loop workloads only: seconds between submissions",
-    )
-    runp.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=None,
-        help="open-loop workloads only: Poisson arrivals per second",
-    )
-    runp.add_argument(
-        "--admission",
-        choices=ADMISSION_NAMES,
-        default=None,
-        help=(
-            "workload mode only: admission control policy "
-            "(default: unbounded)"
-        ),
-    )
-    runp.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=None,
-        help=(
-            "admission max_in_flight only: global cap on concurrently "
-            "executing workflows"
-        ),
-    )
-    runp.add_argument(
-        "--token-rate",
-        type=float,
-        default=None,
-        help=(
-            "admission token_bucket only: per-tenant admissions/second"
-        ),
-    )
-    runp.add_argument(
-        "--token-burst",
-        type=int,
-        default=None,
-        help="admission token_bucket only: per-tenant burst allowance",
-    )
-    runp.add_argument(
-        "--elastic",
-        choices=ELASTICITY_NAMES,
-        default=None,
-        help=(
-            "enable the elastic provisioning control plane with this "
-            "policy (docs/elasticity.md); the fleet then starts at "
-            "--nodes and is resized at runtime"
-        ),
-    )
-    runp.add_argument(
-        "--elastic-min",
-        type=int,
-        default=1,
-        metavar="N",
-        help="elastic only: per-site fleet floor (default 1)",
-    )
-    runp.add_argument(
-        "--elastic-max",
-        type=int,
-        default=8,
-        metavar="N",
-        help="elastic only: per-site fleet ceiling (default 8)",
-    )
-    runp.add_argument(
-        "--elastic-lag",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help=(
-            "elastic only: provisioning lag between ordering a VM and "
-            "it becoming placeable (default 30s)"
-        ),
-    )
-    runp.add_argument(
-        "--elastic-warmup",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help=(
-            "elastic only: warm-up window during which a fresh VM "
-            "computes degraded (default 0: none)"
-        ),
-    )
-    runp.add_argument(
-        "--elastic-interval",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="elastic only: control-loop sampling interval (default 5s)",
-    )
-    runp.add_argument(
-        "--metrics",
-        action="store_true",
-        help=(
-            "run with the metrics plane enabled and print counters and "
-            "latency-sketch quantiles after the report "
-            "(docs/observability.md); composes with --spec"
-        ),
-    )
-    _RUN_FLAG_DEFAULTS.update(
-        {name: runp.get_default(name) for name in _RUN_SPEC_CLASH_FLAGS}
     )
 
     tracep = sub.add_parser(
@@ -389,16 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
             "trace-event file (chrome://tracing, Perfetto)"
         ),
     )
-    tracep.add_argument(
-        "scenario",
-        nargs="?",
-        help="named scenario to trace (repro.cli scenarios)",
-    )
-    tracep.add_argument(
-        "--spec",
-        metavar="FILE",
-        help="trace a scenario spec file instead of a named scenario",
-    )
+    _add_spec_source(tracep, "trace")
     tracep.add_argument(
         "--out",
         metavar="PATH",
@@ -415,14 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CAT,CAT",
         default=None,
         help=(
-            "comma-separated event categories to record "
-            "(default: all; see docs/observability.md)"
+            "comma-separated event categories to record (default: the "
+            "spec's observability.categories; see docs/observability.md)"
         ),
-    )
-    tracep.add_argument(
-        "--quick",
-        action="store_true",
-        help="trace the CI-sized variant of the scenario",
     )
 
     analyzep = sub.add_parser(
@@ -433,28 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
             "SLO verdicts (docs/observability.md)"
         ),
     )
-    analyzep.add_argument(
-        "scenario",
-        nargs="?",
-        help="named scenario to analyze (repro.cli scenarios)",
-    )
-    analyzep.add_argument(
-        "--spec",
-        metavar="FILE",
-        help="analyze a scenario spec file instead of a named scenario",
-    )
-    analyzep.add_argument(
-        "--artifact",
-        metavar="FILE",
-        help=(
+    _add_spec_source(
+        analyzep,
+        "analyze",
+        artifact=(
             "render the report from a stored run artifact (must carry "
             "an 'analysis' or 'slo' block) instead of running anything"
         ),
-    )
-    analyzep.add_argument(
-        "--quick",
-        action="store_true",
-        help="analyze the CI-sized variant of the scenario",
     )
     analyzep.add_argument(
         "--out",
@@ -466,32 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a cartesian grid of scenario-spec overrides",
     )
-    source = sweep.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--spec", metavar="FILE", help="base scenario spec (JSON file)"
-    )
-    source.add_argument(
-        "--scenario",
-        metavar="NAME",
-        help="base scenario from the named registry (repro.cli scenarios)",
-    )
-    sweep.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="PATH=V1,V2",
-        help=(
-            "one sweep axis: a dotted spec path with comma-separated "
-            "values, e.g. --set strategy.name=centralized,hybrid "
-            "(repeatable; axes combine as a cartesian product)"
-        ),
-    )
-    sweep.add_argument(
-        "--quick",
-        action="store_true",
-        help="run each cell at CI-friendly op volumes",
-    )
+    _add_spec_source(sweep, "sweep", axes=True)
     sweep.add_argument(
         "--jobs",
         type=int,
@@ -554,6 +310,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_value(text: str):
+    """One override value: JSON scalar when it parses, else a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def parse_overrides(items, axes: bool = False) -> dict:
+    """``--set dotted.path=value`` items as ``{path: value}``.
+
+    With ``axes`` (``sweep``) each value splits on commas into a tuple,
+    one grid axis per path.
+    """
+    out = {}
+    for item in items:
+        path, eq, text = item.partition("=")
+        if not eq or not path:
+            form = "v1,v2" if axes else "value"
+            raise ValueError(
+                f"bad --set {item!r}; expected dotted.path={form}"
+            )
+        if axes:
+            out[path] = tuple(_parse_value(v) for v in text.split(","))
+        else:
+            out[path] = _parse_value(text)
+    return out
+
+
+def load_spec(args, overrides: Optional[dict] = None) -> ScenarioSpec:
+    """The validated spec ``--scenario NAME | --spec FILE`` names, with
+    ``overrides`` (by default the ``--set`` values) applied."""
+    if args.scenario:
+        spec = get_scenario(args.scenario)
+    else:
+        spec = ScenarioSpec.load(args.spec)
+    if overrides is None:
+        overrides = parse_overrides(args.overrides)
+    spec = spec.replace(**overrides)
+    spec.validate()
+    return spec
+
+
+def _fail(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _resolve_workflow(args):
     if getattr(args, "file", None):
         return load_workflow(args.file)
@@ -569,30 +373,6 @@ def _cmd_figures(args) -> int:
         result = FIGURES[name](args.quick, args.jobs)
         print(f"\n=== {name} ===")
         print(result.render())
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    spec = ScenarioSpec(
-        name=f"cli-simulate-{args.strategy}",
-        surface="synthetic",
-        strategy=StrategySpec(name=args.strategy),
-        network=NetworkSpec(
-            bandwidth_model=args.bandwidth_model,
-            egress_cap_mb=args.egress_cap_mb,
-            ingress_cap_mb=args.ingress_cap_mb,
-            rpc_flow_weight=args.rpc_flow_weight,
-        ),
-        ops_per_node=args.ops,
-        n_nodes=args.nodes,
-        seed=args.seed,
-    )
-    try:
-        result = spec.run()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(result.render())
     return 0
 
 
@@ -623,167 +403,15 @@ def _cmd_advise(args) -> int:
     return 0
 
 
-#: ``run`` flags that ``--spec`` replaces; every one must be left at
-#: its parser default when a spec file is given (the spec is the
-#: single source of truth).  Defaults are captured from the parser
-#: itself in :func:`build_parser`, so they can never desync.
-_RUN_SPEC_CLASH_FLAGS = (
-    "strategy",
-    "nodes",
-    "ops",
-    "seed",
-    "scheduler",
-    "hybrid_locality_weight",
-    "hybrid_load_weight",
-    "hybrid_transfer_weight",
-    "bw_pending_penalty",
-    "tenants",
-    "instances",
-    "mode",
-    "think_time",
-    "arrival_rate",
-    "admission",
-    "max_in_flight",
-    "token_rate",
-    "token_burst",
-    "elastic",
-    "elastic_min",
-    "elastic_max",
-    "elastic_lag",
-    "elastic_warmup",
-    "elastic_interval",
-)
-_RUN_FLAG_DEFAULTS: dict = {}
-
-
-def _spec_from_run_args(args) -> ScenarioSpec:
-    """Compile ``run`` flags into a validated :class:`ScenarioSpec`.
-
-    This is the whole point of ``--dump-spec``: the spec *is* the
-    invocation, so any flag combination is reproducible from the JSON
-    artifact alone.
-    """
-    if args.tenants <= 0:
-        raise ValueError("--tenants must be positive")
-    if args.tenants > 1 and getattr(args, "file", None):
-        raise ValueError(
-            "--tenants applies to built-in applications only "
-            "(--workflow), not --file"
-        )
-    if args.tenants == 1 and (
-        args.admission is not None
-        or args.instances != 1
-        or args.mode != "closed"
-        or args.think_time != 0.0
-        or args.arrival_rate is not None
-    ):
-        # Silently running a single workflow would masquerade as an
-        # admission-controlled multi-tenant run.
-        raise ValueError(
-            "--admission/--instances/--mode/--think-time/"
-            "--arrival-rate require --tenants > 1"
-        )
-    if args.elastic is None and (
-        args.elastic_min != 1
-        or args.elastic_max != 8
-        or args.elastic_lag != 30.0
-        or args.elastic_warmup != 0.0
-        or args.elastic_interval != 5.0
-    ):
-        raise ValueError(
-            "--elastic-min/--elastic-max/--elastic-lag/--elastic-warmup/"
-            "--elastic-interval require --elastic POLICY"
-        )
-    elasticity = ElasticitySpec()
-    if args.elastic is not None:
-        elasticity = ElasticitySpec(
-            enabled=True,
-            policy=args.elastic,
-            interval_s=args.elastic_interval,
-            lag_s=args.elastic_lag,
-            warmup_s=args.elastic_warmup,
-            min_vms_per_site=args.elastic_min,
-            max_vms_per_site=args.elastic_max,
-        )
-    scheduler = SchedulerSpec(
-        name=args.scheduler,
-        hybrid_locality_weight=args.hybrid_locality_weight,
-        hybrid_load_weight=args.hybrid_load_weight,
-        hybrid_transfer_weight=args.hybrid_transfer_weight,
-        bw_pending_penalty=args.bw_pending_penalty,
-    )
-    if args.tenants > 1:
-        spec = ScenarioSpec(
-            name=f"cli-{args.workflow}-x{args.tenants}",
-            surface="workload",
-            strategy=StrategySpec(name=args.strategy),
-            scheduler=scheduler,
-            workload=WorkloadSpec.uniform(
-                args.tenants,
-                applications=(args.workflow,),
-                mode=args.mode,
-                n_instances=args.instances,
-                think_time=args.think_time,
-                arrival_rate=args.arrival_rate,
-                input_sites=ScenarioSpec().topology.site_names(),
-                ops_per_task=args.ops,
-                seed=args.seed,
-                name=args.workflow,
-            ),
-            admission=args.admission,
-            max_in_flight=args.max_in_flight,
-            token_rate=args.token_rate,
-            token_burst=args.token_burst,
-            elasticity=elasticity,
-            n_nodes=args.nodes,
-            seed=args.seed,
-        )
-    else:
-        spec = ScenarioSpec(
-            name=f"cli-{args.workflow or 'file'}",
-            surface="workflow",
-            strategy=StrategySpec(name=args.strategy),
-            scheduler=scheduler,
-            application=args.workflow or "montage",
-            workflow_file=getattr(args, "file", None),
-            ops_per_task=args.ops,
-            elasticity=elasticity,
-            n_nodes=args.nodes,
-            seed=args.seed,
-        )
-    spec.validate()
-    return spec
-
-
 def _cmd_run(args) -> int:
-    if not _RUN_FLAG_DEFAULTS:
-        build_parser()  # populate the clash-check defaults
     try:
-        if args.spec:
-            clashing = sorted(
-                f"--{flag.replace('_', '-')}"
-                for flag, default in _RUN_FLAG_DEFAULTS.items()
-                if getattr(args, flag) != default
-            )
-            if clashing:
-                raise ValueError(
-                    f"--spec replaces the direct run flags ({', '.join(clashing)} "
-                    "given); edit the spec file, or sweep overrides with "
-                    "`repro.cli sweep --spec ... --set path=value`"
-                )
-            spec = ScenarioSpec.load(args.spec)
-            spec.validate()
-        else:
-            spec = _spec_from_run_args(args)
-    except (ValueError, TypeError, OSError) as exc:
         # TypeError covers hand-edited spec JSON with wrong value types
-        # (e.g. a string n_nodes) surfacing from validate().
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.metrics and not spec.observability.enabled:
-        spec = spec.replace(observability=ObservabilitySpec(enabled=True))
+        # (e.g. a string compute_time) surfacing from validate().
+        spec = load_spec(args)
+    except (ValueError, TypeError, OSError) as exc:
+        return _fail(exc)
     if args.dump_spec:
-        text = spec.to_json()
+        text = (spec.quick() if args.quick else spec).to_json()
         if args.dump_spec == "-":
             print(text)
         else:
@@ -792,12 +420,11 @@ def _cmd_run(args) -> int:
             print(f"spec written to {args.dump_spec}")
         return 0
     try:
-        result = spec.run()
+        result = spec.run(quick=args.quick)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     print(result.render())
-    if args.metrics and result.obs is not None:
+    if result.obs is not None:
         print()
         print(_render_obs(result.obs))
     if args.export:
@@ -854,30 +481,21 @@ def _cmd_trace(args) -> int:
     from repro.obs import write_chrome_trace, write_jsonl
 
     try:
-        if bool(args.scenario) == bool(args.spec):
-            raise ValueError(
-                "trace takes exactly one target: a scenario name or "
-                "--spec FILE"
+        spec = load_spec(args)
+        # Tracing is switched on; the spec's own budgets and sampling
+        # (max_events, sample_interval, histogram_capacity) stay.
+        obs = dataclasses.replace(spec.observability, enabled=True)
+        if args.categories is not None:
+            obs = dataclasses.replace(
+                obs,
+                categories=tuple(
+                    c.strip() for c in args.categories.split(",") if c.strip()
+                ),
             )
-        if args.spec:
-            spec = ScenarioSpec.load(args.spec)
-        else:
-            spec = get_scenario(args.scenario)
-        categories = (
-            tuple(c.strip() for c in args.categories.split(",") if c.strip())
-            if args.categories
-            else None
-        )
-        spec = spec.replace(
-            observability=ObservabilitySpec(
-                enabled=True, categories=categories
-            )
-        )
-        spec.validate()
+        spec = spec.replace(observability=obs)
         result = spec.run(quick=args.quick)
     except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     write_chrome_trace(result.tracer, args.out)
     if args.jsonl:
         write_jsonl(result.tracer, args.jsonl)
@@ -1107,84 +725,80 @@ def _render_elastic_dict(el: dict) -> str:
     return head + "\n" + render_table(["t (s)", "site", "delta"], rows)
 
 
-def _cmd_analyze(args) -> int:
-    targets = [
-        bool(args.scenario), bool(args.spec), bool(args.artifact)
+def _artifact_report(path: str) -> str:
+    """The ``analyze`` report of a stored run artifact, without re-running."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    analysis = doc.get("analysis")
+    slo = doc.get("slo")
+    if analysis is None and slo is None:
+        raise ValueError(
+            f"{path} carries no 'analysis' or 'slo' block; re-run it "
+            "traced (repro.cli analyze --scenario NAME | --spec FILE) or "
+            "with an slo spec to get one"
+        )
+    parts = [
+        f"analysis of stored run {doc.get('name', '?')!r} "
+        f"(surface {doc.get('surface', '?')}, makespan "
+        f"{doc.get('metrics', {}).get('makespan_s', 0.0):.3f}s)"
     ]
-    try:
-        if sum(targets) != 1:
-            raise ValueError(
-                "analyze takes exactly one target: a scenario name, "
-                "--spec FILE or --artifact FILE"
-            )
-        if args.artifact:
-            with open(args.artifact) as fh:
-                doc = json.load(fh)
-            analysis = doc.get("analysis")
-            slo = doc.get("slo")
-            if analysis is None and slo is None:
-                raise ValueError(
-                    f"{args.artifact} carries no 'analysis' or 'slo' "
-                    "block; re-run it traced (repro.cli analyze "
-                    "<scenario>) or with an slo spec to get one"
-                )
-            parts = [
-                f"analysis of stored run {doc.get('name', '?')!r} "
-                f"(surface {doc.get('surface', '?')}, makespan "
-                f"{doc.get('metrics', {}).get('makespan_s', 0.0):.3f}s)"
-            ]
-            if analysis is not None:
-                parts.append(_render_analysis(analysis))
-            if doc.get("elastic") is not None:
-                parts.append(_render_elastic_dict(doc["elastic"]))
-            parts.append(
-                _render_slo_dict(slo)
-                if slo is not None
-                else "SLO: none declared"
-            )
-            report = "\n\n".join(parts)
-        else:
-            if args.spec:
-                spec = ScenarioSpec.load(args.spec)
-            else:
-                spec = get_scenario(args.scenario)
-            obs = spec.observability
-            if not obs.enabled:
-                obs = ObservabilitySpec(enabled=True)
-            elif obs.categories is not None and (
-                "span" not in obs.categories
-            ):
-                # Critical-path analysis needs spans; widen to all.
-                obs = dataclasses.replace(obs, categories=None)
-            spec = spec.replace(observability=obs)
-            spec.validate()
-            result = spec.run(quick=args.quick)
-            parts = [
-                f"analyzed {spec.name!r} (surface {result.surface}, "
-                f"makespan {result.makespan:.3f}s)"
-            ]
-            if result.analysis is not None:
-                parts.append(_render_analysis(result.analysis.to_dict()))
-            if result.elastic is not None:
-                from repro.obs import capacity_timeline
+    if analysis is not None:
+        parts.append(_render_analysis(analysis))
+    if doc.get("elastic") is not None:
+        parts.append(_render_elastic_dict(doc["elastic"]))
+    parts.append(
+        _render_slo_dict(slo) if slo is not None else "SLO: none declared"
+    )
+    return "\n\n".join(parts)
 
-                parts.append(result.elastic.render())
-                timeline = (
-                    capacity_timeline(result.tracer)
-                    if result.tracer is not None
-                    else {}
+
+def _run_report(args) -> str:
+    """Trace the spec ``args`` names and report where its time went."""
+    spec = load_spec(args)
+    obs = dataclasses.replace(spec.observability, enabled=True)
+    if obs.categories is not None and "span" not in obs.categories:
+        # Critical-path analysis needs spans; widen to all.
+        obs = dataclasses.replace(obs, categories=None)
+    spec = spec.replace(observability=obs)
+    result = spec.run(quick=args.quick)
+    parts = [
+        f"analyzed {spec.name!r} (surface {result.surface}, "
+        f"makespan {result.makespan:.3f}s)"
+    ]
+    if result.analysis is not None:
+        parts.append(_render_analysis(result.analysis.to_dict()))
+    if result.elastic is not None:
+        from repro.obs import capacity_timeline
+
+        parts.append(result.elastic.render())
+        timeline = (
+            capacity_timeline(result.tracer)
+            if result.tracer is not None
+            else {}
+        )
+        if timeline:
+            parts.append(_render_capacity_timeline(timeline))
+    parts.append(
+        _render_slo_dict(result.slo.to_dict())
+        if result.slo is not None
+        else "SLO: none declared"
+    )
+    return "\n\n".join(parts)
+
+
+def _cmd_analyze(args) -> int:
+    try:
+        if args.artifact:
+            if args.overrides or args.quick:
+                raise ValueError(
+                    "--set and --quick do not apply to --artifact (a "
+                    "stored run is rendered as it was run)"
                 )
-                if timeline:
-                    parts.append(_render_capacity_timeline(timeline))
-            parts.append(
-                _render_slo_dict(result.slo.to_dict())
-                if result.slo is not None
-                else "SLO: none declared"
-            )
-            report = "\n\n".join(parts)
+            report = _artifact_report(args.artifact)
+        else:
+            report = _run_report(args)
     except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     print(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -1251,45 +865,26 @@ def _cmd_scenarios(_args) -> int:
         render_table(
             ["name", "surface", "key knobs", "caps", "summary"],
             rows,
-            title="named scenarios (repro.cli run --spec / repro.cli sweep)",
+            title=(
+                "named scenarios (repro.cli run/trace/analyze/sweep "
+                "--scenario NAME)"
+            ),
         )
     )
     return 0
 
 
-def _parse_sweep_value(text: str):
-    """One override value: JSON scalar when it parses, else a string."""
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
 def _cmd_sweep(args) -> int:
     try:
-        if args.scenario:
-            base = get_scenario(args.scenario)
-        else:
-            base = ScenarioSpec.load(args.spec)
-            base.validate()
-        axes = {}
-        for item in args.overrides:
-            path, eq, values = item.partition("=")
-            if not eq or not path:
-                raise ValueError(
-                    f"bad --set {item!r}; expected dotted.path=v1,v2"
-                )
-            axes[path] = tuple(
-                _parse_sweep_value(v) for v in values.split(",")
-            )
+        base = load_spec(args, overrides={})
+        axes = parse_overrides(args.overrides, axes=True)
         if not axes:
             raise ValueError("sweep needs at least one --set axis")
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         result = run_sweep(base, axes, quick=args.quick, jobs=args.jobs)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, TypeError, OSError) as exc:
+        return _fail(exc)
     print(result.render())
     errored = result.errored_cells()
     if errored:
@@ -1421,8 +1016,9 @@ def _cmd_elasticity(_args) -> int:
             ["policy", "summary"],
             rows,
             title=(
-                "elastic autoscaling policies "
-                "(repro.cli run --elastic POLICY; docs/elasticity.md)"
+                "elastic autoscaling policies (--set "
+                "elasticity.policy=POLICY with elasticity.enabled=true; "
+                "docs/elasticity.md)"
             ),
         )
     )
@@ -1463,7 +1059,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "figures": _cmd_figures,
-        "simulate": _cmd_simulate,
         "advise": _cmd_advise,
         "run": _cmd_run,
         "trace": _cmd_trace,

@@ -14,7 +14,8 @@ decision), **warm-up cost** (new VMs compute degraded for ``warmup_s``)
 and **draining semantics** (a removed VM finishes its placed tasks,
 takes no new ones, never strands work).
 
-Policies (select by ``ElasticitySpec.policy`` / ``--elastic``):
+Policies (select by ``ElasticitySpec.policy``; on the CLI
+``--set elasticity.enabled=true --set elasticity.policy=NAME``):
 
 - ``threshold``  -- per-site queue-depth hysteresis bands;
 - ``slo_debt``   -- scale when projected deadline debt crosses a budget;

@@ -8,6 +8,7 @@ used as the base of a sweep::
     result = get_scenario("fair_capped").run(quick=True)
 
     python -m repro.cli scenarios               # list them
+    python -m repro.cli run --scenario fair_capped --quick
     python -m repro.cli sweep --scenario multi_tenant_8 \\
         --set "strategy.name=centralized,decentralized"
 """

@@ -38,6 +38,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.util.checks import check_number
+
 __all__ = ["SLORule", "SLOReport", "SLOSpec", "evaluate_slo"]
 
 
@@ -82,8 +84,8 @@ class SLOSpec:
         )
 
     def validate(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("slo.deadline_s must be positive")
+        if self.deadline_s is not None:
+            check_number("slo.deadline_s", self.deadline_s)
         seen = set()
         for tenant, deadline in self.tenant_deadlines:
             if not tenant:
@@ -93,10 +95,7 @@ class SLOSpec:
                     f"slo.tenant_deadlines repeats tenant {tenant!r}"
                 )
             seen.add(tenant)
-            if deadline <= 0:
-                raise ValueError(
-                    f"slo tenant deadline for {tenant!r} must be positive"
-                )
+            check_number(f"slo tenant deadline for {tenant!r}", deadline)
         for hist, q, target in self.latency_targets:
             if not hist:
                 raise ValueError("slo.latency_targets needs histogram names")
@@ -104,13 +103,11 @@ class SLOSpec:
                 raise ValueError(
                     f"slo latency percentile must be in (0, 100], got {q}"
                 )
-            if target <= 0:
-                raise ValueError("slo latency target must be positive")
-        if (
-            self.min_throughput_ops_s is not None
-            and self.min_throughput_ops_s <= 0
-        ):
-            raise ValueError("slo.min_throughput_ops_s must be positive")
+            check_number("slo latency target", target)
+        if self.min_throughput_ops_s is not None:
+            check_number(
+                "slo.min_throughput_ops_s", self.min_throughput_ops_s
+            )
 
     @property
     def empty(self) -> bool:

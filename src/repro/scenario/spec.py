@@ -15,6 +15,9 @@ scenario": a frozen dataclass tree that is
 - **serializable** (``to_dict``/``from_dict`` and a JSON round-trip
   that is exactly identity, so every run is reproducible from a file
   artifact -- see ``repro.cli run --spec/--dump-spec``);
+- **the one thing the CLI names** (``repro.cli run``/``trace``/
+  ``analyze``/``sweep`` take ``--scenario NAME | --spec FILE`` plus
+  ``--set dotted.path=value`` overrides and validate before running);
 - **functionally composable** (:meth:`ScenarioSpec.replace` accepts
   dotted paths like ``"scheduler.name"`` so sweeps derive variant
   specs without mutating anything);
@@ -171,16 +174,14 @@ class TopologySpec:
                 raise ValueError(
                     "hub_egress_mb is a hetero_fanout-preset knob"
                 )
-            if self.hub_egress_mb <= 0:
-                raise ValueError("hub_egress_mb must be positive")
+            check_number("hub_egress_mb", self.hub_egress_mb)
         if self.wan_bandwidth_mb is not None:
             if self.preset == "hetero_fanout":
                 raise ValueError(
                     "wan_bandwidth_mb does not apply to hetero_fanout "
                     "(its thin/fat link classes are fixed)"
                 )
-            if self.wan_bandwidth_mb <= 0:
-                raise ValueError("wan_bandwidth_mb must be positive")
+            check_number("wan_bandwidth_mb", self.wan_bandwidth_mb)
         if not self.jitter and self.preset != "azure_4dc":
             raise ValueError(
                 "jitter is an azure_4dc-preset knob (the other presets "
@@ -286,8 +287,8 @@ class NetworkSpec:
         )
         if fair_only_knobs and self.bandwidth_model != "fair":
             raise ValueError(
-                "--egress-cap-mb/--ingress-cap-mb/--rpc-flow-weight "
-                "require --bandwidth-model fair"
+                "network.egress_cap_mb/ingress_cap_mb/rpc_flow_weight "
+                "require network.bandwidth_model='fair'"
             )
         if self.transfer_flow_weight != 1.0 and self.bandwidth_model != "fair":
             raise ValueError(
@@ -366,16 +367,16 @@ class SchedulerSpec:
         )
         if hybrid_knobs and self.name != "hybrid":
             raise ValueError(
-                "--hybrid-locality-weight/--hybrid-load-weight/"
-                "--hybrid-transfer-weight require --scheduler hybrid"
+                "scheduler.hybrid_locality_weight/hybrid_load_weight/"
+                "hybrid_transfer_weight require scheduler.name='hybrid'"
             )
         if self.bw_pending_penalty != 1.0 and self.name not in (
             "bandwidth_aware",
             "hybrid",
         ):
             raise ValueError(
-                "--bw-pending-penalty requires --scheduler "
-                "bandwidth_aware (or hybrid)"
+                "scheduler.bw_pending_penalty requires scheduler.name="
+                "'bandwidth_aware' (or 'hybrid')"
             )
         for label in (
             "hybrid_locality_weight",
@@ -435,14 +436,12 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{FAULT_KINDS}"
             )
-        if self.start < 0:
-            raise ValueError("fault start must be >= 0")
+        check_number("fault start", self.start, minimum=0)
         if self.kind == "site_outage":
             self._forbid("sites", "region", "link", "times")
             if self.site is None:
                 raise ValueError("site_outage needs a site")
-            if self.duration <= 0:
-                raise ValueError("site_outage duration must be positive")
+            check_number("site_outage duration", self.duration)
         elif self.kind == "region_outage":
             self._forbid("site", "link", "times")
             if (self.sites is None) == (self.region is None):
@@ -451,16 +450,15 @@ class FaultSpec:
                 )
             if self.sites is not None and not self.sites:
                 raise ValueError("region_outage sites must be non-empty")
-            if self.duration <= 0:
-                raise ValueError("region_outage duration must be positive")
+            check_number("region_outage duration", self.duration)
         elif self.kind == "link_flap":
             self._forbid("site", "sites", "region")
             if self.link is None:
                 raise ValueError("link_flap needs a link (a, b)")
             if not self.times:
                 raise ValueError("link_flap needs at least one flap time")
-            if any(t < 0 for t in self.times):
-                raise ValueError("link_flap times must be >= 0")
+            for t in self.times:
+                check_number("link_flap times", t, minimum=0)
             if self.duration:
                 raise ValueError(
                     "duration does not apply to link_flap faults "
@@ -470,10 +468,8 @@ class FaultSpec:
             self._forbid("site", "sites", "region", "times")
             if self.link is None:
                 raise ValueError("latency_spike needs a link (a, b)")
-            if self.duration <= 0:
-                raise ValueError("latency_spike duration must be positive")
-            if self.factor <= 0:
-                raise ValueError("latency_spike factor must be positive")
+            check_number("latency_spike duration", self.duration)
+            check_number("latency_spike factor", self.factor)
         if self.link is not None:
             if len(self.link) != 2 or self.link[0] == self.link[1]:
                 raise ValueError(
@@ -660,42 +656,42 @@ class ElasticitySpec:
                     "elasticity knobs require enabled=True"
                 )
             return
-        if self.interval_s <= 0:
-            raise ValueError("elasticity.interval_s must be positive")
-        if self.lag_s < 0:
-            raise ValueError("elasticity.lag_s must be >= 0")
-        if self.warmup_s < 0:
-            raise ValueError("elasticity.warmup_s must be >= 0")
-        if self.warmup_factor < 1.0:
-            raise ValueError(
-                "elasticity.warmup_factor must be >= 1 (warm-up slows "
-                "a VM down, it cannot speed one up)"
-            )
-        if self.min_vms_per_site < 1:
-            raise ValueError(
-                "elasticity.min_vms_per_site must be >= 1 (draining a "
-                "site to zero would strand its queue)"
-            )
-        if self.max_vms_per_site < self.min_vms_per_site:
-            raise ValueError(
-                "elasticity.max_vms_per_site must be >= min_vms_per_site"
-            )
-        if self.scale_step < 1:
-            raise ValueError("elasticity.scale_step must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("elasticity.cooldown_s must be >= 0")
-        if self.down_threshold < 0 or self.up_threshold <= self.down_threshold:
+        check_number("elasticity.interval_s", self.interval_s)
+        for name in ("lag_s", "warmup_s", "cooldown_s", "debt_budget_s"):
+            check_number(f"elasticity.{name}", getattr(self, name), minimum=0)
+        # Warm-up slows a VM down, it cannot speed one up.
+        check_number(
+            "elasticity.warmup_factor", self.warmup_factor, minimum=1
+        )
+        # A site drained to zero VMs would strand its queue.
+        check_number(
+            "elasticity.min_vms_per_site",
+            self.min_vms_per_site,
+            minimum=1,
+            integer=True,
+        )
+        check_number(
+            "elasticity.max_vms_per_site",
+            self.max_vms_per_site,
+            minimum=self.min_vms_per_site,
+            integer=True,
+        )
+        check_number(
+            "elasticity.scale_step", self.scale_step, minimum=1, integer=True
+        )
+        check_number(
+            "elasticity.down_threshold", self.down_threshold, minimum=0
+        )
+        check_number("elasticity.up_threshold", self.up_threshold)
+        if not self.up_threshold > self.down_threshold:
             raise ValueError(
                 "elasticity thresholds must satisfy "
                 "0 <= down_threshold < up_threshold (the gap is the "
                 "hysteresis band)"
             )
-        if self.debt_budget_s < 0:
-            raise ValueError("elasticity.debt_budget_s must be >= 0")
         if not 0 < self.ewma_alpha <= 1:
             raise ValueError("elasticity.ewma_alpha must be in (0, 1]")
-        if self.target_task_s <= 0:
-            raise ValueError("elasticity.target_task_s must be positive")
+        check_number("elasticity.target_task_s", self.target_task_s)
         # Policy-specific knobs are rejected under other policies, like
         # the scheduler/admission sub-specs: a tuned-but-unread knob
         # would masquerade as a tuned run.
@@ -731,10 +727,7 @@ class ElasticitySpec:
                     f"elasticity.cost_rates repeats class {cls!r}"
                 )
             seen.add(cls)
-            if rate <= 0:
-                raise ValueError(
-                    f"elasticity cost rate for {cls!r} must be positive"
-                )
+            check_number(f"elasticity cost rate for {cls!r}", rate)
 
 
 def _nested_replace(obj, path: str, value):
@@ -932,14 +925,14 @@ class ScenarioSpec:
             self.admission != "max_in_flight"
         ):
             raise ValueError(
-                "--max-in-flight requires --admission max_in_flight"
+                "max_in_flight requires admission='max_in_flight'"
             )
         if (
             self.token_rate is not None or self.token_burst is not None
         ) and self.admission != "token_bucket":
             raise ValueError(
-                "--token-rate/--token-burst require "
-                "--admission token_bucket"
+                "token_rate/token_burst require "
+                "admission='token_bucket'"
             )
         if self.admission is not None and (
             self.admission not in ADMISSION_NAMES
@@ -988,11 +981,11 @@ class ScenarioSpec:
                     "an embedded workload spec requires surface='workload'"
                 )
             if self.admission is not None:
-                # The spec twin of the CLI masquerade guard: admission
-                # control over a single workflow is a contradiction.
+                # Admission control over a single workflow (or the
+                # synthetic benchmark) is a contradiction.
                 raise ValueError(
                     "admission control is a workload-surface knob "
-                    "(--tenants > 1 on the CLI)"
+                    "(surface='workload' with an embedded workload spec)"
                 )
         if self.surface != "workflow" and self.scheduler.input_site:
             # The synthetic benchmark stages no data, and on the
@@ -1017,14 +1010,16 @@ class ScenarioSpec:
                 f"unknown application {self.application!r}; expected one "
                 f"of {WORKFLOW_APPLICATIONS} (or a workflow_file)"
             )
-        if self.ops_per_task < 0:
-            raise ValueError("ops_per_task must be >= 0")
-        if self.compute_time is not None and self.compute_time < 0:
-            raise ValueError("compute_time must be >= 0")
-        if self.ops_per_node <= 0:
-            raise ValueError("ops_per_node must be positive")
-        if self.n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
+        check_number(
+            "ops_per_task", self.ops_per_task, minimum=0, integer=True
+        )
+        if self.compute_time is not None:
+            check_number("compute_time", self.compute_time, minimum=0)
+        check_number("ops_per_node", self.ops_per_node, integer=True)
+        check_number("n_nodes", self.n_nodes, integer=True)
+        # A fractional seed would run the truncated seed's experiment
+        # under a spec hash of its own.
+        check_number("seed", self.seed, minimum=0, integer=True)
 
     # -- derived artefacts -------------------------------------------------
 

@@ -27,7 +27,7 @@ for harnesses (the figures) that reduce each cell to a few numbers and
 so need not hold the whole grid's results.
 
 The CLI form is ``repro.cli sweep --scenario NAME --set path=v1,v2
-[--jobs N] [--out DIR]``.
+[--jobs N] [--out DIR]`` (or ``--spec FILE`` for the base).
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Turns the workflow engine's placement step into a swappable
 ``locality`` -- the bit-for-bit-compatible default -- ``load_balanced``,
 ``bandwidth_aware`` and ``hybrid``) observe the cluster through a
 :class:`ClusterView`.  A run names its policy, with the policy's
-knobs, in the scenario spec's ``SchedulerSpec`` (``--scheduler`` on the
-CLI); ``repro.scenario`` builds it and hands it to the engine.  Direct
+knobs, in the scenario spec's ``SchedulerSpec`` (``--set
+scheduler.name=NAME`` on the CLI); ``repro.scenario`` builds it and
+hands it to the engine.  Direct
 engine users pass a policy or a name for :func:`make_scheduler`.
 
 See ``docs/scheduling.md`` for policy semantics, knobs and guidance.

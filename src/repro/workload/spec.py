@@ -29,6 +29,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.util.checks import check_number
 from repro.util.units import KB, MB
 from repro.workflow.applications import buzzflow, montage
 from repro.workflow.dag import Task, Workflow, WorkflowFile
@@ -193,23 +194,20 @@ class TenantSpec:
                 f"unknown application {self.application!r}; expected one "
                 f"of {APPLICATION_NAMES}"
             )
-        if self.n_instances <= 0:
-            raise ValueError("n_instances must be positive")
-        if self.size_scale <= 0:
-            raise ValueError("size_scale must be positive")
-        if self.ops_per_task < 0:
-            raise ValueError("ops_per_task must be >= 0")
-        if self.compute_time < 0:
-            raise ValueError("compute_time must be >= 0")
-        if self.think_time < 0:
-            raise ValueError("think_time must be >= 0")
-        if self.arrival_rate is not None and self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
+        check_number("n_instances", self.n_instances, integer=True)
+        check_number("size_scale", self.size_scale)
+        check_number(
+            "ops_per_task", self.ops_per_task, minimum=0, integer=True
+        )
+        check_number("compute_time", self.compute_time, minimum=0)
+        check_number("think_time", self.think_time, minimum=0)
+        if self.arrival_rate is not None:
+            check_number("arrival_rate", self.arrival_rate)
         if self.arrival_times is not None:
             if not self.arrival_times:
                 raise ValueError("arrival_times trace must be non-empty")
-            if any(t < 0 for t in self.arrival_times):
-                raise ValueError("arrival_times must be >= 0")
+            for t in self.arrival_times:
+                check_number("arrival_times", t, minimum=0)
 
     def build_workflow(self, index: int) -> Workflow:
         """The ``index``-th namespaced workflow instance of this tenant."""
@@ -261,6 +259,7 @@ class WorkloadSpec:
             raise ValueError(
                 f"mode must be 'closed' or 'open', got {self.mode!r}"
             )
+        check_number("workload seed", self.seed, minimum=0, integer=True)
         for t in self.tenants:
             t.validate()
             if self.mode == "closed":

@@ -94,7 +94,7 @@ class TestTraceCategoriesCli:
     def test_unknown_category_exits_2(self, capsys, tmp_path):
         rc = main(
             [
-                "trace", "fanout_bandwidth_aware", "--quick",
+                "trace", "--scenario", "fanout_bandwidth_aware", "--quick",
                 "--categories", "kernel,bogus",
                 "--out", str(tmp_path / "t.json"),
             ]
@@ -107,7 +107,7 @@ class TestTraceCategoriesCli:
         silent all-categories fallback."""
         rc = main(
             [
-                "trace", "fanout_bandwidth_aware", "--quick",
+                "trace", "--scenario", "fanout_bandwidth_aware", "--quick",
                 "--categories", ",",
                 "--out", str(tmp_path / "t.json"),
             ]
@@ -124,7 +124,7 @@ class TestTraceCategoriesCli:
         out = tmp_path / "t.json"
         rc = main(
             [
-                "trace", "fanout_bandwidth_aware", "--quick",
+                "trace", "--scenario", "fanout_bandwidth_aware", "--quick",
                 "--categories", "workload",
                 "--out", str(out),
             ]

@@ -13,7 +13,8 @@ to others, while ``fanout_bandwidth_aware`` caps only the fan-out hub,
 so most of its flows run on uncoupled links (each its own constraint
 component).  A digest that moves means
 the simulated behaviour moved: find the first diverging line with
-``repro.cli trace --jsonl`` on both trees, do not re-pin casually.
+``repro.cli trace --scenario NAME --quick --jsonl FILE`` on both
+trees, do not re-pin casually.
 
 Three more quick traced runs pin what is built from a trace: the
 Chrome trace document, the ``obs`` export (counts, the metric series

@@ -11,6 +11,7 @@ from repro.scenario import (
     ElasticitySpec,
     FaultSpec,
     NetworkSpec,
+    SLOSpec,
     ScenarioSpec,
     SchedulerSpec,
     StrategySpec,
@@ -20,6 +21,8 @@ from repro.scenario import (
 )
 from repro.util.units import MB
 from repro.workload import WorkloadSpec
+
+NAN = float("nan")
 
 
 def workload_spec(n=2, **kwargs):
@@ -189,6 +192,19 @@ class TestElasticitySpec:
                 {"up_threshold": 0.1, "down_threshold": 0.2},
                 "hysteresis",
             ),
+            # NaN passes a "< 0" check; each knob must refuse it (a NaN
+            # lag ran autoscale_ramp with no elastic action at all).
+            ({"interval_s": NAN}, "interval_s"),
+            ({"lag_s": NAN}, "lag_s"),
+            ({"warmup_s": NAN}, "warmup_s"),
+            ({"warmup_factor": NAN}, "warmup_factor"),
+            ({"cooldown_s": NAN}, "cooldown_s"),
+            ({"up_threshold": NAN}, "up_threshold"),
+            ({"down_threshold": NAN}, "down_threshold"),
+            ({"debt_budget_s": NAN}, "debt_budget_s"),
+            ({"ewma_alpha": NAN}, "ewma_alpha"),
+            ({"target_task_s": NAN}, "target_task_s"),
+            ({"cost_rates": (("us", NAN),)}, "cost rate"),
         ],
     )
     def test_bounds_enforced(self, kw, msg):
@@ -239,7 +255,7 @@ class TestValidation:
         spec = ScenarioSpec(
             network=NetworkSpec(bandwidth_model="slots", egress_cap_mb=10.0)
         )
-        with pytest.raises(ValueError, match="require --bandwidth-model fair"):
+        with pytest.raises(ValueError, match="require network.bandwidth_model='fair'"):
             spec.validate()
 
     # ``sweep --set`` values go through json.loads, which accepts NaN,
@@ -263,10 +279,12 @@ class TestValidation:
             spec.validate()
 
     # The same for the policy knobs a run builds its scheduler and
-    # admission controller from, and the replicated sync period: a NaN
-    # penalty, weight or period ran to a wrong makespan, a NaN
-    # max_in_flight deadlocked mid-run and a NaN token_rate admitted
-    # everything at once.  Infinite and negative values fail as well.
+    # admission controller from, the replicated sync period, the
+    # topology, fault, size, tenant and SLO numbers: a NaN penalty,
+    # weight or period ran to a wrong makespan, a NaN max_in_flight
+    # deadlocked mid-run, a NaN token_rate admitted everything at once,
+    # and a NaN delay or bandwidth died mid-run in the kernel.  Infinite
+    # and negative values fail as well.
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1.0"])
     @pytest.mark.parametrize(
         "scenario,overrides,knob",
@@ -294,6 +312,24 @@ class TestValidation:
                 {"strategy.name": "replicated"},
                 "strategy.sync_period",
             ),
+            ("paper_default", {}, "topology.wan_bandwidth_mb"),
+            ("fanout_bandwidth_aware", {}, "topology.hub_egress_mb"),
+            ("outage_resilience", {}, "faults.0.start"),
+            ("outage_resilience", {}, "faults.0.duration"),
+            ("paper_default", {}, "compute_time"),
+            ("paper_default", {}, "ops_per_task"),
+            ("paper_default", {}, "n_nodes"),
+            ("paper_default", {}, "seed"),
+            ("paper_synthetic", {}, "ops_per_node"),
+            ("multi_tenant_8", {}, "workload.seed"),
+            ("multi_tenant_8", {}, "workload.tenants.0.n_instances"),
+            ("multi_tenant_8", {}, "workload.tenants.0.size_scale"),
+            ("multi_tenant_8", {}, "workload.tenants.0.ops_per_task"),
+            ("multi_tenant_8", {}, "workload.tenants.0.compute_time"),
+            ("multi_tenant_8", {}, "workload.tenants.0.think_time"),
+            ("open_loop_tokens", {}, "workload.tenants.0.arrival_rate"),
+            ("multi_tenant_slo", {}, "slo.deadline_s"),
+            ("multi_tenant_slo", {}, "slo.min_throughput_ops_s"),
         ],
     )
     def test_policy_knob_out_of_range_rejected(
@@ -311,12 +347,57 @@ class TestValidation:
         [
             ("multi_tenant_8", "max_in_flight"),
             ("open_loop_tokens", "token_burst"),
+            ("paper_default", "n_nodes"),
+            ("paper_default", "ops_per_task"),
+            ("paper_default", "seed"),
+            ("paper_synthetic", "ops_per_node"),
+            ("multi_tenant_8", "workload.seed"),
+            ("multi_tenant_8", "workload.tenants.0.n_instances"),
+            ("multi_tenant_8", "workload.tenants.0.ops_per_task"),
+            ("autoscale_ramp", "elasticity.min_vms_per_site"),
+            ("autoscale_ramp", "elasticity.max_vms_per_site"),
+            ("autoscale_ramp", "elasticity.scale_step"),
         ],
     )
     def test_admission_counts_must_be_integers(self, scenario, knob, value):
         spec = get_scenario(scenario).replace(**{knob: value})
-        with pytest.raises(ValueError, match=f"{knob} must be .*integer"):
+        field = knob.rpartition(".")[2]
+        with pytest.raises(ValueError, match=f"{field} must be .*integer"):
             spec.validate()
+
+    # Fault instants and factors and the SLO targets sit in tuples,
+    # below the fields a dotted override names one by one.
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1.0"])
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (
+                lambda v: FaultSpec(
+                    "link_flap", link=("a", "b"), times=(1.0, v)
+                ),
+                "link_flap times",
+            ),
+            (
+                lambda v: FaultSpec(
+                    "latency_spike", link=("a", "b"), duration=1.0, factor=v
+                ),
+                "latency_spike factor",
+            ),
+            (
+                lambda v: SLOSpec(tenant_deadlines=(("t", v),)),
+                "tenant deadline",
+            ),
+            (
+                lambda v: SLOSpec(
+                    latency_targets=(("ops.latency_s", 95.0, v),)
+                ),
+                "latency target",
+            ),
+        ],
+    )
+    def test_tuple_knob_out_of_range_rejected(self, build, match, value):
+        with pytest.raises(ValueError, match=match):
+            build(json.loads(value)).validate()
 
     @pytest.mark.parametrize(
         "knob", ["rpc_flow_weight", "transfer_flow_weight"]
@@ -340,12 +421,12 @@ class TestValidation:
                 name="locality", hybrid_load_weight=2.0
             )
         )
-        with pytest.raises(ValueError, match="require --scheduler hybrid"):
+        with pytest.raises(ValueError, match="require scheduler.name='hybrid'"):
             spec.validate()
 
     def test_pending_penalty_rejected_without_bandwidth_aware(self):
         spec = ScenarioSpec(scheduler=SchedulerSpec(bw_pending_penalty=0.5))
-        with pytest.raises(ValueError, match="--bw-pending-penalty"):
+        with pytest.raises(ValueError, match="bw_pending_penalty requires"):
             spec.validate()
 
     @pytest.mark.parametrize(
@@ -465,8 +546,23 @@ class TestValidation:
             FaultSpec("region_outage", duration=1.0).validate()
         with pytest.raises(ValueError, match="flap time"):
             FaultSpec("link_flap", link=("a", "b")).validate()
-        with pytest.raises(ValueError, match="duration must be positive"):
+        with pytest.raises(
+            ValueError, match="duration must be a positive finite number"
+        ):
             FaultSpec("latency_spike", link=("a", "b")).validate()
+
+    @pytest.mark.parametrize(
+        "surface,workload",
+        [("workload", workload_spec()), ("synthetic", None)],
+    )
+    def test_workflow_file_rejected_off_the_workflow_surface(
+        self, surface, workload
+    ):
+        spec = ScenarioSpec(
+            surface=surface, workload=workload, workflow_file="wf.json"
+        )
+        with pytest.raises(ValueError, match="workflow_file is a workflow"):
+            spec.validate()
 
     def test_input_site_rejected_off_the_workflow_surface(self):
         spec = ScenarioSpec(

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
+import os
+
 import pytest
 
 from repro import cli
@@ -18,10 +21,54 @@ class TestParser:
         args = build_parser().parse_args(["figures", "--jobs", "4"])
         assert args.jobs == 4
 
-    def test_simulate_defaults(self):
-        args = build_parser().parse_args(["simulate"])
-        assert args.strategy == "hybrid"
-        assert args.nodes == 32
+    def test_spec_source_options(self):
+        """run/trace/analyze/sweep name a spec one way; run has no
+        other way to set a knob."""
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+
+        def options(name):
+            return sorted(
+                opt
+                for action in sub.choices[name]._actions
+                if action.dest != "help"
+                for opt in action.option_strings
+            )
+
+        assert options("run") == sorted(
+            ["--scenario", "--spec", "--set", "--quick", "--dump-spec",
+             "--export"]
+        )
+        assert "simulate" not in sub.choices
+        for name, extra in (
+            ("trace", ["--out", "--jsonl", "--categories"]),
+            ("analyze", ["--artifact", "--out"]),
+            ("sweep", ["--jobs", "--out", "--export"]),
+        ):
+            assert options(name) == sorted(
+                ["--scenario", "--spec", "--set", "--quick"] + extra
+            )
+
+    @pytest.mark.parametrize("command", ["run", "trace", "analyze", "sweep"])
+    def test_spec_source_is_required_and_exclusive(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [command, "--scenario", "paper_default", "--spec", "x.json"]
+            )
+
+    def test_set_is_repeatable(self):
+        args = build_parser().parse_args(
+            ["run", "--scenario", "paper_default",
+             "--set", "seed=3", "--set", "strategy.name=dn"]
+        )
+        assert cli.parse_overrides(args.overrides) == {
+            "seed": 3, "strategy.name": "dn"
+        }
 
 
 class TestCommands:
@@ -39,17 +86,14 @@ class TestCommands:
         ):
             assert name in out
 
-    def test_simulate_small(self, capsys):
+    def test_run_synthetic_scenario(self, capsys):
         assert (
             main(
                 [
-                    "simulate",
-                    "--strategy",
-                    "dn",
-                    "--nodes",
-                    "8",
-                    "--ops",
-                    "10",
+                    "run", "--scenario", "paper_synthetic",
+                    "--set", "strategy.name=dn",
+                    "--set", "n_nodes=8",
+                    "--set", "ops_per_node=10",
                 ]
             )
             == 0
@@ -85,15 +129,11 @@ class TestCommands:
         assert (
             main(
                 [
-                    "run",
-                    "--file",
-                    str(wf_path),
-                    "--strategy",
-                    "dr",
-                    "--nodes",
-                    "8",
-                    "--export",
-                    str(out_path),
+                    "run", "--scenario", "paper_default",
+                    "--set", f"workflow_file={wf_path}",
+                    "--set", "strategy.name=dr",
+                    "--set", "n_nodes=8",
+                    "--export", str(out_path),
                 ]
             )
             == 0
@@ -214,17 +254,11 @@ class TestSchedulerFlags:
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--strategy",
-                    "dn",
-                    "--nodes",
-                    "8",
-                    "--ops",
-                    "2",
-                    "--scheduler",
-                    "load_balanced",
+                    "run", "--scenario", "paper_default",
+                    "--set", "strategy.name=dn",
+                    "--set", "n_nodes=8",
+                    "--set", "ops_per_task=2",
+                    "--set", "scheduler.name=load_balanced",
                 ]
             )
             == 0
@@ -232,62 +266,27 @@ class TestSchedulerFlags:
         out = capsys.readouterr().out
         assert "load_balanced" in out
 
-    def test_unknown_scheduler_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--workflow", "montage", "--scheduler", "annealing"]
-            )
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--hybrid-locality-weight", "2.0"],
-            ["--hybrid-load-weight", "0.5"],
-            ["--hybrid-transfer-weight", "3.0"],
-            ["--scheduler", "locality", "--hybrid-locality-weight", "2.0"],
-            ["--scheduler", "bandwidth_aware",
-             "--hybrid-transfer-weight", "2.0"],
-        ],
-    )
-    def test_hybrid_knobs_require_hybrid_scheduler(self, flags, capsys):
-        code = main(["run", "--workflow", "montage"] + flags)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "require --scheduler hybrid" in err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--bw-pending-penalty", "0.0"],
-            ["--scheduler", "locality", "--bw-pending-penalty", "2.0"],
-            ["--scheduler", "load_balanced", "--bw-pending-penalty", "0.5"],
-        ],
-    )
-    def test_pending_penalty_requires_bandwidth_aware(self, flags, capsys):
-        code = main(["run", "--workflow", "montage"] + flags)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--bw-pending-penalty requires" in err
+    def test_unknown_scheduler_rejected(self, capsys):
+        rc = main(
+            [
+                "run", "--scenario", "paper_default",
+                "--set", "scheduler.name=annealing",
+            ]
+        )
+        assert rc == 2
+        assert "scheduler must be None or one of" in capsys.readouterr().err
 
     def test_knobs_accepted_with_matching_scheduler(self, capsys):
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--strategy",
-                    "dn",
-                    "--nodes",
-                    "8",
-                    "--ops",
-                    "2",
-                    "--scheduler",
-                    "hybrid",
-                    "--hybrid-locality-weight",
-                    "2.0",
-                    "--bw-pending-penalty",
-                    "0.5",
+                    "run", "--scenario", "paper_default",
+                    "--set", "strategy.name=dn",
+                    "--set", "n_nodes=8",
+                    "--set", "ops_per_task=2",
+                    "--set", "scheduler.name=hybrid",
+                    "--set", "scheduler.hybrid_locality_weight=2.0",
+                    "--set", "scheduler.bw_pending_penalty=0.5",
                 ]
             )
             == 0
@@ -306,9 +305,8 @@ class TestWorkloadFlags:
         assert (
             main(
                 [
-                    "run", "--workflow", "montage", "--tenants", "3",
-                    "--admission", "max_in_flight",
-                    "--max-in-flight", "2", "--ops", "8", "--nodes", "8",
+                    "run", "--scenario", "multi_tenant_8",
+                    "--set", "max_in_flight=2", "--quick",
                 ]
             )
             == 0
@@ -318,54 +316,8 @@ class TestWorkloadFlags:
         assert "peak in-flight 2 (bound 2)" in out
         assert "Jain fairness" in out
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--admission", "unbounded"],
-            ["--instances", "2"],
-            ["--mode", "open"],
-            ["--think-time", "1.5"],
-            ["--arrival-rate", "0.5"],
-        ],
-    )
-    def test_workload_flags_require_tenants(self, flags, capsys):
-        """Single-workflow mode must reject workload-only knobs instead
-        of silently ignoring them (masquerade guard)."""
-        rc = main(["run", "--workflow", "montage"] + flags)
-        assert rc == 2
-        assert "--tenants" in capsys.readouterr().err
-
-    def test_admission_knobs_require_policy(self, capsys):
-        rc = main(
-            [
-                "run", "--workflow", "montage", "--tenants", "2",
-                "--max-in-flight", "2",
-            ]
-        )
-        assert rc == 2
-        assert "max_in_flight" in capsys.readouterr().err
-
-    def test_tenants_incompatible_with_file(self, capsys, tmp_path):
-        from repro.workflow.patterns import scatter
-        from repro.workflow.serialization import save_workflow
-
-        path = tmp_path / "wf.json"
-        save_workflow(scatter(2), path)
-        rc = main(["run", "--file", str(path), "--tenants", "2"])
-        assert rc == 2
-        assert "--workflow" in capsys.readouterr().err
-
     def test_open_loop_run(self, capsys):
-        assert (
-            main(
-                [
-                    "run", "--workflow", "buzzflow", "--tenants", "2",
-                    "--mode", "open", "--arrival-rate", "1.0",
-                    "--ops", "4", "--nodes", "8",
-                ]
-            )
-            == 0
-        )
+        assert main(["run", "--scenario", "open_loop_tokens", "--quick"]) == 0
         assert "open loop" in capsys.readouterr().out
 
 
@@ -383,12 +335,13 @@ class TestScenarioFlags:
             assert name in out
 
     def test_dump_spec_to_stdout(self, capsys):
-        """The fast-profile smoke check: flags compile to a spec."""
+        """The fast-profile smoke check: overrides land in the spec."""
         assert (
             main(
                 [
-                    "run", "--workflow", "montage", "--ops", "2",
-                    "--nodes", "8", "--dump-spec", "-",
+                    "run", "--scenario", "paper_default",
+                    "--set", "ops_per_task=2", "--set", "n_nodes=8",
+                    "--dump-spec", "-",
                 ]
             )
             == 0
@@ -405,8 +358,10 @@ class TestScenarioFlags:
         """--dump-spec output re-fed via --spec reproduces the same
         result object (identical rendered report)."""
         flags = [
-            "run", "--workflow", "buzzflow", "--strategy", "dn",
-            "--ops", "2", "--nodes", "8", "--seed", "3",
+            "run", "--scenario", "paper_default",
+            "--set", "application=buzzflow", "--set", "strategy.name=dn",
+            "--set", "ops_per_task=2", "--set", "n_nodes=8",
+            "--set", "seed=3",
         ]
         assert main(flags) == 0
         direct_out = capsys.readouterr().out
@@ -417,14 +372,25 @@ class TestScenarioFlags:
         spec_out = capsys.readouterr().out
         assert spec_out == direct_out
 
+    def test_dump_spec_quick_replays_the_quick_run(self, capsys, tmp_path):
+        """Under --quick the dumped spec is the reduced one, so the file
+        alone replays what the quick run ran."""
+        flags = ["run", "--scenario", "multi_tenant_8", "--quick"]
+        assert main(flags) == 0
+        quick_out = capsys.readouterr().out
+        path = tmp_path / "quick.json"
+        assert main(flags + ["--dump-spec", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--spec", str(path)]) == 0
+        assert capsys.readouterr().out == quick_out
+
     def test_dump_spec_for_workload_mode(self, capsys, tmp_path):
         path = tmp_path / "wl.json"
         assert (
             main(
                 [
-                    "run", "--workflow", "montage", "--tenants", "3",
-                    "--admission", "max_in_flight", "--max-in-flight", "2",
-                    "--ops", "4", "--nodes", "8",
+                    "run", "--scenario", "multi_tenant_8",
+                    "--set", "max_in_flight=2",
                     "--dump-spec", str(path),
                 ]
             )
@@ -435,29 +401,75 @@ class TestScenarioFlags:
         doc = json.loads(path.read_text())
         assert doc["surface"] == "workload"
         assert doc["admission"] == "max_in_flight"
-        assert len(doc["workload"]["tenants"]) == 3
+        assert doc["max_in_flight"] == 2
+        assert len(doc["workload"]["tenants"]) == 8
 
-    def test_spec_rejects_conflicting_direct_flags(self, capsys, tmp_path):
+    def test_set_overrides_a_spec_file(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         assert (
             main(
                 [
-                    "run", "--workflow", "montage", "--ops", "2",
-                    "--nodes", "8", "--dump-spec", str(path),
+                    "run", "--scenario", "paper_default",
+                    "--set", "ops_per_task=2", "--dump-spec", str(path),
                 ]
             )
             == 0
         )
         capsys.readouterr()
-        rc = main(["run", "--spec", str(path), "--nodes", "4"])
-        assert rc == 2
-        assert "--spec replaces" in capsys.readouterr().err
-
-    def test_spec_is_exclusive_with_workflow(self, tmp_path):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--workflow", "montage", "--spec", "x.json"]
+        assert (
+            main(
+                [
+                    "run", "--spec", str(path), "--set", "n_nodes=4",
+                    "--set", "elasticity.enabled=true",
+                    "--dump-spec", "-",
+                ]
             )
+            == 0
+        )
+        import json
+
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ops_per_task"] == 2
+        assert doc["n_nodes"] == 4
+        assert doc["elasticity"]["enabled"] is True
+
+    # Every guard is a ScenarioSpec.validate() rule: an override that
+    # breaks one exits 2 with a message naming spec paths, before any
+    # simulation starts.
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (
+                ["scheduler.hybrid_load_weight=2"],
+                "require scheduler.name='hybrid'",
+            ),
+            (
+                ["scheduler.bw_pending_penalty=0.5"],
+                "bw_pending_penalty requires scheduler.name=",
+            ),
+            (["admission=unbounded"], "workload-surface knob"),
+            (["elasticity.lag_s=5"], "elasticity knobs require enabled"),
+            (["compute_time=NaN"], "compute_time must be"),
+            (["n_nodes=2.5"], "n_nodes must be a positive integer"),
+            (["nmae=1"], "bad override"),
+            (["scheduler.nmae=1"], "unknown field"),
+        ],
+    )
+    def test_invalid_override_exits_2(self, overrides, message, capsys):
+        argv = ["run", "--scenario", "paper_default"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_bad_set_syntax(self, capsys):
+        rc = main(["run", "--scenario", "paper_default", "--set", "n_nodes"])
+        assert rc == 2
+        assert "expected dotted.path=value" in capsys.readouterr().err
+
+    def test_unknown_scenario(self, capsys):
+        assert main(["run", "--scenario", "nope"]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
 
     def test_spec_missing_file_errors_cleanly(self, capsys):
         rc = main(["run", "--spec", "/nonexistent/spec.json"])
@@ -753,6 +765,7 @@ class TestTraceCommand:
             main(
                 [
                     "trace",
+                    "--scenario",
                     "fanout_bandwidth_aware",
                     "--quick",
                     "--out",
@@ -780,6 +793,7 @@ class TestTraceCommand:
             main(
                 [
                     "trace",
+                    "--scenario",
                     "fanout_bandwidth_aware",
                     "--quick",
                     "--categories",
@@ -819,26 +833,54 @@ class TestTraceCommand:
         assert "cli-trace-spec" in capsys.readouterr().out
         assert out.exists()
 
-    def test_trace_requires_exactly_one_target(self, capsys, tmp_path):
-        rc = main(["trace", "--out", str(tmp_path / "t.json")])
-        assert rc == 2
-        assert "exactly one target" in capsys.readouterr().err
-        rc = main(
-            [
-                "trace",
-                "fanout_bandwidth_aware",
-                "--spec",
-                "x.json",
-                "--out",
-                str(tmp_path / "t.json"),
-            ]
+    def test_trace_keeps_spec_observability_knobs(self, capsys):
+        """trace switches tracing on but keeps the spec's event budget:
+        500 retained events on a run of ~10^5 must drop the rest."""
+        assert (
+            main(
+                [
+                    "trace", "--scenario", "fanout_bandwidth_aware",
+                    "--quick",
+                    "--set", "observability.enabled=true",
+                    "--set", "observability.max_events=500",
+                    "--out", os.devnull,
+                ]
+            )
+            == 0
         )
-        assert rc == 2
+        head = capsys.readouterr().out.splitlines()[0]
+        dropped = int(head.rpartition("(")[2].split()[0])
+        assert dropped > 0, head
+
+    def test_trace_keeps_spec_categories_without_flag(self, capsys, tmp_path):
+        import json
+
+        out = tmp_path / "trace.json"
+        assert (
+            main(
+                [
+                    "trace", "--scenario", "fanout_bandwidth_aware",
+                    "--quick",
+                    "--set", "observability.enabled=true",
+                    "--set", 'observability.categories=["scheduler"]',
+                    "--out", str(out),
+                ]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        cats = {
+            e.get("cat")
+            for e in json.loads(out.read_text())["traceEvents"]
+            if e["ph"] != "M"
+        }
+        assert cats == {"scheduler"}
 
     def test_trace_unknown_category_errors(self, capsys, tmp_path):
         rc = main(
             [
                 "trace",
+                "--scenario",
                 "fanout_bandwidth_aware",
                 "--quick",
                 "--categories",
@@ -859,7 +901,7 @@ class TestAnalyzeCommand:
         assert (
             main(
                 [
-                    "analyze", "multi_tenant_slo", "--quick",
+                    "analyze", "--scenario", "multi_tenant_slo", "--quick",
                     "--out", str(out_path),
                 ]
             )
@@ -879,7 +921,8 @@ class TestAnalyzeCommand:
     def test_analyze_forces_tracing_on(self, capsys):
         # fanout_bandwidth_aware is untraced in the registry; analyze
         # must still produce a span-level report.
-        assert main(["analyze", "fanout_bandwidth_aware", "--quick"]) == 0
+        argv = ["analyze", "--scenario", "fanout_bandwidth_aware", "--quick"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "observed critical path" in out
         assert "SLO: none declared" in out
@@ -931,33 +974,38 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "no 'analysis' or 'slo'" in capsys.readouterr().err
 
-    def test_analyze_requires_exactly_one_target(self, capsys, tmp_path):
-        rc = main(["analyze"])
+    def test_analyze_artifact_is_exclusive_with_scenario(self, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [
+                    "analyze", "--scenario", "multi_tenant_slo",
+                    "--artifact", str(tmp_path / "x.json"),
+                ]
+            )
+
+    @pytest.mark.parametrize(
+        "flags", [["--quick"], ["--set", "n_nodes=4"]]
+    )
+    def test_analyze_artifact_rejects_run_options(
+        self, flags, capsys, tmp_path
+    ):
+        """A stored run is rendered as it was run: options that only
+        shape a new run would be silently ignored."""
+        rc = main(["analyze", "--artifact", str(tmp_path / "x.json")] + flags)
         assert rc == 2
-        assert "exactly one target" in capsys.readouterr().err
-        rc = main(
-            [
-                "analyze", "multi_tenant_slo",
-                "--artifact", str(tmp_path / "x.json"),
-            ]
-        )
-        assert rc == 2
-        assert "exactly one target" in capsys.readouterr().err
+        assert "do not apply to --artifact" in capsys.readouterr().err
 
 
-class TestRunMetricsFlag:
-    def test_run_with_metrics_prints_sketches(self, capsys):
+class TestTracedRun:
+    """run prints the metrics-plane summary whenever the spec traces."""
+
+    def test_traced_run_prints_sketches(self, capsys):
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--ops",
-                    "6",
-                    "--nodes",
-                    "8",
-                    "--metrics",
+                    "run", "--scenario", "paper_default",
+                    "--set", "ops_per_task=6", "--set", "n_nodes=8",
+                    "--set", "observability.enabled=true",
                 ]
             )
             == 0
@@ -966,7 +1014,7 @@ class TestRunMetricsFlag:
         assert "streaming sketches" in out
         assert "ops.latency_s" in out
 
-    def test_metrics_flag_composes_with_spec(self, capsys, tmp_path):
+    def test_traced_spec_file_prints_obs(self, capsys, tmp_path):
         from repro.scenario import ScenarioSpec
 
         spec_path = tmp_path / "spec.json"
@@ -979,7 +1027,10 @@ class TestRunMetricsFlag:
                 n_nodes=8,
             ).to_json()
         )
-        assert main(["run", "--spec", str(spec_path), "--metrics"]) == 0
+        argv = ["run", "--spec", str(spec_path)]
+        assert main(argv) == 0
+        assert "trace events" not in capsys.readouterr().out
+        assert main(argv + ["--set", "observability.enabled=true"]) == 0
         assert "trace events" in capsys.readouterr().out
 
 
@@ -1001,23 +1052,16 @@ class TestElasticityFlags:
         assert "slo+elastic" in out
         assert "obs+slo" in out
 
-    def test_run_with_elastic_flags_reports_actions(self, capsys):
+    def test_run_with_elasticity_overrides_reports_actions(self, capsys):
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--ops",
-                    "10",
-                    "--nodes",
-                    "4",
-                    "--elastic",
-                    "threshold",
-                    "--elastic-lag",
-                    "5",
-                    "--elastic-max",
-                    "3",
+                    "run", "--scenario", "paper_default",
+                    "--set", "ops_per_task=10", "--set", "n_nodes=4",
+                    "--set", "elasticity.enabled=true",
+                    "--set", "elasticity.policy=threshold",
+                    "--set", "elasticity.lag_s=5",
+                    "--set", "elasticity.max_vms_per_site=3",
                 ]
             )
             == 0
@@ -1026,46 +1070,24 @@ class TestElasticityFlags:
         assert "elastic policy threshold" in out
         assert "vm-seconds" in out
 
-    def test_elastic_knobs_require_elastic_flag(self, capsys):
-        assert (
-            main(
-                [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--ops",
-                    "4",
-                    "--elastic-lag",
-                    "5",
-                ]
-            )
-            == 2
+    def test_elastic_knobs_require_enabled(self, capsys):
+        rc = main(
+            [
+                "run", "--scenario", "paper_default",
+                "--set", "ops_per_task=4", "--set", "elasticity.lag_s=5",
+            ]
         )
-        assert "--elastic" in capsys.readouterr().err
-
-    def test_elastic_flags_clash_with_spec_file(self, capsys, tmp_path):
-        from repro.scenario import get_scenario
-
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(get_scenario("paper_default").to_json())
-        assert (
-            main(
-                [
-                    "run",
-                    "--spec",
-                    str(spec_path),
-                    "--elastic",
-                    "threshold",
-                ]
-            )
-            == 2
+        assert rc == 2
+        assert "elasticity knobs require enabled=True" in (
+            capsys.readouterr().err
         )
-        assert "--spec" in capsys.readouterr().err
 
     def test_analyze_elastic_scenario_prints_capacity_timeline(
         self, capsys
     ):
-        assert main(["analyze", "autoscale_ramp", "--quick"]) == 0
+        assert (
+            main(["analyze", "--scenario", "autoscale_ramp", "--quick"]) == 0
+        )
         out = capsys.readouterr().out
         assert "capacity timeline" in out
         assert "elastic policy predictive" in out
