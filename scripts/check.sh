@@ -32,9 +32,13 @@
 #      (scheduler.bw_pending_penalty=NaN), each of which used to run to
 #      a wrong makespan, and with a NaN admission limit
 #      (max_in_flight=NaN), which used to deadlock mid-run, must each
-#      be marked errored with the validate() message; and run with a
+#      be marked errored with the validate() message; run with a
 #      NaN compute_time, which used to die mid-run in the kernel
-#      ("Invalid delay nan"), must exit 2 with the validate() message;
+#      ("Invalid delay nan"), and run with a NaN topology.jitter, which
+#      used to run jittered under a spec hash of its own, must each
+#      exit 2 with the validate() message; and run --dump-spec into a
+#      missing directory, which used to end in a traceback, must exit 2
+#      with an "error:" line;
 #   5. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
@@ -114,7 +118,8 @@ PY
 # Bad-spec smoke: NaN passes a "<= 0" check and json.loads accepts it,
 # so a NaN knob given to sweep --set must be refused by validate() and
 # the cell reported as errored with that message; given to run --set,
-# it must stop the run before it starts (exit 2).
+# it must stop the run before it starts (exit 2), and so must a NaN
+# switch.  An output path in a missing directory exits 2 with "error:".
 python -m repro.cli sweep --scenario fanout_bandwidth_aware \
     --set network.transfer_flow_weight=NaN --quick > "$TMP/nan.txt" 2>&1
 grep -q "ERROR: ValueError: transfer_flow_weight must be a positive finite" \
@@ -132,6 +137,16 @@ python -m repro.cli run --scenario paper_default --set compute_time=NaN \
     --quick > "$TMP/nan.txt" 2>&1 || rc=$?
 [ "$rc" = 2 ]
 grep -q "error: compute_time must be a finite number >= 0" "$TMP/nan.txt"
+rc=0
+python -m repro.cli run --scenario paper_default --set topology.jitter=NaN \
+    --quick > "$TMP/nan.txt" 2>&1 || rc=$?
+[ "$rc" = 2 ]
+grep -q "error: topology.jitter must be true or false" "$TMP/nan.txt"
+rc=0
+python -m repro.cli run --scenario paper_default \
+    --dump-spec /nonexistent/dir/x.json > "$TMP/out.txt" 2>&1 || rc=$?
+[ "$rc" = 2 ]
+grep -q "^error:" "$TMP/out.txt"
 
 # Trace smoke: full tracing on a quick scenario must yield a valid,
 # non-empty Chrome trace with every major layer represented.  The

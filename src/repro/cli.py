@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -358,6 +359,31 @@ def _fail(exc: Exception) -> int:
     return 2
 
 
+def _check_output_paths(*paths: Optional[str]) -> None:
+    """Raise ``ValueError`` for an output path whose directory does not
+    exist, so a command fails before its run, not after it."""
+    for path in paths:
+        if path and path != "-":
+            folder = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(folder):
+                raise ValueError(
+                    f"cannot write {path}: no directory {folder}"
+                )
+
+
+def _check_store_dir(path: Optional[str]) -> None:
+    """Raise ``ValueError`` when a result-store directory could not be
+    created: its nearest existing ancestor is not a directory."""
+    if path:
+        probe = os.path.abspath(path)
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            raise ValueError(
+                f"cannot write store {path}: {probe} is not a directory"
+            )
+
+
 def _resolve_workflow(args):
     if getattr(args, "file", None):
         return load_workflow(args.file)
@@ -408,6 +434,7 @@ def _cmd_run(args) -> int:
         # TypeError covers hand-edited spec JSON with wrong value types
         # (e.g. a string compute_time) surfacing from validate().
         spec = load_spec(args)
+        _check_output_paths(args.dump_spec, args.export)
     except (ValueError, TypeError, OSError) as exc:
         return _fail(exc)
     if args.dump_spec:
@@ -415,8 +442,11 @@ def _cmd_run(args) -> int:
         if args.dump_spec == "-":
             print(text)
         else:
-            with open(args.dump_spec, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.dump_spec, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                return _fail(exc)
             print(f"spec written to {args.dump_spec}")
         return 0
     try:
@@ -430,7 +460,10 @@ def _cmd_run(args) -> int:
     if args.export:
         from repro.analysis.export import export_json
 
-        export_json(result.result, args.export)
+        try:
+            export_json(result.result, args.export)
+        except OSError as exc:
+            return _fail(exc)
         print(f"\nresult written to {args.export}")
     return 0
 
@@ -482,6 +515,7 @@ def _cmd_trace(args) -> int:
 
     try:
         spec = load_spec(args)
+        _check_output_paths(args.out, args.jsonl)
         # Tracing is switched on; the spec's own budgets and sampling
         # (max_events, sample_interval, histogram_capacity) stay.
         obs = dataclasses.replace(spec.observability, enabled=True)
@@ -496,9 +530,12 @@ def _cmd_trace(args) -> int:
         result = spec.run(quick=args.quick)
     except (ValueError, TypeError, OSError) as exc:
         return _fail(exc)
-    write_chrome_trace(result.tracer, args.out)
-    if args.jsonl:
-        write_jsonl(result.tracer, args.jsonl)
+    try:
+        write_chrome_trace(result.tracer, args.out)
+        if args.jsonl:
+            write_jsonl(result.tracer, args.jsonl)
+    except OSError as exc:
+        return _fail(exc)
     obs = result.obs or {}
     total = obs.get("n_events", 0)
     print(
@@ -788,6 +825,7 @@ def _run_report(args) -> str:
 
 def _cmd_analyze(args) -> int:
     try:
+        _check_output_paths(args.out)
         if args.artifact:
             if args.overrides or args.quick:
                 raise ValueError(
@@ -801,8 +839,11 @@ def _cmd_analyze(args) -> int:
         return _fail(exc)
     print(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report + "\n")
+        except OSError as exc:
+            return _fail(exc)
         print(f"\nreport written to {args.out}")
     return 0
 
@@ -882,6 +923,8 @@ def _cmd_sweep(args) -> int:
             raise ValueError("sweep needs at least one --set axis")
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
+        _check_output_paths(args.export)
+        _check_store_dir(args.out)
         result = run_sweep(base, axes, quick=args.quick, jobs=args.jobs)
     except (ValueError, TypeError, OSError) as exc:
         return _fail(exc)
@@ -898,13 +941,16 @@ def _cmd_sweep(args) -> int:
 
         store = ResultStore(args.out)
         rev = current_git_rev()
-        for cell in result.ok_cells():
-            store.save(
-                cell.result,
-                overrides=cell.overrides,
-                git_rev=rev,
-                wall_time_s=cell.wall_time_s,
-            )
+        try:
+            for cell in result.ok_cells():
+                store.save(
+                    cell.result,
+                    overrides=cell.overrides,
+                    git_rev=rev,
+                    wall_time_s=cell.wall_time_s,
+                )
+        except OSError as exc:
+            return _fail(exc)
         print(
             f"\n{len(result.ok_cells())} artifacts written to "
             f"store {args.out}"
@@ -924,8 +970,11 @@ def _cmd_sweep(args) -> int:
                 for cell in result.cells
             ],
         }
-        with open(args.export, "w") as fh:
-            json.dump(doc, fh, indent=2)
+        try:
+            with open(args.export, "w") as fh:
+                json.dump(doc, fh, indent=2)
+        except OSError as exc:
+            return _fail(exc)
         print(f"\nsweep written to {args.export}")
     return 0
 

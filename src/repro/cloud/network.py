@@ -6,8 +6,11 @@ Every message between two sites pays:
 
 where ``base_latency`` comes from the topology's link spec and jitter is
 a truncated-normal perturbation drawn from a dedicated RNG stream (so
-network noise never disturbs workload generation).  The *transmission*
-term depends on the configured bandwidth model:
+network noise never disturbs workload generation).  The stream is a
+:class:`~repro.util.rng.BlockStream`: one draw per jittered leg, the
+value numpy's scalar ``normal(0.0, jitter)`` would give, taken from a
+block drawn ahead.  The *transmission* term depends on the configured
+bandwidth model:
 
 - ``"slots"`` (default, the original model): every in-flight transfer
   gets the full link bandwidth (``size / bandwidth``); inter-DC links
@@ -130,7 +133,9 @@ class Network:
     topology:
         Site layout and link specs.
     rng:
-        Stream registry; the network uses the ``"network"`` stream.
+        Stream registry; the network draws its jitter from the
+        ``"network"`` block stream (:meth:`RngStreams.blocks`), so that
+        name cannot also be drawn raw.
     link_concurrency:
         Slot model only: max concurrent transfers per directed inter-DC
         link pair.
@@ -171,7 +176,7 @@ class Network:
             raise ValueError("rpc_weight must be positive")
         self.env = env
         self.topology = topology
-        self.rng = (rng or RngStreams(seed=0)).get("network")
+        self.rng = (rng or RngStreams(seed=0)).blocks("network")
         self.link_concurrency = link_concurrency
         self.bandwidth_model = bandwidth_model
         #: Hot-path twin of ``bandwidth_model == "fair"`` (transfer runs

@@ -127,16 +127,16 @@ def run_synthetic_workload(
         node_times[node_index[vm.name]] = env.now - start
 
     def reader(vm, reader_id: int) -> Generator:
-        rng = dep.rng.get(f"reader-{reader_id}")
+        rng = dep.rng.blocks(f"reader-{reader_id}")
         start = env.now
         done = 0
         while done < ops_per_node:
-            w = int(rng.integers(n_writers))
+            w = rng.integers(n_writers)
             if progress[w] == 0:
                 # Nothing published by that writer yet: let writers run.
                 yield 0.05
                 continue
-            j = int(rng.integers(progress[w]))
+            j = rng.integers(progress[w])
             yield from strat.read(
                 vm.site, f"file-{w}-{j}", require_found=True
             )

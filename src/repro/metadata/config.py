@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.util.checks import check_number
+from repro.util.checks import check_bool, check_number
 from repro.util.units import MS
 
 __all__ = ["MetadataConfig"]
@@ -128,3 +128,5 @@ class MetadataConfig:
             self.read_retry_max_delay,
             minimum=self.read_retry_interval,
         )
+        check_bool("hybrid_sync_replication", self.hybrid_sync_replication)
+        check_bool("write_lookup", self.write_lookup)

@@ -56,7 +56,7 @@ from repro.metadata.controller import STRATEGIES, StrategyName
 from repro.obs import TRACE_CATEGORIES
 from repro.scenario.slo import SLOSpec
 from repro.scheduling import SCHEDULER_NAMES
-from repro.util.checks import check_number, is_int
+from repro.util.checks import check_bool, check_number, is_int
 from repro.util.units import MB
 from repro.workflow.applications import buzzflow, montage
 from repro.workload.admission import ADMISSION_NAMES
@@ -169,6 +169,7 @@ class TopologySpec:
                 f"unknown topology preset {self.preset!r}; expected one "
                 f"of {TOPOLOGY_PRESETS}"
             )
+        check_bool("topology.jitter", self.jitter)
         if self.hub_egress_mb is not None:
             if self.preset != "hetero_fanout":
                 raise ValueError(
@@ -332,6 +333,10 @@ class StrategySpec:
                 f"unknown strategy {self.name!r}; available: "
                 f"{sorted(STRATEGIES)}"
             )
+        check_bool(
+            "strategy.hybrid_sync_replication", self.hybrid_sync_replication
+        )
+        check_bool("strategy.write_lookup", self.write_lookup)
         if self.sync_period is not None:
             check_number("sync_period", self.sync_period)
 
@@ -531,6 +536,7 @@ class ObservabilitySpec:
             object.__setattr__(self, "categories", tuple(self.categories))
 
     def validate(self) -> None:
+        check_bool("observability.enabled", self.enabled)
         if self.categories is not None:
             if not self.categories:
                 raise ValueError(
@@ -648,6 +654,7 @@ class ElasticitySpec:
                 f"unknown elasticity policy {self.policy!r}; expected "
                 f"one of {ELASTICITY_NAMES}"
             )
+        check_bool("elasticity.enabled", self.enabled)
         if not self.enabled:
             if self != ElasticitySpec():
                 # The spec tree's masquerade guard: a tuned autoscaler

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.sim.core import Environment, Event
+from repro.sim.core import _PENDING, Environment, Event
 
 __all__ = ["Request", "Resource", "Store"]
 
@@ -38,10 +38,17 @@ class Request(Event):
     __slots__ = ("resource", "issued_at")
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Event.__init__, inlined: a request is made for every registry
+        # op, link slot and compute step.
+        self.env = env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
+        self._entry = None
         self.resource = resource
         #: Simulated time at which the request was issued (for queue stats).
-        self.issued_at = resource.env.now
+        self.issued_at = env.now
         resource._request(self)
 
     def __enter__(self) -> "Request":
@@ -120,16 +127,20 @@ class Resource:
         if self.queue or len(self.users) >= self._capacity:
             return None
         req = Request.__new__(Request)
-        Event.__init__(req, self.env)
-        req.resource = self
-        req.issued_at = self.env.now
-        req._ok = True
-        req._value = None
+        req.env = env = self.env
         req.callbacks = None  # granted and processed
+        req._value = None
+        req._ok = True
+        req.defused = False
+        req._entry = None
+        req.resource = self
+        req.issued_at = env.now
         # Mirror the queued path's accounting: the request transits the
-        # queue for an instant there, so the high-water mark counts it.
+        # (empty) queue for an instant there, so the high-water mark
+        # counts it.
         self.total_requests += 1
-        self.max_queue_len = max(self.max_queue_len, len(self.queue) + 1)
+        if self.max_queue_len < 1:
+            self.max_queue_len = 1
         self.users.append(req)
         return req
 
@@ -140,8 +151,17 @@ class Resource:
 
     def _request(self, request: Request) -> None:
         self.total_requests += 1
-        self.queue.append(request)
-        self.max_queue_len = max(self.max_queue_len, len(self.queue))
+        queue = self.queue
+        if not queue and len(self.users) < self._capacity:
+            # Granted at once: the queue round-trip would only add a
+            # zero wait to ``total_wait_time``.
+            if self.max_queue_len < 1:
+                self.max_queue_len = 1
+            self.users.append(request)
+            request.succeed()
+            return
+        queue.append(request)
+        self.max_queue_len = max(self.max_queue_len, len(queue))
         self._trigger()
 
     def _release(self, request: Request) -> None:
@@ -149,11 +169,13 @@ class Resource:
             self.users.remove(request)
         elif request in self.queue and not request.triggered:
             self.queue.remove(request)
-        self._trigger()
+        if self.queue:
+            self._trigger()
 
     def _trigger(self) -> None:
-        # Runs twice per request on the hottest service paths (registry
-        # servers, link slots), hence the local aliases.
+        # Grants waiters in FIFO order; only a non-empty queue gets
+        # here (a free slot with nobody waiting is granted in
+        # ``_request``, and a release with nobody waiting is done).
         users = self.users
         queue = self.queue
         now = self.env.now

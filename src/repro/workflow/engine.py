@@ -155,7 +155,7 @@ class WorkflowEngine:
         #: The provisioner of the most recent ``execute`` call (for
         #: inspection of prefetch hit rates).
         self.last_provisioner = None
-        self._rng = deployment.rng.get("engine")
+        self._rng = deployment.rng.blocks("engine")
         # Monotonic run counter: every execute() call gets a unique op
         # attribution tag even when runs interleave on one engine.
         self._run_seq = 0
@@ -540,7 +540,7 @@ class WorkflowEngine:
                 own_written.append(key)
             else:
                 pool = parent_keys or own_written
-                key = pool[int(self._rng.integers(len(pool)))]
+                key = pool[self._rng.integers(len(pool))]
                 yield from self.strategy.read(
                     vm.site, key, require_found=True, run=run
                 )

@@ -3,7 +3,7 @@
 An untraced slots-model ``Network.rpc`` runs both of its legs in its own
 generator frame; traced and fair-model RPCs run each leg through
 ``Network.transfer``.  The two must be indistinguishable: the same
-completion times, ``NetworkStats``, network RNG state and link-slot
+completion times, ``NetworkStats``, jitter draws and link-slot
 accounting, with jitter on, for local, uncontended-WAN and
 contended-WAN legs.  None of the bench workloads reaches a contended
 slots-model WAN leg, so the contended case is pinned here.
@@ -31,6 +31,19 @@ CASES = {
 }
 
 
+class _RecordedJitter:
+    """The network's block stream, recording every draw it serves."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.draws = []
+
+    def normal(self, loc, scale):
+        value = self.stream.normal(loc, scale)
+        self.draws.append((loc, scale, value))
+        return value
+
+
 def _run(one_frame: bool, case: str):
     clients, link_concurrency = CASES[case]
     env = Environment()
@@ -40,6 +53,7 @@ def _run(one_frame: bool, case: str):
         rng=RngStreams(seed=3),
         link_concurrency=link_concurrency,
     )
+    net.rng = jitter = _RecordedJitter(net.rng)
     rpc = net.rpc if one_frame else net._transfer_rpc
     done = []
 
@@ -62,7 +76,8 @@ def _run(one_frame: bool, case: str):
     return {
         "done": done,
         "stats": net.stats.as_dict(),
-        "rng": net.rng.bit_generator.state,
+        "rng": jitter.draws,
+        "stream": jitter.stream,
         "slots": slots,
         "events": env.events_processed,
     }
@@ -71,6 +86,8 @@ def _run(one_frame: bool, case: str):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_frame_rpc_matches_transfer_rpc(case):
     one_frame, via_transfer = _run(True, case), _run(False, case)
+    for run in (one_frame, via_transfer):
+        del run["stream"]
     assert one_frame == via_transfer
     assert len(one_frame["done"]) == 4 * len(CASES[case][0])
     assert one_frame["stats"]["messages"] == 2 * len(one_frame["done"])
@@ -78,15 +95,20 @@ def test_one_frame_rpc_matches_transfer_rpc(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_jitter_draw_per_leg(case):
-    """Both paths share the leg helpers, so pin the draw count itself:
+    """Both paths share the leg helpers, so pin the draws themselves:
     one draw per delivered WAN leg (local links have no jitter), none
-    for a failed slot claim."""
+    for a failed slot claim, each the value the raw generator gives at
+    that position, and nothing else taken from the stream."""
     run = _run(True, case)
     stats = run["stats"]
+    draws = run["rng"]
+    assert len(draws) == stats["messages"] - stats["local_messages"]
     ref = RngStreams(seed=3).get("network")
-    for _ in range(stats["messages"] - stats["local_messages"]):
-        ref.normal(0.0, 1.0)
-    assert run["rng"] == ref.bit_generator.state
+    assert draws == [
+        (loc, scale, float(ref.normal(loc, scale)))
+        for loc, scale, _ in draws
+    ]
+    assert run["stream"].normal(0.0, 1.0) == ref.normal(0.0, 1.0)
 
 
 def test_cases_reach_the_leg_kinds_they_name():

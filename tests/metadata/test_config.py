@@ -54,6 +54,11 @@ class TestDefaultsAreValid:
         ("read_retry_max_delay", NAN),
         ("read_retry_max_delay", INF),
         ("virtual_nodes", NAN),
+        # Switches must be real bools: truthiness would take these as on.
+        ("hybrid_sync_replication", 1),
+        ("hybrid_sync_replication", NAN),
+        ("write_lookup", "yes"),
+        ("write_lookup", 0),
     ],
 )
 def test_invalid_values_rejected(field, value):

@@ -365,6 +365,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be .*integer"):
             spec.validate()
 
+    # A switch read by truthiness would run "no", 1 or NaN as on (and 0
+    # as off) under a spec hash of its own.
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0, NAN, None])
+    @pytest.mark.parametrize(
+        "scenario,knob",
+        [
+            ("paper_default", "topology.jitter"),
+            ("paper_default", "strategy.hybrid_sync_replication"),
+            ("paper_default", "strategy.write_lookup"),
+            ("paper_default", "observability.enabled"),
+            ("autoscale_ramp", "elasticity.enabled"),
+        ],
+    )
+    def test_switches_must_be_bools(self, scenario, knob, value):
+        spec = get_scenario(scenario).replace(**{knob: value})
+        with pytest.raises(ValueError, match=f"{knob} must be true or false"):
+            spec.validate()
+
     # Fault instants and factors and the SLO targets sit in tuples,
     # below the fields a dotted override names one by one.
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1.0"])

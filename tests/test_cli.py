@@ -517,6 +517,68 @@ class TestScenarioFlags:
         assert "tasks per site" in capsys.readouterr().out
 
 
+class TestOutputPaths:
+    """A bad output path ends in ``error:`` and exit 2, not a
+    traceback; a missing directory is reported before anything runs."""
+
+    MISSING = "/nonexistent/dir/x.json"
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        from repro.scenario import ScenarioSpec
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(ScenarioSpec, "run", refuse)
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scenario", "paper_default", "--dump-spec", MISSING],
+            ["run", "--scenario", "paper_default", "--export", MISSING],
+            ["trace", "--scenario", "paper_default", "--out", MISSING],
+            ["trace", "--scenario", "paper_default", "--out", "{tmp}",
+             "--jsonl", MISSING],
+            ["analyze", "--scenario", "paper_default", "--out", MISSING],
+            ["sweep", "--scenario", "paper_synthetic", "--set", "seed=1,2",
+             "--export", MISSING],
+        ],
+        ids=["run-dump-spec", "run-export", "trace-out", "trace-jsonl",
+             "analyze-out", "sweep-export"],
+    )
+    def test_missing_directory_fails_before_the_run(
+        self, argv, no_runs, capsys, tmp_path
+    ):
+        argv = [a.replace("{tmp}", str(tmp_path / "t.json")) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /nonexistent/dir/x.json")
+        assert not list(tmp_path.iterdir())
+
+    def test_store_under_a_file_fails_before_the_sweep(
+        self, no_runs, capsys, tmp_path
+    ):
+        (tmp_path / "file").write_text("")
+        rc = main(
+            ["sweep", "--scenario", "paper_synthetic", "--set", "seed=1,2",
+             "--out", str(tmp_path / "file" / "store")]
+        )
+        assert rc == 2
+        assert "is not a directory" in capsys.readouterr().err
+
+    def test_unwritable_path_fails_cleanly(self, capsys, tmp_path):
+        """A path the check lets through (here a directory) still ends
+        in ``error:`` when the write fails."""
+        rc = main(
+            ["run", "--scenario", "paper_default", "--dump-spec",
+             str(tmp_path)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSweepCommand:
     def test_sweep_over_spec_file(self, capsys, tmp_path):
         from repro.scenario import ScenarioSpec, StrategySpec

@@ -1,10 +1,11 @@
-"""Tests for RNG streams, unit helpers and the NaN-safe bound check."""
+"""Tests for RNG streams, unit helpers and the NaN-safe and bool checks."""
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.util.checks import check_number
+from repro.util.checks import check_bool, check_number
 from repro.util.rng import RngStreams, derive_seed
 from repro.util.units import GB, KB, MB, fmt_bytes, fmt_duration
 
@@ -102,3 +103,16 @@ class TestCheckNumber:
     ):
         with pytest.raises(ValueError, match=f"knob must be {message}, got"):
             check_number("knob", value, **kwargs)
+
+
+class TestCheckBool:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_pass(self, value):
+        check_bool("switch", value)
+
+    @pytest.mark.parametrize(
+        "value", [1, 0, "yes", "false", math.nan, None, np.bool_(True)]
+    )
+    def test_other_values_named_in_the_error(self, value):
+        with pytest.raises(ValueError, match="switch must be true or false"):
+            check_bool("switch", value)
