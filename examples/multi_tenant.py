@@ -6,14 +6,13 @@ possibility to globally optimize the performance of multiple workflows
 that share a common public cloud infrastructure".  This example runs
 BuzzFlow and Montage *concurrently* on one deployment and one metadata
 service, and compares how the centralized baseline and the hybrid
-strategy absorb the combined load -- with a registry monitor sampling
-queue buildup at the shared instance.
+strategy absorb the combined load -- down to the longest queue any
+registry instance held (the exact peak each registry keeps).
 
 Run:  python examples/multi_tenant.py
 """
 
 from repro import ArchitectureController, Deployment, MetadataConfig, StrategyName
-from repro.analysis.monitor import RegistryMonitor
 from repro.experiments.reporting import render_table
 from repro.sim import AllOf
 from repro.workflow import WorkflowEngine, buzzflow, montage
@@ -24,7 +23,6 @@ def run_tenants(strategy: str):
     cfg = MetadataConfig(home_site="east-us", hybrid_sync_replication=True)
     ctrl = ArchitectureController(dep, strategy=strategy, config=cfg)
     engine = WorkflowEngine(dep, ctrl.strategy)
-    monitor = RegistryMonitor(dep.env, ctrl.strategy, interval=5.0)
 
     # Launch both tenants at t=0; they contend for the same VMs and the
     # same metadata service.
@@ -39,18 +37,19 @@ def run_tenants(strategy: str):
         ),
     }
     dep.env.run(until=AllOf(dep.env, list(tenants.values())))
-    monitor.stop()
     ctrl.shutdown()
     results = {name: proc.value for name, proc in tenants.items()}
-    return results, monitor
+    queue_peak = max(
+        reg.max_queue_length for reg in ctrl.strategy.registries.values()
+    )
+    return results, queue_peak
 
 
 def main() -> None:
     rows = []
     queue_peaks = {}
     for strategy in (StrategyName.CENTRALIZED, StrategyName.HYBRID):
-        results, monitor = run_tenants(strategy)
-        queue_peaks[strategy] = monitor.peak_queue_length()
+        results, queue_peaks[strategy] = run_tenants(strategy)
         for name, res in sorted(results.items()):
             rows.append(
                 [

@@ -11,9 +11,10 @@
 #      the spec-vs-direct golden equivalence in
 #      tests/experiments/test_seed_compat.py, the spec-source CLI
 #      checks in tests/test_cli.py and the documented-command check in
-#      tests/test_cli_docs.py); the slow-marked benches
+#      tests/test_cli_docs.py) and the three fast example scripts
+#      (tests/test_examples.py); the slow-marked benches
 #      (benchmarks/test_schedulers.py, benchmarks/test_workloads.py)
-#      run in the FULL profile;
+#      and the three slow examples run in the FULL profile;
 #   2. a --dump-spec replay: a registry scenario with a --set override
 #      is written as a JSON spec, and run --spec must run that file
 #      (--quick);
@@ -27,7 +28,14 @@
 #      (kernel-regression smoke); the bench runs with tracing
 #      disabled, so the gate doubles as the observability plane's
 #      zero-overhead guard (docs/observability.md);
-#   4. a bad-spec smoke: sweep cells with a NaN fair-model knob
+#   4. an export smoke: run --export writes the artifact a result
+#      store holds (a synthetic export used to die with "not JSON
+#      serializable"); diff of two exports at different seeds must
+#      print a makespan_s row, analyze --artifact on a traced, SLO-bearing
+#      export must print its SLO verdict, and diff of an export against
+#      a sweep --export document must exit 2 (it used to diff any two
+#      JSON objects as identical);
+#   5. a bad-spec smoke: sweep cells with a NaN fair-model knob
 #      (network.transfer_flow_weight=NaN) or a NaN placement penalty
 #      (scheduler.bw_pending_penalty=NaN), each of which used to run to
 #      a wrong makespan, and with a NaN admission limit
@@ -39,21 +47,21 @@
 #      exit 2 with the validate() message; and run --dump-spec into a
 #      missing directory, which used to end in a traceback, must exit 2
 #      with an "error:" line;
-#   5. a trace smoke: a quick fully-traced scenario must export valid,
+#   6. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
 #      tracer's event log into an event, kernel rows included);
-#   6. an analyze smoke: repro.cli analyze on the SLO-bearing registry
+#   7. an analyze smoke: repro.cli analyze on the SLO-bearing registry
 #      scenario must render an observed-critical-path section and an
 #      SLO verdict line (docs/observability.md);
-#   7. an elasticity smoke: a quick autoscale_ramp run must emit at
+#   8. an elasticity smoke: a quick autoscale_ramp run must emit at
 #      least one scale_up event under the elastic trace category, read
 #      through tracer.events_of("elastic") as capacity_timeline reads
 #      it, and repro.cli analyze on it must render the capacity-timeline
 #      section (docs/elasticity.md);
-#   8. a figures smoke: Fig. 8 at CI sizes through the sweep path in
+#   9. a figures smoke: Fig. 8 at CI sizes through the sweep path in
 #      two worker processes (repro.cli figures --jobs) must render;
-#   9. lint over the source tree: unused imports and yielded
+#  10. lint over the source tree: unused imports and yielded
 #      timeouts (step 1 also runs tests/test_lint.py, which holds
 #      tests/, benchmarks/, examples/, scripts/ and bench/ to the
 #      unused-import rule).
@@ -114,6 +122,27 @@ for name, got, ref in bad:
           f"1.25 x baseline wall {ref}s ({sys.argv[2]})", file=sys.stderr)
 sys.exit(1 if bad else 0)
 PY
+
+# Export smoke: one artifact format per run.  Two exports at different
+# seeds diff to metric deltas, a traced export analyzes from disk, and
+# a sweep document is refused by diff.
+python -m repro.cli run --scenario paper_synthetic --quick \
+    --export "$TMP/a.json" > /dev/null
+python -m repro.cli run --scenario paper_synthetic --quick --set seed=3 \
+    --export "$TMP/b.json" > /dev/null
+python -m repro.cli diff "$TMP/a.json" "$TMP/b.json" > "$TMP/diff_ab.txt"
+grep -Eq "^ *makespan_s \|" "$TMP/diff_ab.txt"
+python -m repro.cli run --scenario multi_tenant_slo --quick \
+    --export "$TMP/slo.json" > /dev/null
+python -m repro.cli analyze --artifact "$TMP/slo.json" > "$TMP/slo.txt"
+grep -q "SLO verdict:" "$TMP/slo.txt"
+python -m repro.cli sweep --scenario paper_synthetic --set "seed=0,1" \
+    --quick --export "$TMP/sweep.json" > /dev/null
+rc=0
+python -m repro.cli diff "$TMP/a.json" "$TMP/sweep.json" \
+    > "$TMP/out.txt" 2>&1 || rc=$?
+[ "$rc" = 2 ]
+grep -q "^error:" "$TMP/out.txt"
 
 # Bad-spec smoke: NaN passes a "<= 0" check and json.loads accepts it,
 # so a NaN knob given to sweep --set must be refused by validate() and

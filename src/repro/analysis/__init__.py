@@ -1,17 +1,19 @@
-"""Analysis utilities: the Section VII strategy advisor and run metrics."""
+"""The Section VII strategy advisor and the analytic queueing reference.
+
+- :mod:`repro.analysis.advisor` -- characterizes a workflow and
+  recommends a metadata strategy (``repro.cli advise``);
+- :mod:`repro.analysis.queueing` -- closed-form M/M/1 and closed-network
+  bounds the simulated registry is checked against.
+
+Run artifacts (serialization, stores, diffs) live in
+:mod:`repro.results`; traces and their analysis in :mod:`repro.obs`.
+"""
 
 from repro.analysis.advisor import (
     WorkloadProfile,
     recommend_strategy,
     profile_workflow,
 )
-from repro.analysis.export import (
-    export_json,
-    ops_to_records,
-    workflow_result_to_dict,
-)
-from repro.analysis.metrics import RunMetrics, summarize_ops
-from repro.analysis.monitor import RegistryMonitor, Sample
 from repro.analysis.queueing import (
     closed_network_throughput,
     mm1_mean_wait,
@@ -21,19 +23,12 @@ from repro.analysis.queueing import (
 )
 
 __all__ = [
-    "RegistryMonitor",
-    "RunMetrics",
-    "Sample",
     "WorkloadProfile",
     "closed_network_throughput",
-    "export_json",
     "mm1_mean_wait",
     "mm1_utilization",
-    "ops_to_records",
     "profile_workflow",
     "recommend_strategy",
     "saturation_point",
-    "summarize_ops",
     "throughput_upper_bound",
-    "workflow_result_to_dict",
 ]

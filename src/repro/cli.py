@@ -10,11 +10,15 @@
     python -m repro.cli run --spec scenario.json
     python -m repro.cli trace --scenario fanout_bandwidth_aware --quick --out trace.json
     python -m repro.cli analyze --scenario multi_tenant_slo --quick
+    python -m repro.cli run --scenario multi_tenant_slo --quick --export slo.json
+    python -m repro.cli analyze --artifact slo.json
     python -m repro.cli sweep --scenario paper_synthetic --set "strategy.name=centralized,hybrid"
     python -m repro.cli sweep --scenario paper_synthetic --set "seed=0,1,2,3" --jobs 4 --out runs/
+    python -m repro.cli sweep --scenario paper_synthetic --set "seed=0,1" --export sweep.json
     python -m repro.cli advise --workflow montage --ops 1000
     python -m repro.cli results runs/
     python -m repro.cli diff runs-before/ runs-after/
+    python -m repro.cli diff out.json runs/<key>.json
     python -m repro.cli scenarios
 
 ``run``, ``trace``, ``analyze`` and ``sweep`` name an experiment one
@@ -23,6 +27,12 @@ way: ``--scenario NAME`` (the registry, ``repro.cli scenarios``) or
 repeatable ``--set dotted.path=value`` overrides and ``--quick``.
 ``run --dump-spec`` writes the spec a run would run as a JSON file
 that ``--spec`` replays (see ``docs/scenarios.md``).
+
+A run written to disk has one format, the artifact of
+``repro.results``: ``run --export FILE`` writes the same document that
+``sweep --out DIR`` stores for each cell, and ``results``, ``diff`` and
+``analyze --artifact`` read it.  ``sweep --export FILE`` writes the
+sweep document, which holds one such artifact per cell.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from typing import List, Optional
 
 from repro.analysis.advisor import profile_workflow, recommend_strategy
@@ -45,6 +56,15 @@ from repro.experiments.fig8_scalability import run_fig8
 from repro.experiments.fig10_workflows import run_fig10
 from repro.experiments.reporting import render_table
 from repro.metadata.controller import STRATEGIES, StrategyName
+from repro.results import (
+    ResultStore,
+    current_git_rev,
+    diff_artifacts,
+    diff_stores,
+    run_artifact,
+    sweep_result_to_dict,
+    write_document,
+)
 from repro.scenario import (
     SCENARIOS,
     WORKFLOW_BUILDERS,
@@ -53,6 +73,7 @@ from repro.scenario import (
     run_sweep,
 )
 from repro.scheduling import SCHEDULERS, SCHEDULER_NAMES
+from repro.util.checks import check_number
 from repro.workload import (
     ADMISSIONS,
     ADMISSION_NAMES,
@@ -190,7 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     runp.add_argument(
-        "--export", metavar="PATH", help="write the run result as JSON"
+        "--export",
+        metavar="PATH",
+        help=(
+            "write the run's artifact as JSON: the document sweep --out "
+            "stores, read by diff and analyze --artifact"
+        ),
     )
 
     tracep = sub.add_parser(
@@ -269,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--export", metavar="PATH", help="write the sweep table as JSON"
+        "--export",
+        metavar="PATH",
+        help=(
+            "write the sweep document as JSON: the base spec, the axes "
+            "and every cell's artifact or error"
+        ),
     )
 
     res = sub.add_parser(
@@ -403,7 +434,13 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_advise(args) -> int:
-    wf = _resolve_workflow(args)
+    try:
+        # The bounds validate() puts on n_nodes and ops_per_task.
+        check_number("--nodes", args.nodes, integer=True)
+        check_number("--ops", args.ops, minimum=0, integer=True)
+        wf = _resolve_workflow(args)
+    except (ValueError, OSError) as exc:
+        return _fail(exc)
     ch = characterize(wf)
     print(
         render_table(
@@ -433,7 +470,8 @@ def _cmd_run(args) -> int:
     try:
         # TypeError covers hand-edited spec JSON with wrong value types
         # (e.g. a string compute_time) surfacing from validate().
-        spec = load_spec(args)
+        overrides = parse_overrides(args.overrides)
+        spec = load_spec(args, overrides)
         _check_output_paths(args.dump_spec, args.export)
     except (ValueError, TypeError, OSError) as exc:
         return _fail(exc)
@@ -449,22 +487,28 @@ def _cmd_run(args) -> int:
                 return _fail(exc)
             print(f"spec written to {args.dump_spec}")
         return 0
+    t0 = time.perf_counter()
     try:
         result = spec.run(quick=args.quick)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # e.g. a bad workflow_file
         return _fail(exc)
+    wall_time_s = time.perf_counter() - t0
     print(result.render())
     if result.obs is not None:
         print()
         print(_render_obs(result.obs))
     if args.export:
-        from repro.analysis.export import export_json
-
+        doc = run_artifact(
+            result,
+            overrides=overrides,
+            git_rev=current_git_rev(),
+            wall_time_s=wall_time_s,
+        )
         try:
-            export_json(result.result, args.export)
+            write_document(doc, args.export)
         except OSError as exc:
             return _fail(exc)
-        print(f"\nresult written to {args.export}")
+        print(f"\nartifact written to {args.export}")
     return 0
 
 
@@ -937,8 +981,6 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
     if args.out:
-        from repro.results import ResultStore, current_git_rev
-
         store = ResultStore(args.out)
         rev = current_git_rev()
         try:
@@ -956,23 +998,8 @@ def _cmd_sweep(args) -> int:
             f"store {args.out}"
         )
     if args.export:
-        doc = {
-            "base": base.to_dict(),
-            "axes": {k: list(v) for k, v in result.axes.items()},
-            "cells": [
-                {
-                    "overrides": cell.overrides,
-                    "makespan": (
-                        cell.result.makespan if cell.ok else None
-                    ),
-                    "error": cell.error,
-                }
-                for cell in result.cells
-            ],
-        }
         try:
-            with open(args.export, "w") as fh:
-                json.dump(doc, fh, indent=2)
+            write_document(sweep_result_to_dict(result), args.export)
         except OSError as exc:
             return _fail(exc)
         print(f"\nsweep written to {args.export}")
@@ -980,8 +1007,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_results(args) -> int:
-    from repro.results import ResultStore
-
     store = ResultStore(args.store)
     docs = store.list()
     if not docs:
@@ -1027,10 +1052,6 @@ def _cmd_results(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    import os
-
-    from repro.results import diff_artifacts, diff_stores
-
     try:
         if os.path.isdir(args.a) and os.path.isdir(args.b):
             print(diff_stores(args.a, args.b).render())
@@ -1051,8 +1072,7 @@ def _cmd_diff(args) -> int:
             f"(got {args.a!r}, {args.b!r})"
         )
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
 
 
 def _cmd_elasticity(_args) -> int:

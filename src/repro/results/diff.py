@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.results.serialize import ARTIFACT_KIND
 from repro.results.store import ResultStore
 
 __all__ = [
@@ -182,7 +183,20 @@ def diff_artifacts(
     a_label: str = "A",
     b_label: str = "B",
 ) -> ArtifactDiff:
-    """Keyed comparison of two scenario-run artifact documents."""
+    """Keyed comparison of two scenario-run artifact documents.
+
+    Raises ``ValueError`` unless both are run artifacts (``kind``
+    ``scenario-result``): any other JSON document has no ``spec`` and
+    no ``metrics`` and would diff as identical.
+    """
+    for side, label, doc in (("A", a_label, a), ("B", b_label, b)):
+        kind = doc.get("kind") if isinstance(doc, Mapping) else None
+        if kind != ARTIFACT_KIND:
+            name = side if label == side else f"{side} ({label})"
+            raise ValueError(
+                f"{name} is not a run artifact: kind {kind!r}, expected "
+                f"{ARTIFACT_KIND!r} (run --export or sweep --out write one)"
+            )
     flat_a: Dict[str, Any] = {}
     flat_b: Dict[str, Any] = {}
     _flatten(a.get("spec", {}), "", flat_a)

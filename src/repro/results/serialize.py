@@ -2,56 +2,50 @@
 
 The scenario layer made every experiment *description* serializable
 (``ScenarioSpec.to_dict``); this module does the same for experiment
-*outcomes*, so runs survive the process that produced them:
+*outcomes*, so runs survive the process that produced them.  There is
+one document format per run and one per sweep:
 
 - :func:`scenario_result_to_dict` -- one
   :class:`~repro.scenario.runner.ScenarioResult` as a self-describing
   artifact (the spec, its content hash, surface payload, and a flat
-  ``metrics`` mapping that ``repro.cli diff`` compares key by key);
+  ``metrics`` mapping that ``repro.cli diff`` compares key by key).
+  ``run --export`` writes it, a result store holds it, and ``diff``
+  and ``analyze --artifact`` read it;
 - :func:`sweep_result_to_dict` / :func:`sweep_cell_to_dict` -- a whole
-  sweep grid, errored cells included;
-- :func:`synthetic_result_to_dict` -- the synthetic surface twin of
-  the existing ``workflow_result_to_dict``/``workload_result_to_dict``
-  in ``repro.analysis.export``.
+  sweep grid, errored cells included (``sweep --export``);
+- :func:`synthetic_result_to_dict`, :func:`workflow_result_to_dict`
+  and :func:`workload_result_to_dict` -- the surface payloads an
+  artifact carries under ``result``.
 
 Documents are plain dicts of JSON scalars/lists/dicts; wall-clock and
 git-revision stamps are *not* part of these payloads (the
-parallel-vs-serial bit-for-bit contract covers them) -- the
-:class:`~repro.results.store.ResultStore` adds those under ``meta`` at
-save time.
+parallel-vs-serial bit-for-bit contract covers them) --
+:func:`~repro.results.store.run_artifact` adds those under ``meta``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.analysis.export import (
-    workflow_result_to_dict,
-    workload_result_to_dict,
-)
 from repro.experiments.synthetic import SyntheticResult
+from repro.metadata.stats import OpKind
 from repro.scenario.runner import ScenarioResult
-from repro.scenario.spec import ScenarioSpec
 from repro.scenario.sweep import SweepCell, SweepResult
+from repro.workflow.engine import TaskResult, WorkflowResult
+from repro.workload.result import WorkloadResult
 
 __all__ = [
     "result_metrics",
     "scenario_result_to_dict",
-    "spec_hash",
     "sweep_cell_to_dict",
     "sweep_result_to_dict",
     "synthetic_result_to_dict",
+    "workflow_result_to_dict",
+    "workload_result_to_dict",
 ]
 
-
-def spec_hash(spec: ScenarioSpec) -> str:
-    """The stable content hash artifacts are keyed by (module form).
-
-    Function alias of :meth:`ScenarioSpec.spec_hash
-    <repro.scenario.spec.ScenarioSpec.spec_hash>` for callers holding
-    the results package rather than the spec.
-    """
-    return spec.spec_hash()
+#: The ``kind`` of a run artifact, the one document ``diff`` compares.
+ARTIFACT_KIND = "scenario-result"
 
 
 def synthetic_result_to_dict(result: SyntheticResult) -> Dict[str, Any]:
@@ -67,6 +61,81 @@ def synthetic_result_to_dict(result: SyntheticResult) -> Dict[str, Any]:
         "node_times": [float(t) for t in result.node_times],
         "node_sites": list(result.node_sites),
         "node_time_by_site": result.node_time_by_site(),
+    }
+
+
+def _task_result_to_dict(r: TaskResult) -> Dict[str, Any]:
+    return {
+        "task_id": r.task_id,
+        "vm": r.vm,
+        "site": r.site,
+        "started_at": r.started_at,
+        "finished_at": r.finished_at,
+        "duration": r.duration,
+        "metadata_time": r.metadata_time,
+        "transfer_time": r.transfer_time,
+        "compute_time": r.compute_time,
+    }
+
+
+def workflow_result_to_dict(result: WorkflowResult) -> Dict[str, Any]:
+    """Flatten a workflow run, with headline op metrics (op trace
+    excluded)."""
+    doc: Dict[str, Any] = {
+        "workflow": result.workflow,
+        "strategy": result.strategy,
+        "makespan": result.makespan,
+        "total_metadata_time": result.total_metadata_time,
+        "total_transfer_time": result.total_transfer_time,
+        "tasks_per_site": result.tasks_per_site(),
+        "tasks": [_task_result_to_dict(r) for r in result.task_results],
+    }
+    ops = result.ops
+    if ops is not None:
+        doc["op_metrics"] = {
+            "total_ops": ops.count,
+            "makespan": ops.makespan(),
+            "throughput": ops.throughput(),
+            "mean_read_latency": ops.mean_latency(OpKind.READ),
+            "mean_write_latency": ops.mean_latency(OpKind.WRITE),
+            "p99_latency": ops.latency_percentile(99),
+            "local_fraction": ops.local_fraction,
+            "total_retries": ops.total_retries,
+        }
+    return doc
+
+
+def workload_result_to_dict(result: WorkloadResult) -> Dict[str, Any]:
+    """Flatten a multi-tenant workload run, one entry per instance."""
+    return {
+        "name": result.name,
+        "strategy": result.strategy,
+        "scheduler": result.scheduler,
+        "admission": result.admission,
+        "mode": result.mode,
+        "makespan": result.makespan,
+        "peak_in_flight": result.peak_in_flight,
+        "admission_bound": result.admission_bound,
+        "total_ops": result.total_ops,
+        "wan_bytes": result.wan_bytes,
+        "jain_fairness": result.jain_fairness(),
+        "makespan_by_tenant": result.makespan_by_tenant(),
+        "queue_wait_by_tenant": result.queue_wait_by_tenant(),
+        "slowdown_by_tenant": result.slowdown_by_tenant(),
+        "instances": [
+            {
+                "tenant": r.tenant,
+                "application": r.application,
+                "run": r.run,
+                "submitted_at": r.submitted_at,
+                "admitted_at": r.admitted_at,
+                "finished_at": r.finished_at,
+                "queue_wait": r.queue_wait,
+                "makespan": r.makespan,
+                "result": workflow_result_to_dict(r.result),
+            }
+            for r in result.records
+        ],
     }
 
 
@@ -117,9 +186,7 @@ def result_metrics(result: ScenarioResult) -> Dict[str, float]:
     return metrics
 
 
-def scenario_result_to_dict(
-    result: ScenarioResult, include_ops: bool = False
-) -> Dict[str, Any]:
+def scenario_result_to_dict(result: ScenarioResult) -> Dict[str, Any]:
     """One scenario run as a self-describing JSON artifact.
 
     Carries the full spec (so the artifact alone reproduces the run
@@ -135,12 +202,12 @@ def scenario_result_to_dict(
     if result.surface == "synthetic":
         payload = synthetic_result_to_dict(res)
     elif result.surface == "workflow":
-        payload = workflow_result_to_dict(res, include_ops=include_ops)
+        payload = workflow_result_to_dict(res)
     else:
         payload = workload_result_to_dict(res)
     doc = {
         "schema": 1,
-        "kind": "scenario-result",
+        "kind": ARTIFACT_KIND,
         "name": result.spec.name,
         "surface": result.surface,
         "seed": result.spec.seed,
@@ -173,24 +240,20 @@ def scenario_result_to_dict(
     return doc
 
 
-def sweep_cell_to_dict(
-    cell: SweepCell, include_ops: bool = False
-) -> Dict[str, Any]:
+def sweep_cell_to_dict(cell: SweepCell) -> Dict[str, Any]:
     """One grid point: overrides plus either its artifact or its error."""
     return {
         "overrides": dict(cell.overrides),
         "error": cell.error,
         "result": (
-            scenario_result_to_dict(cell.result, include_ops=include_ops)
+            scenario_result_to_dict(cell.result)
             if cell.result is not None
             else None
         ),
     }
 
 
-def sweep_result_to_dict(
-    sweep: SweepResult, include_ops: bool = False
-) -> Dict[str, Any]:
+def sweep_result_to_dict(sweep: SweepResult) -> Dict[str, Any]:
     """A whole sweep grid as one JSON document, errored cells inline."""
     return {
         "schema": 1,
@@ -198,8 +261,5 @@ def sweep_result_to_dict(
         "base": sweep.base.to_dict(),
         "base_hash": sweep.base.spec_hash(),
         "axes": {k: list(v) for k, v in sweep.axes.items()},
-        "cells": [
-            sweep_cell_to_dict(c, include_ops=include_ops)
-            for c in sweep.cells
-        ],
+        "cells": [sweep_cell_to_dict(c) for c in sweep.cells],
     }

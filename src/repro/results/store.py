@@ -10,11 +10,13 @@ the frozen spec -- two stores produced at different commits from the
 changes, changed keys isolate spec changes (paired up by scenario
 name + seed + sweep overrides instead).
 
-The artifact payload is :func:`~repro.results.serialize
-.scenario_result_to_dict` verbatim; caller-stamped context that must
-*not* participate in the bit-for-bit result contract (git revision,
-wall time, the sweep overrides that produced the cell) lives under the
-``meta`` key.
+The artifact is :func:`run_artifact`: :func:`~repro.results.serialize
+.scenario_result_to_dict` verbatim plus caller-stamped context that
+must *not* participate in the bit-for-bit result contract (git
+revision, wall time, the overrides that produced the run) under the
+``meta`` key.  :func:`write_document` writes it, for the store and for
+``repro.cli run --export`` alike, and writes the sweep document of
+``sweep --export``.
 
 ::
 
@@ -35,7 +37,12 @@ from repro.results.serialize import scenario_result_to_dict
 from repro.scenario.runner import ScenarioResult
 from repro.scenario.spec import ScenarioSpec
 
-__all__ = ["ResultStore", "current_git_rev"]
+__all__ = [
+    "ResultStore",
+    "current_git_rev",
+    "run_artifact",
+    "write_document",
+]
 
 #: Hash-prefix length in artifact filenames: 48 bits -- far beyond any
 #: realistic store size, short enough to read.
@@ -61,6 +68,38 @@ def current_git_rev(default: str = "unknown") -> str:
         return default
     rev = out.stdout.strip()
     return rev if out.returncode == 0 and rev else default
+
+
+def run_artifact(
+    result: ScenarioResult,
+    overrides: Optional[Mapping[str, Any]] = None,
+    git_rev: Optional[str] = None,
+    wall_time_s: Optional[float] = None,
+) -> Dict[str, Any]:
+    """The artifact of one run: its scenario document plus ``meta``.
+
+    ``overrides`` records the ``--set`` or sweep-axis values that
+    derived the run's spec from its base (the stable pairing key when
+    specs -- and therefore hashes -- differ between two diffed stores);
+    ``git_rev``/``wall_time_s`` stamp provenance.  All three land under
+    ``meta``, outside the bit-for-bit result payload.
+    """
+    doc = scenario_result_to_dict(result)
+    doc["meta"] = {
+        "git_rev": git_rev,
+        "wall_time_s": wall_time_s,
+        "overrides": dict(overrides) if overrides else {},
+    }
+    return doc
+
+
+def write_document(doc: Mapping[str, Any], path: Union[str, Path]) -> Path:
+    """Write one artifact or sweep document as key-sorted JSON."""
+    path = Path(path)
+    path.write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return path
 
 
 class ResultStore:
@@ -97,29 +136,13 @@ class ResultStore:
         overrides: Optional[Mapping[str, Any]] = None,
         git_rev: Optional[str] = None,
         wall_time_s: Optional[float] = None,
-        include_ops: bool = False,
     ) -> Path:
-        """Persist one run; returns the artifact path.
-
-        ``overrides`` records the sweep-axis values that derived this
-        cell's spec from its base (the stable pairing key when specs
-        -- and therefore hashes -- differ between two diffed stores);
-        ``git_rev``/``wall_time_s`` stamp provenance.  All three land
-        under ``meta``, outside the bit-for-bit result payload.
-        """
-        doc = scenario_result_to_dict(result, include_ops=include_ops)
-        doc["meta"] = {
-            "git_rev": git_rev,
-            "wall_time_s": wall_time_s,
-            "overrides": dict(overrides) if overrides else {},
-        }
+        """Persist one run's :func:`run_artifact`; returns its path."""
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(result.spec)
-        path.write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        return write_document(
+            run_artifact(result, overrides, git_rev, wall_time_s),
+            self.path_for(result.spec),
         )
-        return path
 
     # -- retrieval ---------------------------------------------------------
 

@@ -96,12 +96,6 @@ class ScenarioResult:
     def makespan(self) -> float:
         return self.result.makespan
 
-    def to_dict(self, include_ops: bool = False) -> Dict[str, object]:
-        """JSON artifact form; see ``repro.results.serialize``."""
-        from repro.results.serialize import scenario_result_to_dict
-
-        return scenario_result_to_dict(self, include_ops=include_ops)
-
     def render(self) -> str:
         """The human-readable report (same tables as the CLI)."""
         from repro.experiments.charts import bar_chart

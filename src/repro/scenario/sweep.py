@@ -102,12 +102,6 @@ class SweepCell:
             )
         return self.result
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON document form; see ``repro.results.serialize``."""
-        from repro.results.serialize import sweep_cell_to_dict
-
-        return sweep_cell_to_dict(self)
-
 
 @dataclass
 class SweepResult:
@@ -122,12 +116,6 @@ class SweepResult:
 
     def errored_cells(self) -> List[SweepCell]:
         return [c for c in self.cells if not c.ok]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON document form; see ``repro.results.serialize``."""
-        from repro.results.serialize import sweep_result_to_dict
-
-        return sweep_result_to_dict(self)
 
     def _detail(self, cell: SweepCell) -> str:
         res = cell.result.result

@@ -29,7 +29,7 @@ from repro.workflow.dag import Task, Workflow, WorkflowFile
 __all__ = ["workflow_from_dict", "workflow_to_dict", "load_workflow", "save_workflow"]
 
 
-class WorkflowFormatError(Exception):
+class WorkflowFormatError(ValueError):
     """The serialized document does not describe a valid workflow."""
 
 

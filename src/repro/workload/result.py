@@ -211,12 +211,6 @@ class WorkloadResult:
 
     # -- reporting ---------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON document form; see ``repro.analysis.export``."""
-        from repro.analysis.export import workload_result_to_dict
-
-        return workload_result_to_dict(self)
-
     def render(self) -> str:
         rows = []
         waits = self.queue_wait_by_tenant()

@@ -1,4 +1,4 @@
-"""Tests for the strategy advisor and metrics summarization."""
+"""Tests for the strategy advisor."""
 
 import pytest
 
@@ -7,9 +7,7 @@ from repro.analysis.advisor import (
     profile_workflow,
     recommend_strategy,
 )
-from repro.analysis.metrics import summarize_ops
 from repro.metadata.controller import StrategyName
-from repro.metadata.stats import OpKind, OpRecord, OpStats
 from repro.util.units import KB, MB
 from repro.workflow.applications import buzzflow, montage
 
@@ -90,28 +88,3 @@ class TestProfileWorkflow:
         with pytest.raises(ValueError):
             profile_workflow(Workflow("empty"), n_sites=4, n_nodes=8)
 
-
-class TestMetrics:
-    def test_summarize(self):
-        stats = OpStats()
-        stats.add(
-            OpRecord(OpKind.WRITE, "k", "s", 0.0, 0.1, local=True)
-        )
-        stats.add(
-            OpRecord(
-                OpKind.READ, "k", "s", 0.1, 0.4, local=False, retries=2
-            )
-        )
-        m = summarize_ops(stats)
-        assert m.total_ops == 2
-        assert m.makespan == pytest.approx(0.4)
-        assert m.mean_write_latency == pytest.approx(0.1)
-        assert m.mean_read_latency == pytest.approx(0.3)
-        assert m.local_fraction == 0.5
-        assert m.total_retries == 2
-        assert m.as_dict()["throughput"] == pytest.approx(5.0)
-
-    def test_empty_stats(self):
-        m = summarize_ops(OpStats())
-        assert m.total_ops == 0
-        assert m.throughput == 0.0

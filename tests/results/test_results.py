@@ -4,6 +4,10 @@ import json
 
 import pytest
 
+from repro.cloud.deployment import Deployment
+from repro.cloud.presets import azure_4dc_topology
+from repro.metadata.controller import ArchitectureController
+from repro.metadata.stats import OpKind, OpRecord, OpStats
 from repro.results import (
     ResultStore,
     current_git_rev,
@@ -11,10 +15,12 @@ from repro.results import (
     diff_stores,
     result_metrics,
     scenario_result_to_dict,
-    spec_hash,
     sweep_result_to_dict,
+    workflow_result_to_dict,
 )
 from repro.scenario import ScenarioSpec, get_scenario, run_sweep
+from repro.workflow.engine import WorkflowEngine, WorkflowResult
+from repro.workflow.patterns import pipeline
 from repro.workload import WorkloadSpec
 
 
@@ -29,8 +35,9 @@ class TestSerialization:
         loaded = json.loads(json.dumps(doc))
         assert loaded["kind"] == "scenario-result"
         assert loaded["surface"] == "synthetic"
-        assert loaded["spec_hash"] == spec_hash(
-            ScenarioSpec.from_dict(loaded["spec"])
+        assert (
+            loaded["spec_hash"]
+            == ScenarioSpec.from_dict(loaded["spec"]).spec_hash()
         )
         assert loaded["metrics"]["makespan_s"] > 0
         assert loaded["metrics"]["throughput_ops_s"] > 0
@@ -59,8 +66,6 @@ class TestSerialization:
         assert loaded["surface"] == "workload"
         assert loaded["metrics"]["jain_fairness"] > 0
         assert loaded["metrics"]["completed"] == 2
-        # The result object's own to_dict goes through the same path.
-        assert result.to_dict() == doc
 
     def test_artifact_reproduces_run(self):
         # The embedded spec alone re-runs to the identical payload.
@@ -80,7 +85,77 @@ class TestSerialization:
         assert doc["cells"][0]["error"] is None
         assert doc["cells"][1]["result"] is None
         assert "nope" in doc["cells"][1]["error"]
-        assert sweep.to_dict() == sweep_result_to_dict(sweep)
+
+
+class TestWorkflowPayload:
+    @pytest.fixture
+    def result(self, fast_config):
+        dep = Deployment(
+            topology=azure_4dc_topology(jitter=False), n_nodes=4, seed=71
+        )
+        ctrl = ArchitectureController(
+            dep, strategy="hybrid", config=fast_config
+        )
+        engine = WorkflowEngine(dep, ctrl.strategy)
+        res = engine.run(pipeline(3, compute_time=0.05, extra_ops=4))
+        ctrl.shutdown()
+        return res
+
+    def test_workflow_result_dict_shape(self, result):
+        doc = workflow_result_to_dict(result)
+        assert doc["workflow"] == "pipeline"
+        assert doc["strategy"] == "hybrid"
+        assert doc["makespan"] > 0
+        assert len(doc["tasks"]) == 3
+        assert "op_metrics" in doc
+        assert "ops" not in doc
+
+
+class TestOpMetrics:
+    """The ``op_metrics`` block of a workflow payload: eight headline
+    numbers of the run's op trace."""
+
+    @staticmethod
+    def op_metrics(stats):
+        result = WorkflowResult(
+            workflow="w", strategy="hybrid", makespan=0.4, ops=stats
+        )
+        return workflow_result_to_dict(result)["op_metrics"]
+
+    def test_summarize(self):
+        stats = OpStats()
+        stats.add(
+            OpRecord(OpKind.WRITE, "k", "s", 0.0, 0.1, local=True)
+        )
+        stats.add(
+            OpRecord(
+                OpKind.READ, "k", "s", 0.1, 0.4, local=False, retries=2
+            )
+        )
+        m = self.op_metrics(stats)
+        assert sorted(m) == sorted(
+            [
+                "total_ops", "makespan", "throughput", "mean_read_latency",
+                "mean_write_latency", "p99_latency", "local_fraction",
+                "total_retries",
+            ]
+        )
+        assert m["total_ops"] == 2
+        assert m["makespan"] == pytest.approx(0.4)
+        assert m["mean_write_latency"] == pytest.approx(0.1)
+        assert m["mean_read_latency"] == pytest.approx(0.3)
+        assert m["local_fraction"] == 0.5
+        assert m["total_retries"] == 2
+        assert m["throughput"] == pytest.approx(5.0)
+
+    def test_empty_stats(self):
+        m = self.op_metrics(OpStats())
+        assert m["total_ops"] == 0
+        assert m["throughput"] == 0.0
+
+    def test_no_op_trace_no_block(self):
+        result = WorkflowResult(workflow="w", strategy="hybrid", makespan=1.0)
+        assert "op_metrics" not in workflow_result_to_dict(result)
 
 
 class TestResultStore:
@@ -146,6 +221,21 @@ class TestDiffArtifacts:
         assert diff.identical
         assert diff.spec_changes == {}
         assert "identical" in diff.render()
+
+    def test_documents_that_are_not_run_artifacts_are_refused(self):
+        artifact = scenario_result_to_dict(synthetic_result())
+        sweep = sweep_result_to_dict(
+            run_sweep(
+                get_scenario("paper_synthetic"), {"seed": [0]}, quick=True
+            )
+        )
+        with pytest.raises(ValueError, match=r"^B is not a run artifact: "
+                           r"kind 'sweep-result'"):
+            diff_artifacts(artifact, sweep)
+        for other in ({}, []):
+            with pytest.raises(ValueError, match=r"^A \(old\.json\) is not "
+                               r"a run artifact: kind None"):
+                diff_artifacts(other, artifact, a_label="old.json")
 
 
 class TestDiffStores:

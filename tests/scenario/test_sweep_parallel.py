@@ -5,6 +5,7 @@ import multiprocessing
 
 import pytest
 
+from repro.results import sweep_cell_to_dict
 from repro.scenario import get_scenario, run_cells, run_sweep
 from repro.scenario.sweep import NONE_LABELS
 
@@ -12,7 +13,7 @@ from repro.scenario.sweep import NONE_LABELS
 def _serialized_cells(sweep):
     """Each cell's result payload as canonical JSON (errors as-is)."""
     return [
-        json.dumps(c.to_dict()["result"], sort_keys=True)
+        json.dumps(sweep_cell_to_dict(c)["result"], sort_keys=True)
         if c.ok
         else c.error
         for c in sweep.cells

@@ -143,7 +143,25 @@ class TestCommands:
         import json
 
         doc = json.loads(out_path.read_text())
-        assert doc["strategy"] == "hybrid"
+        assert doc["kind"] == "scenario-result"
+        assert doc["result"]["strategy"] == "hybrid"
+        assert doc["meta"]["overrides"]["strategy.name"] == "dr"
+
+    @pytest.mark.parametrize(
+        "content", [None, "not json"], ids=["missing", "malformed"]
+    )
+    def test_run_with_bad_workflow_file_fails_cleanly(
+        self, content, capsys, tmp_path
+    ):
+        wf_path = tmp_path / "wf.json"
+        if content is not None:
+            wf_path.write_text(content)
+        rc = main(
+            ["run", "--scenario", "paper_default", "--quick",
+             "--set", f"workflow_file={wf_path}"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_advise_from_file(self, capsys, tmp_path):
         from repro.workflow import pipeline, save_workflow
@@ -159,6 +177,30 @@ class TestCommands:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["advise"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workflow", "montage", "--nodes", "0"],
+             "--nodes must be a positive integer, got 0"),
+            (["--workflow", "montage", "--ops", "-5"],
+             "--ops must be an integer >= 0, got -5"),
+            (["--file", "/nonexistent/wf.json"], "/nonexistent/wf.json"),
+            (["--file", "{bad}"], "invalid JSON in"),
+        ],
+        ids=["zero-nodes", "negative-ops", "missing-file", "bad-document"],
+    )
+    def test_advise_bad_input_fails_cleanly(
+        self, argv, message, capsys, tmp_path
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        argv = [a.replace("{bad}", str(bad)) for a in argv]
+        assert main(["advise"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert "recommended strategy" not in captured.out
 
 
 class TestFiguresCommand:
@@ -626,6 +668,7 @@ class TestSweepCommand:
         import json
 
         doc = json.loads(out_path.read_text())
+        assert doc["kind"] == "sweep-result"
         assert len(doc["cells"]) == 2
         assert doc["axes"] == {"n_nodes": [4, 8]}
 
@@ -709,8 +752,8 @@ class TestSweepParallelAndStore:
         assert "1 of 2 cells errored" in err
         doc = json.loads(out_path.read_text())
         assert doc["cells"][0]["error"] is None
-        assert doc["cells"][0]["makespan"] is not None
-        assert doc["cells"][1]["makespan"] is None
+        assert doc["cells"][0]["result"]["metrics"]["makespan_s"] > 0
+        assert doc["cells"][1]["result"] is None
         assert "nope" in doc["cells"][1]["error"]
 
 
@@ -815,6 +858,98 @@ class TestDiffCommand:
         rc = main(["diff", str(a), str(file_a)])
         assert rc == 2
         assert "two artifact files or two store" in capsys.readouterr().err
+
+    def _export(self, path, *overrides):
+        argv = ["run", "--scenario", "paper_synthetic", "--quick"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv + ["--export", str(path)]) == 0
+
+    def test_diff_two_run_exports_at_different_seeds(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._export(a)
+        self._export(b, "seed=3")
+        capsys.readouterr()
+        assert main(["diff", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        row = next(
+            line for line in out.splitlines() if "makespan_s" in line
+        )
+        assert "%" in row  # a delta, not an empty table
+        assert "seed" in out
+        assert "identical" not in out
+
+    def test_diff_refuses_a_sweep_document(self, capsys, tmp_path):
+        a, sweep = tmp_path / "a.json", tmp_path / "sweep.json"
+        self._export(a)
+        assert main(
+            ["sweep", "--scenario", "paper_synthetic", "--quick",
+             "--set", "seed=0,1", "--export", str(sweep)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["diff", str(a), str(sweep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: B (")
+        assert "kind 'sweep-result'" in err
+
+    def test_diff_refuses_an_empty_object(self, capsys, tmp_path):
+        a, empty = tmp_path / "a.json", tmp_path / "empty.json"
+        self._export(a)
+        empty.write_text("{}")
+        capsys.readouterr()
+        assert main(["diff", str(empty), str(a)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: A (")
+        assert "not a run artifact: kind None" in err
+
+
+class TestRunExport:
+    """``run --export`` writes the artifact a result store holds."""
+
+    def test_export_equals_the_stored_sweep_cell(self, capsys, tmp_path):
+        import json
+
+        exported = tmp_path / "run.json"
+        store = tmp_path / "runs"
+        source = ["--scenario", "paper_synthetic", "--quick",
+                  "--set", "seed=3"]
+        assert main(["run"] + source + ["--export", str(exported)]) == 0
+        assert main(["sweep"] + source + ["--out", str(store)]) == 0
+        assert "artifact written to" in capsys.readouterr().out
+        (stored,) = store.glob("*.json")
+        doc_run = json.loads(exported.read_text())
+        doc_sweep = json.loads(stored.read_text())
+        assert doc_run["meta"]["overrides"] == {"seed": 3}
+        assert doc_run["meta"].pop("wall_time_s") > 0
+        doc_sweep["meta"].pop("wall_time_s")
+        assert doc_run == doc_sweep
+
+    @pytest.mark.parametrize("scenario", ["paper_default", "multi_tenant_8"])
+    def test_export_on_workflow_and_workload_surfaces(
+        self, scenario, capsys, tmp_path
+    ):
+        import json
+
+        path = tmp_path / "run.json"
+        assert main(
+            ["run", "--scenario", scenario, "--quick", "--export", str(path)]
+        ) == 0
+        doc = json.loads(path.read_text())
+        assert doc["kind"] == "scenario-result"
+        assert doc["name"] == scenario
+        assert doc["metrics"]["makespan_s"] > 0
+
+    def test_traced_export_analyzes_from_disk(self, capsys, tmp_path):
+        path = tmp_path / "slo.json"
+        assert main(
+            ["run", "--scenario", "multi_tenant_slo", "--quick",
+             "--export", str(path)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--artifact", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "observed critical path" in out
+        assert "SLO verdict:" in out
 
 
 class TestTraceCommand:

@@ -258,7 +258,7 @@ class TestMetrics:
     def test_export_json_roundtrip(self, tmp_path):
         import json
 
-        from repro.analysis.export import export_json
+        from repro.results import workload_result_to_dict, write_document
 
         spec = WorkloadSpec.uniform(
             2, applications=("scatter",), ops_per_task=2,
@@ -266,7 +266,7 @@ class TestMetrics:
         )
         res, _ = run_workload(spec)
         out = tmp_path / "workload.json"
-        export_json(res, out)
+        write_document(workload_result_to_dict(res), out)
         doc = json.loads(out.read_text())
         assert doc["strategy"] == "hybrid"
         assert len(doc["instances"]) == 2
