@@ -1,0 +1,93 @@
+"""A run imports only the planes it executes.
+
+Each case runs a quick registry scenario in a fresh interpreter with
+``PYTHONPATH`` pointing at ``src`` and reads ``sys.modules`` after the
+run.  Every module a run loads costs setup time in every fresh process
+(each ``repro.cli`` command, each sweep worker), so the execution
+planes a spec does not ask for -- the workflow engine and transfers,
+the workload runner, the autoscaler, fault injection, the fair-share
+flow solver, trace analysis and export, the result store and the
+process pool -- must not load at all.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Modules of planes that a quick ``paper_synthetic`` run never uses.
+UNUSED_BY_SYNTHETIC = (
+    "repro.cloud.flow",
+    "repro.cloud.faults",
+    "repro.workflow.engine",
+    "repro.workflow.serialization",
+    "repro.workflow.traces",
+    "repro.workload.runner",
+    "repro.workload.result",
+    "repro.workload.generators",
+    "repro.elastic.controller",
+    "repro.elastic.report",
+    "repro.obs.analyze",
+    "repro.obs.export",
+    "repro.storage.transfer",
+    "repro.results",
+    "multiprocessing",
+)
+
+#: The workflow surface runs the engine and its transfers, nothing more.
+WORKFLOW_PLANES = ("repro.workflow.engine", "repro.storage.transfer")
+
+_PROBE = """
+import json, sys
+from repro.scenario import get_scenario
+get_scenario(sys.argv[1]).run(quick=True)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(scenario):
+    """Every module in ``sys.modules`` after a quick run of ``scenario``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, scenario],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_synthetic_run_loads_no_unused_plane():
+    loaded = loaded_modules("paper_synthetic")
+    assert sorted(loaded.intersection(UNUSED_BY_SYNTHETIC)) == []
+    assert len({m for m in loaded if m.split(".")[0] == "repro"}) <= 53
+
+
+def test_workflow_run_loads_only_the_engine_planes():
+    loaded = loaded_modules("paper_default")
+    unused = set(UNUSED_BY_SYNTHETIC).difference(WORKFLOW_PLANES)
+    assert sorted(loaded.intersection(unused)) == []
+    assert loaded.issuperset(WORKFLOW_PLANES)
+
+
+@pytest.mark.parametrize(
+    "scenario, planes",
+    [
+        ("fair_capped", ("repro.cloud.flow",)),
+        ("fanout_bandwidth_aware", ("repro.cloud.flow",)),
+        ("autoscale_ramp", ("repro.elastic.controller", "repro.obs.analyze")),
+        ("outage_resilience", ("repro.cloud.faults",)),
+    ],
+)
+def test_a_plane_loads_where_the_spec_uses_it(scenario, planes):
+    assert loaded_modules(scenario).issuperset(planes)
