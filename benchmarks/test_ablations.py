@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the registry design choices (README, Layout).
 
 Each ablation flips one design knob and reports its effect, grounding
 the paper's design arguments in measurements:

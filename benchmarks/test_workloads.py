@@ -11,11 +11,8 @@ import pytest
 from repro.cloud.deployment import Deployment
 from repro.experiments.workload_compare import run_workload_compare
 from repro.metadata.controller import ArchitectureController
-from repro.workload import (
-    MaxInFlightAdmission,
-    WorkloadRunner,
-    WorkloadSpec,
-)
+from repro.workload import MaxInFlightAdmission, WorkloadSpec
+from repro.workload.runner import WorkloadRunner
 
 pytestmark = pytest.mark.slow
 

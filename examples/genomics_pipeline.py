@@ -17,7 +17,7 @@ from repro import ArchitectureController, Deployment, StrategyName
 from repro.analysis import profile_workflow, recommend_strategy
 from repro.experiments.reporting import render_table
 from repro.util.units import KB
-from repro.workflow import WorkflowEngine
+from repro.workflow.engine import WorkflowEngine
 from repro.workflow.dag import Task, Workflow, WorkflowFile
 
 #: Sequencing stages, in order; each stage reads the previous stage's

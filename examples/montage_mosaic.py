@@ -15,7 +15,8 @@ import argparse
 from repro import ArchitectureController, Deployment, MetadataConfig, StrategyName
 from repro.analysis import profile_workflow, recommend_strategy
 from repro.experiments.reporting import render_table
-from repro.workflow import WorkflowEngine, montage
+from repro.workflow import montage
+from repro.workflow.engine import WorkflowEngine
 
 
 def main() -> None:

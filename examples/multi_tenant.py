@@ -15,7 +15,8 @@ Run:  python examples/multi_tenant.py
 from repro import ArchitectureController, Deployment, MetadataConfig, StrategyName
 from repro.experiments.reporting import render_table
 from repro.sim import AllOf
-from repro.workflow import WorkflowEngine, buzzflow, montage
+from repro.workflow import buzzflow, montage
+from repro.workflow.engine import WorkflowEngine
 
 
 def run_tenants(strategy: str):

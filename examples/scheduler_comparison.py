@@ -26,7 +26,8 @@ from repro import (
 from repro.experiments.reporting import render_table
 from repro.experiments.scheduler_compare import run_scheduler_compare
 from repro.util.units import MB
-from repro.workflow import WorkflowEngine, montage
+from repro.workflow import montage
+from repro.workflow.engine import WorkflowEngine
 
 
 def montage_table(ops: int) -> None:

@@ -20,8 +20,14 @@ Quickstart::
 
     dep.run_process(publish(dep.env))
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-versus-measured results.
+The README's Layout section maps the architecture, and ``repro.cli
+figures`` (README, Quick start) prints the paper-versus-measured checks.
+
+The package re-exports the substrate and metadata names of the
+quickstart, which every run loads anyway.  Execution planes load where
+a run uses them: import the workload runner from
+:mod:`repro.workload.runner` and the workflow engine from
+:mod:`repro.workflow.engine`.
 """
 
 from repro.cloud import (
@@ -61,7 +67,6 @@ from repro.sim import Environment
 from repro.workload import (
     ADMISSION_NAMES,
     TenantSpec,
-    WorkloadRunner,
     WorkloadSpec,
 )
 
@@ -95,7 +100,6 @@ __all__ = [
     "StrategyName",
     "TenantSpec",
     "VirtualMachine",
-    "WorkloadRunner",
     "WorkloadSpec",
     "azure_4dc_topology",
     "make_scheduler",

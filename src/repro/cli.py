@@ -555,7 +555,7 @@ def _render_obs(obs: dict) -> str:
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs import write_chrome_trace, write_jsonl
+    from repro.obs.export import write_chrome_trace, write_jsonl
 
     try:
         spec = load_spec(args)
@@ -849,7 +849,7 @@ def _run_report(args) -> str:
     if result.analysis is not None:
         parts.append(_render_analysis(result.analysis.to_dict()))
     if result.elastic is not None:
-        from repro.obs import capacity_timeline
+        from repro.obs.analyze import capacity_timeline
 
         parts.append(result.elastic.render())
         timeline = (

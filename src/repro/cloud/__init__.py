@@ -8,6 +8,12 @@ three-level taxonomy (local / same-region / geo-distant, Section IV).
 The concrete 4-datacenter Azure layout used throughout the evaluation
 (North Europe, West Europe, South Central US, East US) is provided as
 :data:`repro.cloud.presets.AZURE_4DC`.
+
+The package re-exports the substrate every run builds (topology,
+network, VMs, deployment, presets).  The fair-share flow solver
+(:mod:`repro.cloud.flow`) and the fault injectors
+(:mod:`repro.cloud.faults`) load only where a run uses them: import
+them from their modules.
 """
 
 from repro.cloud.topology import (
@@ -17,8 +23,12 @@ from repro.cloud.topology import (
     Region,
     SiteSpec,
 )
-from repro.cloud.flow import FlowAborted, FlowNetwork
-from repro.cloud.network import Network, NetworkMessage, RpcError
+from repro.cloud.network import (
+    FlowAborted,
+    Network,
+    NetworkMessage,
+    RpcError,
+)
 from repro.cloud.vm import VirtualMachine, VMRole, VMSize
 from repro.cloud.deployment import Deployment
 from repro.cloud.presets import (
@@ -36,7 +46,6 @@ __all__ = [
     "Deployment",
     "Distance",
     "FlowAborted",
-    "FlowNetwork",
     "Network",
     "NetworkMessage",
     "Region",

@@ -90,6 +90,9 @@ import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim import Environment, Event, SimulationError
+# Defined with the network, whose fair transfers catch it, so that a
+# slots-model run never loads the solver; re-exported here unchanged.
+from repro.cloud.network import FlowAborted
 
 __all__ = [
     "FairShareLink",
@@ -103,17 +106,6 @@ __all__ = [
 #: current water level (guards against last-ulp float noise splitting
 #: simultaneous bottlenecks into separate freeze rounds).
 _LEVEL_RTOL = 1e-12
-
-
-class FlowAborted(SimulationError):
-    """An in-flight flow was torn down (site outage, link flap)."""
-
-    def __init__(self, flow: "Flow", reason: str = ""):
-        super().__init__(
-            f"{flow!r} aborted" + (f": {reason}" if reason else "")
-        )
-        self.flow = flow
-        self.reason = reason
 
 
 class Flow:

@@ -46,16 +46,27 @@ network noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterable, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Generator,
+    Iterable,
+    Optional,
+    Tuple,
+)
 
-from repro.sim import Environment, Resource
-from repro.cloud.flow import FairShareLink, FlowAborted, FlowNetwork
+from repro.sim import Environment, Resource, SimulationError
 from repro.cloud.topology import CloudTopology
 from repro.obs import NULL_TRACER
 from repro.util.rng import RngStreams
 
+if TYPE_CHECKING:  # the solver is imported where the fair model builds it
+    from repro.cloud.flow import FairShareLink, Flow, FlowNetwork
+
 __all__ = [
     "BANDWIDTH_MODELS",
+    "FlowAborted",
     "Network",
     "NetworkMessage",
     "NetworkStats",
@@ -68,6 +79,22 @@ BANDWIDTH_MODELS = ("slots", "fair")
 
 class RpcError(Exception):
     """Raised to RPC callers when the remote service fails the request."""
+
+
+class FlowAborted(SimulationError):
+    """An in-flight flow was torn down (site outage, link flap).
+
+    Raised by :mod:`repro.cloud.flow` (which re-exports it) and caught
+    by the fair transfer path here and in the storage layer; it lives
+    here so those catchers do not load the solver.
+    """
+
+    def __init__(self, flow: "Flow", reason: str = ""):
+        super().__init__(
+            f"{flow!r} aborted" + (f": {reason}" if reason else "")
+        )
+        self.flow = flow
+        self.reason = reason
 
 
 @dataclass(slots=True)
@@ -191,11 +218,13 @@ class Network:
         self._routes: Dict[Tuple[str, str], Tuple[Any, str]] = {}
         #: Fair model: all links and their site-cap coupling, lazily
         #: populated per directed pair (None under the slot model).
-        self.flow_net: Optional[FlowNetwork] = (
-            FlowNetwork(env, site_caps=topology.site_caps, solver=flow_solver)
-            if bandwidth_model == "fair"
-            else None
-        )
+        self.flow_net: Optional[FlowNetwork] = None
+        if self._fair:
+            from repro.cloud.flow import FlowNetwork
+
+            self.flow_net = FlowNetwork(
+                env, site_caps=topology.site_caps, solver=flow_solver
+            )
         self.stats = NetworkStats()
         # Observability: category flags cached as plain booleans (the
         # tracer must already be attached to env -- see

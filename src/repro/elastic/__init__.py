@@ -26,9 +26,14 @@ Everything is deterministic and RNG-free: identical spec + seed replay
 an identical action sequence, and a disabled spec constructs nothing,
 schedules nothing and draws nothing (existing goldens stay bit-for-bit).
 See ``docs/elasticity.md``.
+
+The package re-exports the policies, whose name table the scenario
+spec validates against.  The controller
+(:mod:`repro.elastic.controller`) and its report
+(:mod:`repro.elastic.report`) load only when a spec enables
+elasticity: import them from their modules.
 """
 
-from repro.elastic.controller import ElasticController, ElasticSignals
 from repro.elastic.policies import (
     ELASTICITY_NAMES,
     ELASTICITY_POLICIES,
@@ -41,14 +46,10 @@ from repro.elastic.policies import (
     ThresholdPolicy,
     make_elasticity_policy,
 )
-from repro.elastic.report import ElasticReport
 
 __all__ = [
     "ELASTICITY_NAMES",
     "ELASTICITY_POLICIES",
-    "ElasticController",
-    "ElasticReport",
-    "ElasticSignals",
     "ElasticityPolicy",
     "FleetView",
     "PredictivePolicy",

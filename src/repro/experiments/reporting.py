@@ -1,7 +1,8 @@
 """Plain-text reporting: aligned tables and paper-vs-measured summaries.
 
 Every figure experiment renders through these helpers so benchmark
-output is uniform and diff-able (EXPERIMENTS.md embeds these tables).
+output is uniform and diff-able (``repro.cli figures`` prints these
+tables; see the README's Quick start).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Tunables of the metadata service, with calibrated defaults.
 
 Defaults are calibrated so the simulated service reproduces the *shapes*
-of the paper's figures (see DESIGN.md Section 5): a single registry
+of the paper's figures (the ``[ok]``/``[MISS]`` checks ``repro.cli
+figures`` prints; see the README's Quick start): a single registry
 instance saturates in the low hundreds of ops/s (the Fig. 5/7
 centralized bottleneck), remote ops cost 1-2 orders of magnitude more
 than local ones (Fig. 1), and the sync agent of the replicated strategy

@@ -17,7 +17,8 @@ Two propagation mechanisms, one per strategy family:
 :class:`ConsistencyTracker` measures the *inconsistency window*: the
 time between an entry's creation and the moment it becomes visible at
 every responsible instance.  The paper argues this window is harmless
-for workflow workloads; EXPERIMENTS.md quantifies it.
+for workflow workloads; ``tests/integration/test_end_to_end.py``
+bounds it for the replicated strategy.
 """
 
 from __future__ import annotations

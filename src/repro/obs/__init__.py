@@ -4,18 +4,15 @@ The package is deliberately dependency-free (it imports nothing from the
 rest of ``repro``) so every layer -- kernel, cloud, metadata, scheduling,
 workload -- can import it without cycles.  See ``docs/observability.md``
 for the event taxonomy, span model and exporter formats.
+
+The package re-exports the recorder (:mod:`repro.obs.trace`) and the
+streaming metrics behind it (:mod:`repro.obs.metrics`), which every
+layer imports for ``NULL_TRACER``.  The post-run consumers -- trace
+analysis (:mod:`repro.obs.analyze`) and the Chrome/JSONL exporters
+(:mod:`repro.obs.export`) -- load only when a run is traced or
+exported: import them from their modules.
 """
 
-from repro.obs.analyze import (
-    ATTRIBUTION_BUCKETS,
-    PathStep,
-    RunAnalysis,
-    UtilizationSummary,
-    WorkflowAnalysis,
-    analyze_tracer,
-    capacity_timeline,
-    concurrency_profile,
-)
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -30,22 +27,8 @@ from repro.obs.metrics import (
     P2Quantile,
     ReservoirHistogram,
 )
-from repro.obs.export import (
-    chrome_trace_doc,
-    events_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
 
 __all__ = [
-    "ATTRIBUTION_BUCKETS",
-    "PathStep",
-    "RunAnalysis",
-    "UtilizationSummary",
-    "WorkflowAnalysis",
-    "analyze_tracer",
-    "capacity_timeline",
-    "concurrency_profile",
     "NULL_TRACER",
     "NullTracer",
     "Span",
@@ -56,8 +39,4 @@ __all__ = [
     "MetricsRegistry",
     "P2Quantile",
     "ReservoirHistogram",
-    "chrome_trace_doc",
-    "events_jsonl",
-    "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -15,6 +15,11 @@ placement policy (:func:`_placement_policy`), the admission controller
 built here and handed to the engine and the workload runner, which
 resolve no policy themselves.
 
+Each execution plane is imported in the branch that builds it: a
+synthetic run loads neither the engine nor the transfer service, and
+the fault injectors, the autoscaler and trace analysis load only for a
+spec that asks for them.
+
 The dispatch preserves the seed-exact code paths bit-for-bit: a
 spec-driven run issues exactly the calls the pre-spec plumbing did
 (pinned by the golden equivalence tests in
@@ -24,29 +29,24 @@ spec-driven run issues exactly the calls the pre-spec plumbing did
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cloud.deployment import Deployment
-from repro.elastic import ElasticController, ElasticReport, ElasticSignals
-from repro.cloud.faults import (
-    FaultEvent,
-    LatencySpikeInjector,
-    LinkFlapInjector,
-    RegionOutage,
-    SiteOutage,
-)
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController
-from repro.obs import RunAnalysis, Tracer, analyze_tracer
+from repro.obs import Tracer
 from repro.scenario.slo import SLOReport, evaluate_slo
 from repro.scenario.spec import ScenarioSpec, SchedulerSpec
-from repro.scheduling import PlacementPolicy, make_scheduler
 from repro.sim import Environment
-from repro.storage.transfer import TransferService
 from repro.util.units import MB
-from repro.workflow.engine import WorkflowEngine
-from repro.workload.admission import AdmissionController, make_admission
-from repro.workload.runner import WorkloadRunner
+
+if TYPE_CHECKING:  # each plane is imported where the run builds it
+    from repro.cloud.faults import FaultEvent
+    from repro.elastic.controller import ElasticController, ElasticSignals
+    from repro.elastic.report import ElasticReport
+    from repro.obs.analyze import RunAnalysis
+    from repro.scheduling import PlacementPolicy
+    from repro.workload.admission import AdmissionController
 
 __all__ = ["ScenarioResult", "run_scenario"]
 
@@ -177,6 +177,15 @@ def _wire_faults(
     data-plane teardown is wired through the network unconditionally
     (a safe no-op under the slot model).
     """
+    if not spec.faults:
+        return []
+    from repro.cloud.faults import (
+        LatencySpikeInjector,
+        LinkFlapInjector,
+        RegionOutage,
+        SiteOutage,
+    )
+
     env = deployment.env
     network = deployment.network
     injectors: List[object] = []
@@ -260,6 +269,8 @@ def _finalize(result: ScenarioResult) -> ScenarioResult:
     """
     tracer = result.tracer
     if tracer is not None and tracer.wants("span"):
+        from repro.obs.analyze import analyze_tracer
+
         result.analysis = analyze_tracer(tracer)
     if result.spec.slo is not None and not result.spec.slo.empty:
         result.slo = evaluate_slo(result.spec.slo, result)
@@ -268,6 +279,8 @@ def _finalize(result: ScenarioResult) -> ScenarioResult:
 
 def _elastic_signals(spec: ScenarioSpec) -> ElasticSignals:
     """Workload-surface sensors, fed deadline targets from the SLO spec."""
+    from repro.elastic.controller import ElasticSignals
+
     slo = spec.slo
     return ElasticSignals(
         tenant_deadlines=(
@@ -287,6 +300,8 @@ def _start_elastic(
     """Construct and start the control loop (None when disabled)."""
     if not spec.elasticity.enabled:
         return None
+    from repro.elastic.controller import ElasticController
+
     controller = ElasticController(
         deployment,
         cluster,
@@ -305,6 +320,8 @@ def _placement_policy(spec: SchedulerSpec) -> PlacementPolicy:
     two bandwidth-aware policies and the weights to ``hybrid`` only
     (validation rejects them pinned anywhere else).
     """
+    from repro.scheduling import make_scheduler
+
     name = spec.name or "locality"
     knobs: Dict[str, float] = {}
     if name in ("bandwidth_aware", "hybrid"):
@@ -327,6 +344,8 @@ def _admission_controller(
     controller's constructor default (validation ties each knob to its
     policy).
     """
+    from repro.workload.admission import make_admission
+
     knobs: Dict[str, float] = {}
     if spec.max_in_flight is not None:
         knobs["limit"] = spec.max_in_flight
@@ -450,6 +469,8 @@ def run_scenario(
     injectors = _wire_faults(
         spec, deployment, registries=controller.strategy.registries
     )
+    from repro.storage.transfer import TransferService
+
     transfer = TransferService(
         env,
         deployment.network,
@@ -458,6 +479,8 @@ def run_scenario(
     )
     policy = _placement_policy(spec.scheduler)
     if spec.surface == "workflow":
+        from repro.workflow.engine import WorkflowEngine
+
         engine = WorkflowEngine(
             deployment,
             controller.strategy,
@@ -489,6 +512,8 @@ def run_scenario(
                 tracer=tracer,
             )
         )
+
+    from repro.workload.runner import WorkloadRunner
 
     signals = (
         _elastic_signals(spec) if spec.elasticity.enabled else None

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -283,6 +282,8 @@ def _stream_cells(payloads, jobs: int) -> Iterator[SweepCell]:
             wf = copy.deepcopy(wf) if wf is not None else None
             yield _run_cell((overrides, spec, quick, wf, config))
         return
+    import multiprocessing  # the pool only: serial sweeps never load it
+
     with multiprocessing.Pool(processes=jobs) as pool:
         # chunksize=1: cells are coarse units; keep ordering simple and
         # let slow cells overlap fast ones.

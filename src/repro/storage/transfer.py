@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Iterable, List, Optional
 
 from repro.sim import Environment
-from repro.cloud.flow import FlowAborted
-from repro.cloud.network import Network
+from repro.cloud.network import FlowAborted, Network
 from repro.storage.filestore import FileStore, StoredFile
 
 __all__ = ["TransferService"]

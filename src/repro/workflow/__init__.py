@@ -5,6 +5,13 @@ standalone computations exchanging data through files; the engine is a
 scheduler that builds a task-dependency graph from the tasks'
 input/output files, queries the metadata service for file locations,
 moves data when needed and publishes metadata for produced files.
+
+The package re-exports the DAG model, the access patterns and the
+paper's applications, which the scenario spec names.  The engine
+(:mod:`repro.workflow.engine`), the JSON format
+(:mod:`repro.workflow.serialization`) and the trace-driven generator
+(:mod:`repro.workflow.traces`) load only where they run: import them
+from their modules.
 """
 
 from repro.workflow.dag import Task, Workflow, WorkflowFile
@@ -16,38 +23,16 @@ from repro.workflow.patterns import (
     scatter,
 )
 from repro.workflow.applications import buzzflow, montage
-from repro.workflow.engine import TaskResult, WorkflowEngine, WorkflowResult
-from repro.workflow.serialization import (
-    load_workflow,
-    save_workflow,
-    workflow_from_dict,
-    workflow_to_dict,
-)
-from repro.workflow.traces import (
-    TraceProfile,
-    characterize,
-    generate_trace_workflow,
-)
 
 __all__ = [
     "Task",
-    "TaskResult",
-    "TraceProfile",
     "Workflow",
-    "WorkflowEngine",
     "WorkflowFile",
-    "WorkflowResult",
     "broadcast",
     "buzzflow",
-    "characterize",
     "gather",
-    "generate_trace_workflow",
-    "load_workflow",
     "montage",
     "pipeline",
     "reduce_tree",
-    "save_workflow",
     "scatter",
-    "workflow_from_dict",
-    "workflow_to_dict",
 ]

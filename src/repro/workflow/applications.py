@@ -12,7 +12,7 @@ are created based on user requests.  It includes a split followed by a
 set of parallelized jobs and finally a merge operation."  Modeled as
 split -> N parallel projection jobs -> regional merges -> final mosaic.
 160 jobs, matching Table I's totals (160 x 100 = 16,000; 160 x 200 =
-32,000; the paper rounds the MI total to 150,000 -- see EXPERIMENTS.md).
+32,000; the paper rounds the MI total to 150,000 -- see ``TABLE_I``).
 
 Both builders take ``ops_per_task`` and ``compute_time`` so the three
 evaluation scenarios (Small Scale / Computation Intensive / Metadata

@@ -5,6 +5,13 @@ streams of workflow instances (closed-loop with think time, or open-loop
 Poisson/trace arrivals) against one deployment, one metadata strategy
 and one placement policy, with pluggable admission control and
 per-tenant fairness accounting.  See ``docs/workloads.md``.
+
+The package re-exports the admission policies and the workload spec,
+which the scenario spec names.  The runner
+(:mod:`repro.workload.runner`), its result
+(:mod:`repro.workload.result`) and the arrival generators
+(:mod:`repro.workload.generators`) load only on the workload surface:
+import them from their modules.
 """
 
 from repro.workload.admission import (
@@ -16,13 +23,6 @@ from repro.workload.admission import (
     UnboundedAdmission,
     make_admission,
 )
-from repro.workload.generators import (
-    WorkflowInstance,
-    arrival_offsets,
-    generate_instances,
-)
-from repro.workload.result import InstanceRecord, WorkloadResult, jain_index
-from repro.workload.runner import WorkloadRunner
 from repro.workload.spec import (
     APPLICATIONS,
     APPLICATION_NAMES,
@@ -36,17 +36,10 @@ __all__ = [
     "APPLICATIONS",
     "APPLICATION_NAMES",
     "AdmissionController",
-    "InstanceRecord",
     "MaxInFlightAdmission",
     "TenantSpec",
     "TokenBucketAdmission",
     "UnboundedAdmission",
-    "WorkflowInstance",
-    "WorkloadResult",
-    "WorkloadRunner",
     "WorkloadSpec",
-    "arrival_offsets",
-    "generate_instances",
-    "jain_index",
     "make_admission",
 ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.deployment import Deployment
 from repro.cloud.presets import azure_4dc_topology
-from repro.elastic import ElasticController, ElasticSignals
+from repro.elastic.controller import ElasticController, ElasticSignals
 from repro.obs.trace import Tracer
 from repro.scenario import ElasticitySpec, get_scenario
 

@@ -9,7 +9,7 @@ and analysis never perturbs the simulation.
 
 import pytest
 
-from repro.obs import (
+from repro.obs.analyze import (
     ATTRIBUTION_BUCKETS,
     RunAnalysis,
     analyze_tracer,
@@ -244,7 +244,7 @@ class TestIntegration:
 
 class TestCapacityTimeline:
     def test_builds_per_site_placeable_steps(self):
-        from repro.obs import capacity_timeline
+        from repro.obs.analyze import capacity_timeline
 
         tracer = FakeTracer(events=[
             (0.0, "elastic", "fleet", {"site": "a", "vms": 1}),
@@ -269,12 +269,12 @@ class TestCapacityTimeline:
         }
 
     def test_empty_tracer_yields_empty_timeline(self):
-        from repro.obs import capacity_timeline
+        from repro.obs.analyze import capacity_timeline
 
         assert capacity_timeline(FakeTracer()) == {}
 
     def test_live_elastic_run_timeline_matches_fleet_report(self):
-        from repro.obs import capacity_timeline
+        from repro.obs.analyze import capacity_timeline
 
         res = get_scenario("autoscale_ramp").run(quick=True)
         timeline = capacity_timeline(res.tracer)

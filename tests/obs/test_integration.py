@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs import chrome_trace_doc, events_jsonl, write_chrome_trace
+from repro.obs.export import chrome_trace_doc, events_jsonl, write_chrome_trace
 from repro.results import diff_artifacts, scenario_result_to_dict
 from repro.scenario import ObservabilitySpec, ScenarioSpec, get_scenario
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import chrome_trace_doc, events_jsonl
+from repro.obs.export import chrome_trace_doc, events_jsonl
 from repro.scenario import ObservabilitySpec, get_scenario
 
 

@@ -33,12 +33,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import (
-    TRACE_CATEGORIES,
-    capacity_timeline,
-    chrome_trace_doc,
-    events_jsonl,
-)
+from repro.obs import TRACE_CATEGORIES
+from repro.obs.analyze import capacity_timeline
+from repro.obs.export import chrome_trace_doc, events_jsonl
 from repro.scenario import ObservabilitySpec, get_scenario
 
 #: scenario -> (sha256 of the JSONL stream, lines, events_processed)

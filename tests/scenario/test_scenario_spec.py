@@ -745,7 +745,7 @@ class TestConfigMapping:
     def test_admission_knobs_reach_the_runner(
         self, monkeypatch, admission, expected
     ):
-        from repro.workload import WorkloadRunner
+        from repro.workload.runner import WorkloadRunner
 
         runners = self.built(monkeypatch, WorkloadRunner)
         get_scenario("multi_tenant_8").replace(

@@ -12,7 +12,8 @@ from repro.metadata.controller import ArchitectureController
 from repro.scheduling import TenantContext
 from repro.workflow.engine import WorkflowEngine
 from repro.workflow.patterns import scatter
-from repro.workload import WorkloadRunner, WorkloadSpec
+from repro.workload import WorkloadSpec
+from repro.workload.runner import WorkloadRunner
 
 
 def _run_workload_with_probe(monkeypatch):

@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from repro.obs import Tracer, events_jsonl
+from repro.obs import Tracer
+from repro.obs.export import events_jsonl
 from repro.sim import Environment, Resource
 from repro.sim.core import Event
 from repro.sim.resources import Request

@@ -121,7 +121,8 @@ class TestCommands:
         assert "--jobs" in capsys.readouterr().err
 
     def test_run_with_workflow_file_and_export(self, capsys, tmp_path):
-        from repro.workflow import pipeline, save_workflow
+        from repro.workflow import pipeline
+        from repro.workflow.serialization import save_workflow
 
         wf_path = tmp_path / "wf.json"
         out_path = tmp_path / "run.json"
@@ -164,7 +165,8 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_advise_from_file(self, capsys, tmp_path):
-        from repro.workflow import pipeline, save_workflow
+        from repro.workflow import pipeline
+        from repro.workflow.serialization import save_workflow
 
         wf_path = tmp_path / "wf.json"
         save_workflow(pipeline(5, extra_ops=1200), wf_path)

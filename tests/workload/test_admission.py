@@ -12,9 +12,9 @@ from repro.workload import (
     MaxInFlightAdmission,
     TokenBucketAdmission,
     UnboundedAdmission,
-    WorkloadRunner,
     make_admission,
 )
+from repro.workload.runner import WorkloadRunner
 
 
 def drive(env, gen):

@@ -4,13 +4,9 @@ import pytest
 
 from repro.cloud.deployment import Deployment
 from repro.metadata.controller import ArchitectureController
-from repro.workload import (
-    TenantSpec,
-    WorkloadRunner,
-    WorkloadSpec,
-    arrival_offsets,
-    generate_instances,
-)
+from repro.workload import TenantSpec, WorkloadSpec
+from repro.workload.generators import arrival_offsets, generate_instances
+from repro.workload.runner import WorkloadRunner
 from repro.util.rng import RngStreams
 
 

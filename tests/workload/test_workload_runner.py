@@ -4,13 +4,9 @@ import pytest
 
 from repro.cloud.deployment import Deployment
 from repro.metadata.controller import ArchitectureController
-from repro.workload import (
-    MaxInFlightAdmission,
-    TenantSpec,
-    WorkloadRunner,
-    WorkloadSpec,
-    jain_index,
-)
+from repro.workload import MaxInFlightAdmission, TenantSpec, WorkloadSpec
+from repro.workload.result import jain_index
+from repro.workload.runner import WorkloadRunner
 
 
 def run_workload(
