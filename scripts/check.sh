@@ -44,9 +44,11 @@
 #      NaN compute_time, which used to die mid-run in the kernel
 #      ("Invalid delay nan"), and run with a NaN topology.jitter, which
 #      used to run jittered under a spec hash of its own, must each
-#      exit 2 with the validate() message; and run --dump-spec into a
+#      exit 2 with the validate() message; run --dump-spec into a
 #      missing directory, which used to end in a traceback, must exit 2
-#      with an "error:" line;
+#      with an "error:" line; and results on a store holding a sweep
+#      --export document, which it used to list as a "?" run, must exit
+#      2 with an "error:" line naming the file;
 #   6. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
@@ -148,7 +150,8 @@ grep -q "^error:" "$TMP/out.txt"
 # so a NaN knob given to sweep --set must be refused by validate() and
 # the cell reported as errored with that message; given to run --set,
 # it must stop the run before it starts (exit 2), and so must a NaN
-# switch.  An output path in a missing directory exits 2 with "error:".
+# switch.  An output path in a missing directory exits 2 with "error:",
+# and so does a result store holding a document that is no run artifact.
 python -m repro.cli sweep --scenario fanout_bandwidth_aware \
     --set network.transfer_flow_weight=NaN --quick > "$TMP/nan.txt" 2>&1
 grep -q "ERROR: ValueError: transfer_flow_weight must be a positive finite" \
@@ -176,6 +179,12 @@ python -m repro.cli run --scenario paper_default \
     --dump-spec /nonexistent/dir/x.json > "$TMP/out.txt" 2>&1 || rc=$?
 [ "$rc" = 2 ]
 grep -q "^error:" "$TMP/out.txt"
+mkdir "$TMP/mixed"
+cp "$TMP/a.json" "$TMP/sweep.json" "$TMP/mixed/"
+rc=0
+python -m repro.cli results "$TMP/mixed" > "$TMP/out.txt" 2>&1 || rc=$?
+[ "$rc" = 2 ]
+grep -q "^error: .*sweep.json is not a run artifact" "$TMP/out.txt"
 
 # Trace smoke: full tracing on a quick scenario must yield a valid,
 # non-empty Chrome trace with every major layer represented.  The

@@ -1007,8 +1007,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_results(args) -> int:
-    store = ResultStore(args.store)
-    docs = store.list()
+    try:
+        docs = ResultStore(args.store).list()
+    except ValueError as exc:
+        return _fail(exc)
     if not docs:
         print(f"error: no artifacts in {args.store}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.results.serialize import ARTIFACT_KIND
+from repro.results.serialize import check_artifact
 from repro.results.store import ResultStore
 
 __all__ = [
@@ -190,13 +190,7 @@ def diff_artifacts(
     no ``metrics`` and would diff as identical.
     """
     for side, label, doc in (("A", a_label, a), ("B", b_label, b)):
-        kind = doc.get("kind") if isinstance(doc, Mapping) else None
-        if kind != ARTIFACT_KIND:
-            name = side if label == side else f"{side} ({label})"
-            raise ValueError(
-                f"{name} is not a run artifact: kind {kind!r}, expected "
-                f"{ARTIFACT_KIND!r} (run --export or sweep --out write one)"
-            )
+        check_artifact(doc, side if label == side else f"{side} ({label})")
     flat_a: Dict[str, Any] = {}
     flat_b: Dict[str, Any] = {}
     _flatten(a.get("spec", {}), "", flat_a)

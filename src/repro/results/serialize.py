@@ -25,7 +25,7 @@ parallel-vs-serial bit-for-bit contract covers them) --
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Mapping
 
 from repro.experiments.synthetic import SyntheticResult
 from repro.metadata.stats import OpKind
@@ -35,6 +35,7 @@ from repro.workflow.engine import TaskResult, WorkflowResult
 from repro.workload.result import WorkloadResult
 
 __all__ = [
+    "check_artifact",
     "result_metrics",
     "scenario_result_to_dict",
     "sweep_cell_to_dict",
@@ -46,6 +47,24 @@ __all__ = [
 
 #: The ``kind`` of a run artifact, the one document ``diff`` compares.
 ARTIFACT_KIND = "scenario-result"
+
+
+def check_artifact(doc: Any, name: str) -> Mapping[str, Any]:
+    """``doc`` itself when it is a run artifact: a JSON object of
+    ``kind`` :data:`ARTIFACT_KIND`.
+
+    Any other document -- a sweep document, a list, an object without
+    a ``kind`` -- raises ``ValueError`` naming ``name`` and its kind:
+    it has no ``spec`` and no ``metrics``, so a diff would read it as
+    identical and a store would list it as a run.
+    """
+    kind = doc.get("kind") if isinstance(doc, Mapping) else None
+    if kind != ARTIFACT_KIND:
+        raise ValueError(
+            f"{name} is not a run artifact: kind {kind!r}, expected "
+            f"{ARTIFACT_KIND!r} (run --export or sweep --out write one)"
+        )
+    return doc
 
 
 def synthetic_result_to_dict(result: SyntheticResult) -> Dict[str, Any]:

@@ -33,7 +33,7 @@ import subprocess
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.results.serialize import scenario_result_to_dict
+from repro.results.serialize import check_artifact, scenario_result_to_dict
 from repro.scenario.runner import ScenarioResult
 from repro.scenario.spec import ScenarioSpec
 
@@ -158,10 +158,15 @@ class ResultStore:
         return json.loads(path.read_text(encoding="utf-8"))
 
     def list(self) -> List[Dict[str, Any]]:
-        """Every artifact document, in key order, ``key`` included."""
+        """Every artifact document, in key order, ``key`` included.
+
+        Raises ``ValueError`` naming the first file that is not a run
+        artifact (:func:`~repro.results.serialize.check_artifact`).
+        """
         docs = []
         for path in self.paths():
             doc = json.loads(path.read_text(encoding="utf-8"))
+            check_artifact(doc, str(path))
             doc["key"] = path.stem
             docs.append(doc)
         return docs

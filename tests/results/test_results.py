@@ -196,6 +196,24 @@ class TestResultStore:
         assert ResultStore(tmp_path / "nope").list() == []
         assert len(ResultStore(tmp_path / "nope")) == 0
 
+    @pytest.mark.parametrize(
+        "document, kind",
+        [([], "None"), ({"kind": "sweep-result"}, "'sweep-result'"),
+         ({}, "None")],
+    )
+    def test_list_refuses_a_file_that_is_no_run_artifact(
+        self, tmp_path, document, kind
+    ):
+        store = ResultStore(tmp_path)
+        store.save(synthetic_result())
+        stray = tmp_path / "stray.json"
+        stray.write_text(json.dumps(document))
+        with pytest.raises(ValueError) as err:
+            store.list()
+        assert str(err.value).startswith(
+            f"{stray} is not a run artifact: kind {kind}"
+        )
+
     def test_current_git_rev_returns_short_hash(self):
         rev = current_git_rev()
         # Inside the repo checkout this is a short hex rev.

@@ -790,6 +790,33 @@ class TestResultsCommand:
         assert rc == 2
         assert "no artifacts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stray", ["list", "sweep"])
+    def test_results_and_diff_refuse_a_file_that_is_no_artifact(
+        self, capsys, tmp_path, stray
+    ):
+        store = tmp_path / "runs"
+        assert main(
+            ["sweep", "--scenario", "paper_synthetic", "--quick",
+             "--set", "seed=0", "--out", str(store)]
+        ) == 0
+        bad = store / f"{stray}.json"
+        if stray == "list":
+            bad.write_text("[]")
+        else:
+            assert main(
+                ["sweep", "--scenario", "paper_synthetic", "--quick",
+                 "--set", "seed=0", "--export", str(bad)]
+            ) == 0
+        capsys.readouterr()
+        for argv in (["results", str(store)], ["diff", str(store), str(store)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad} is not a run artifact")
+            assert len(err.splitlines()) == 1
+        bad.unlink()
+        assert main(["results", str(store)]) == 0
+        assert "1 artifacts" in capsys.readouterr().out
+
     def test_results_surfaces_obs_and_slo_columns(self, capsys, tmp_path):
         from repro.results import ResultStore
         from repro.scenario import get_scenario
