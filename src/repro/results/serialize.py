@@ -49,14 +49,13 @@ __all__ = [
 ARTIFACT_KIND = "scenario-result"
 
 
-def check_artifact(doc: Any, name: str) -> Mapping[str, Any]:
-    """``doc`` itself when it is a run artifact: a JSON object of
-    ``kind`` :data:`ARTIFACT_KIND`.
+def check_artifact(doc: Any, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` and its kind unless ``doc``
+    is a run artifact: a JSON object of ``kind`` :data:`ARTIFACT_KIND`.
 
     Any other document -- a sweep document, a list, an object without
-    a ``kind`` -- raises ``ValueError`` naming ``name`` and its kind:
-    it has no ``spec`` and no ``metrics``, so a diff would read it as
-    identical and a store would list it as a run.
+    a ``kind`` -- has no ``spec`` and no ``metrics``, so a diff would
+    read it as identical and a store would list it as a run.
     """
     kind = doc.get("kind") if isinstance(doc, Mapping) else None
     if kind != ARTIFACT_KIND:
@@ -64,7 +63,6 @@ def check_artifact(doc: Any, name: str) -> Mapping[str, Any]:
             f"{name} is not a run artifact: kind {kind!r}, expected "
             f"{ARTIFACT_KIND!r} (run --export or sweep --out write one)"
         )
-    return doc
 
 
 def synthetic_result_to_dict(result: SyntheticResult) -> Dict[str, Any]:

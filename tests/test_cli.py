@@ -808,7 +808,8 @@ class TestResultsCommand:
                  "--set", "seed=0", "--export", str(bad)]
             ) == 0
         capsys.readouterr()
-        for argv in (["results", str(store)], ["diff", str(store), str(store)]):
+        for argv in (["results", str(store)],
+                     ["diff", str(store), str(store)]):
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad} is not a run artifact")
