@@ -61,6 +61,7 @@ from repro.results import (
     current_git_rev,
     diff_artifacts,
     diff_stores,
+    read_artifact,
     run_artifact,
     sweep_result_to_dict,
     write_document,
@@ -808,8 +809,7 @@ def _render_elastic_dict(el: dict) -> str:
 
 def _artifact_report(path: str) -> str:
     """The ``analyze`` report of a stored run artifact, without re-running."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_artifact(path)
     analysis = doc.get("analysis")
     slo = doc.get("slo")
     if analysis is None and slo is None:
@@ -1059,10 +1059,8 @@ def _cmd_diff(args) -> int:
             print(diff_stores(args.a, args.b).render())
             return 0
         if os.path.isfile(args.a) and os.path.isfile(args.b):
-            with open(args.a) as fh:
-                doc_a = json.load(fh)
-            with open(args.b) as fh:
-                doc_b = json.load(fh)
+            doc_a = read_artifact(args.a, f"A ({args.a})")
+            doc_b = read_artifact(args.b, f"B ({args.b})")
             print(
                 diff_artifacts(
                     doc_a, doc_b, a_label=args.a, b_label=args.b

@@ -9,8 +9,10 @@ per sweep:
   document with a flat keyed ``metrics`` mapping;
 - :mod:`repro.results.store` -- :func:`run_artifact` (a run's document
   plus ``meta``), :func:`write_document` (the one writer, for stores,
-  ``run --export`` and ``sweep --export``) and :class:`ResultStore`
-  directories of one artifact per run, keyed ``<spec_hash12>-s<seed>``;
+  ``run --export`` and ``sweep --export``), :func:`read_artifact` (the
+  one reader, for stores, ``diff`` and ``analyze --artifact``) and
+  :class:`ResultStore` directories of one artifact per run, keyed
+  ``<spec_hash12>-s<seed>``;
 - :mod:`repro.results.diff` -- keyed comparison of two artifacts or
   two whole stores (``repro.cli diff A B``).
 """
@@ -33,6 +35,7 @@ from repro.results.serialize import (
 from repro.results.store import (
     ResultStore,
     current_git_rev,
+    read_artifact,
     run_artifact,
     write_document,
 )
@@ -44,6 +47,7 @@ __all__ = [
     "current_git_rev",
     "diff_artifacts",
     "diff_stores",
+    "read_artifact",
     "result_metrics",
     "run_artifact",
     "scenario_result_to_dict",

@@ -16,7 +16,8 @@ must *not* participate in the bit-for-bit result contract (git
 revision, wall time, the overrides that produced the run) under the
 ``meta`` key.  :func:`write_document` writes it, for the store and for
 ``repro.cli run --export`` alike, and writes the sweep document of
-``sweep --export``.
+``sweep --export``; :func:`read_artifact` is the one reader, for the
+store and for ``repro.cli diff`` and ``analyze --artifact`` on a file.
 
 ::
 
@@ -40,6 +41,7 @@ from repro.scenario.spec import ScenarioSpec
 __all__ = [
     "ResultStore",
     "current_git_rev",
+    "read_artifact",
     "run_artifact",
     "write_document",
 ]
@@ -54,7 +56,7 @@ def current_git_rev(default: str = "unknown") -> str:
 
     Resolved against *this source tree* (not the caller's cwd): the
     revision stamped on an artifact identifies the code that produced
-    it, which is exactly what the BENCH trajectory compares across.
+    it.
     """
     try:
         out = subprocess.run(
@@ -100,6 +102,25 @@ def write_document(doc: Mapping[str, Any], path: Union[str, Path]) -> Path:
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+def read_artifact(
+    path: Union[str, Path], name: Optional[str] = None
+) -> Dict[str, Any]:
+    """Read one run artifact from ``path``.
+
+    Raises ``ValueError`` naming the file (``name``, by default the
+    path) if it is not JSON or not a run artifact
+    (:func:`~repro.results.serialize.check_artifact`).
+    """
+    path = Path(path)
+    name = str(path) if name is None else name
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{name} is not valid JSON: {exc}") from exc
+    check_artifact(doc, name)
+    return doc
 
 
 class ResultStore:
@@ -155,18 +176,17 @@ class ResultStore:
             raise FileNotFoundError(
                 f"no artifact {ref!r} in store {self.root}"
             )
-        return json.loads(path.read_text(encoding="utf-8"))
+        return read_artifact(path)
 
     def list(self) -> List[Dict[str, Any]]:
         """Every artifact document, in key order, ``key`` included.
 
         Raises ``ValueError`` naming the first file that is not a run
-        artifact (:func:`~repro.results.serialize.check_artifact`).
+        artifact (:func:`read_artifact`).
         """
         docs = []
         for path in self.paths():
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            check_artifact(doc, str(path))
+            doc = read_artifact(path)
             doc["key"] = path.stem
             docs.append(doc)
         return docs
@@ -176,7 +196,7 @@ class ResultStore:
         path = self.path_for(spec)
         if not path.is_file():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        return read_artifact(path)
 
     def __len__(self) -> int:
         return len(self.paths())

@@ -790,7 +790,7 @@ class TestResultsCommand:
         assert rc == 2
         assert "no artifacts" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stray", ["list", "sweep"])
+    @pytest.mark.parametrize("stray", ["list", "sweep", "malformed"])
     def test_results_and_diff_refuse_a_file_that_is_no_artifact(
         self, capsys, tmp_path, stray
     ):
@@ -802,17 +802,24 @@ class TestResultsCommand:
         bad = store / f"{stray}.json"
         if stray == "list":
             bad.write_text("[]")
+        elif stray == "malformed":
+            bad.write_text("{bad")
         else:
             assert main(
                 ["sweep", "--scenario", "paper_synthetic", "--quick",
                  "--set", "seed=0", "--export", str(bad)]
             ) == 0
+        why = "is not valid JSON" if stray == "malformed" else (
+            "is not a run artifact"
+        )
         capsys.readouterr()
-        for argv in (["results", str(store)],
-                     ["diff", str(store), str(store)]):
+        for argv, name in ((["results", str(store)], bad),
+                           (["diff", str(store), str(store)], bad),
+                           (["diff", str(bad), str(bad)], f"A ({bad})"),
+                           (["analyze", "--artifact", str(bad)], bad)):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {bad} is not a run artifact")
+            assert err.startswith(f"error: {name} {why}")
             assert len(err.splitlines()) == 1
         bad.unlink()
         assert main(["results", str(store)]) == 0
