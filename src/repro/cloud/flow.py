@@ -114,7 +114,7 @@ class Flow:
     Wait on :attr:`done` (an event succeeding with the flow itself) for
     completion; an aborted flow fails it with :class:`FlowAborted`.
     ``rate`` is the current weighted fair share, updated on every
-    rebalance of the owning link (or its :class:`FlowNetwork`).
+    rebalance of the owning link's :class:`FlowNetwork`.
     """
 
     __slots__ = (
@@ -212,42 +212,37 @@ class FlowStats:
 class FairShareLink:
     """A directed link whose active flows share ``capacity`` max-min fairly.
 
-    Standalone (the default), the link balances only its own flows.
-    When created through a :class:`FlowNetwork` the link carries its
-    endpoint site names and every rebalance is delegated to the network,
-    which couples all links through per-site egress/ingress caps.
+    Created by :meth:`FlowNetwork.link`, which owns the link: every
+    rebalance is the network's, which couples all links through per-site
+    egress/ingress caps.
 
     Parameters
     ----------
-    env:
-        Simulation environment.
+    network:
+        Owning :class:`FlowNetwork`.
+    src / dst:
+        Endpoint site names (used by the network's site-cap grouping and
+        fault teardown).
     capacity:
         Link capacity in bytes/second.
     max_flow_rate:
         Default per-flow rate cap (e.g. NIC or per-connection TCP limit),
         bytes/second; ``inf`` disables the cap.
-    network:
-        Owning :class:`FlowNetwork`, if any (set by
-        :meth:`FlowNetwork.link`).
-    src / dst:
-        Endpoint site names (used by the network's site-cap grouping and
-        fault teardown; optional for standalone links).
     """
 
     def __init__(
         self,
-        env: Environment,
+        network: "FlowNetwork",
+        src: str,
+        dst: str,
         capacity: float,
         max_flow_rate: float = math.inf,
-        network: Optional["FlowNetwork"] = None,
-        src: Optional[str] = None,
-        dst: Optional[str] = None,
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if max_flow_rate <= 0:
             raise ValueError("max_flow_rate must be positive")
-        self.env = env
+        self.env = network.env
         self.capacity = float(capacity)
         self.max_flow_rate = float(max_flow_rate)
         self.network = network
@@ -262,46 +257,6 @@ class FairShareLink:
     @property
     def n_active(self) -> int:
         return len(self.flows)
-
-    def fair_rate(self, extra_flows: int = 0, weight: float = 1.0) -> float:
-        """The rate a prospective flow would get right now (estimator).
-
-        Runs the same weighted progressive filling as the live rate
-        computation (existing flows keep their caps and weights; the
-        probe flows are capped at the link default), so it stays exact
-        with heterogeneous per-flow caps.  A link owned by a
-        :class:`FlowNetwork` delegates to the network estimator so site
-        egress/ingress caps are honored too.  Pure function of the
-        current state: no RNG, no side effects -- safe for planning
-        (e.g. source selection in the storage layer).
-        """
-        if self.network is not None:
-            return self.network.estimate_rate(
-                self.src,
-                self.dst,
-                capacity=self.capacity,
-                max_flow_rate=self.max_flow_rate,
-                weight=weight,
-                extra_flows=extra_flows,
-            )
-        probes = max(1, extra_flows)
-        entries = sorted(
-            [(f.max_rate, f.weight, False) for f in self.flows]
-            + [(self.max_flow_rate, weight, True)] * probes,
-            key=lambda e: e[0] / e[1],
-        )
-        unassigned = self.capacity
-        weight_left = sum(e[1] for e in entries)
-        probe_rate = 0.0
-        for cap, w, is_probe in entries:
-            rate = min(cap, unassigned * w / weight_left)
-            if is_probe:
-                # Equal-capped equal-weight flows all receive the same
-                # share, so any probe's rate is THE prospective rate.
-                probe_rate = rate
-            unassigned -= rate
-            weight_left -= w
-        return probe_rate
 
     def open(
         self,
@@ -334,7 +289,7 @@ class FairShareLink:
         self.stats.max_concurrent = max(
             self.stats.max_concurrent, len(self.flows)
         )
-        self._rebalance()
+        self.network.rebalance(changed=self)
         return flow
 
     def abort(self, flow: Flow, reason: str = "") -> None:
@@ -350,7 +305,7 @@ class FairShareLink:
         # exact (the latent-bug fix: counters used to ignore partials).
         self._settle(self.env.now)
         self._close_aborted(flow, reason)
-        self._rebalance()
+        self.network.rebalance(changed=self)
 
     # -- internals ----------------------------------------------------------
 
@@ -380,30 +335,6 @@ class FairShareLink:
                 )
             flow.last_update = now
 
-    def _recompute_rates(self) -> None:
-        """Progressive filling: weighted max-min shares under per-flow caps."""
-        unassigned = self.capacity
-        weight_left = sum(f.weight for f in self.flows)
-        # Stable sort by saturation level: tightest-capped flows settle
-        # first; ties keep start order, so placement is deterministic.
-        for flow in sorted(self.flows, key=lambda f: f.max_rate / f.weight):
-            share = unassigned * flow.weight / weight_left
-            flow.rate = min(flow.max_rate, share)
-            unassigned -= flow.rate
-            weight_left -= flow.weight
-
-    def _rebalance(self) -> None:
-        """Settle, recompute shares, and reschedule affected completions."""
-        if self.network is not None:
-            self.network.rebalance(changed=self)
-            return
-        now = self.env.now
-        self.stats.rebalances += 1
-        self._settle(now)
-        old_rates = [flow.rate for flow in self.flows]
-        self._recompute_rates()
-        self._reschedule(old_rates)
-
     def _reschedule(self, old_rates: List[float]) -> None:
         """(Re)schedule completion timers for flows whose rate changed."""
         for flow, old_rate in zip(self.flows, old_rates):
@@ -431,21 +362,17 @@ class FairShareLink:
             self.flows.remove(flow)
             flow._timer = None
             self.stats.delivered_bytes += flow.size
-            if self.network is not None:
-                # Coupled links may gain headroom even when this one
-                # drained, so the network always rebalances.
-                self.network.rebalance(changed=self)
-            elif self.flows:
-                self._rebalance()
+            # Coupled links may gain headroom even when this one drained,
+            # so the network always rebalances.
+            self.network.rebalance(changed=self)
             flow.done.succeed(flow)
 
         return _complete
 
     def __repr__(self) -> str:
-        where = f" {self.src}->{self.dst}" if self.src else ""
         return (
-            f"<FairShareLink{where} cap={self.capacity:.0f}B/s "
-            f"active={len(self.flows)}>"
+            f"<FairShareLink {self.src}->{self.dst} "
+            f"cap={self.capacity:.0f}B/s active={len(self.flows)}>"
         )
 
 
@@ -523,12 +450,7 @@ class FlowNetwork:
         flink = self._links.get(key)
         if flink is None:
             flink = FairShareLink(
-                self.env,
-                capacity=capacity,
-                max_flow_rate=max_flow_rate,
-                network=self,
-                src=src,
-                dst=dst,
+                self, src, dst, capacity, max_flow_rate=max_flow_rate
             )
             self._links[key] = flink
             self._sorted_keys = sorted(self._links)
@@ -665,9 +587,9 @@ class FlowNetwork:
         egress: set = set()
         ingress: set = set()
         for src, dst in seed_keys:
-            if src is not None and math.isfinite(caps(src)[0]):
+            if math.isfinite(caps(src)[0]):
                 egress.add(src)
-            if dst is not None and math.isfinite(caps(dst)[1]):
+            if math.isfinite(caps(dst)[1]):
                 ingress.add(dst)
         active = self._active_links()
         in_comp: set = set()
@@ -934,10 +856,8 @@ class FlowNetwork:
             caps.append(max_rate)
             ratios.append(max_rate / weight)
             link_members.setdefault(key, []).append(i)
-            if src is not None:
-                src_members.setdefault(src, []).append(i)
-            if dst is not None:
-                dst_members.setdefault(dst, []).append(i)
+            src_members.setdefault(src, []).append(i)
+            dst_members.setdefault(dst, []).append(i)
 
         for link in links:
             key = (link.src, link.dst)

@@ -1,6 +1,6 @@
 """Flow-level max-min fair-share bandwidth model tests.
 
-Covers the FairShareLink scheduler itself, the Network integration
+Covers one FairShareLink of a FlowNetwork, the Network integration
 behind ``bandwidth_model="fair"``, and the accounting/estimator bugfix
 regressions for the slot model (jitter-free round_trip, end-to-end
 latency under a saturated link).
@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.cloud.flow import FairShareLink, FlowAborted, FlowNetwork
+from repro.cloud.flow import FlowAborted, FlowNetwork
 from repro.cloud.network import Network
 from repro.cloud.presets import azure_4dc_topology, make_topology
 from repro.sim import AllOf, Environment
@@ -31,8 +31,11 @@ def fair_net(env, topo):
 
 
 class TestFairShareLink:
+    """One link of an uncapped :class:`FlowNetwork`: its flows share the
+    link capacity and nothing else."""
+
     def test_single_flow_gets_full_capacity(self, env):
-        link = FairShareLink(env, capacity=100.0)
+        link = FlowNetwork(env).link("a", "b", capacity=100.0)
         flow = link.open(size=200)
         env.run(until=flow.done)
         assert env.now == pytest.approx(2.0)
@@ -41,7 +44,7 @@ class TestFairShareLink:
     def test_equal_flows_split_capacity_evenly(self, env):
         """N concurrent same-size flows each observe ~1/N of the link."""
         n = 4
-        link = FairShareLink(env, capacity=100.0)
+        link = FlowNetwork(env).link("a", "b", capacity=100.0)
         flows = [link.open(size=100) for _ in range(n)]
         for f in flows:
             assert f.rate == pytest.approx(100.0 / n)
@@ -50,7 +53,7 @@ class TestFairShareLink:
         assert env.now == pytest.approx(4.0)
 
     def test_finishing_flow_releases_share(self, env):
-        link = FairShareLink(env, capacity=100.0)
+        link = FlowNetwork(env).link("a", "b", capacity=100.0)
         short = link.open(size=100)
         long = link.open(size=200)
         env.run(until=short.done)
@@ -61,7 +64,7 @@ class TestFairShareLink:
         assert env.now == pytest.approx(3.0)
 
     def test_late_joiner_slows_existing_flow(self, env):
-        link = FairShareLink(env, capacity=100.0)
+        link = FlowNetwork(env).link("a", "b", capacity=100.0)
         results = {}
 
         def first():
@@ -85,7 +88,7 @@ class TestFairShareLink:
 
     def test_max_rate_cap_redistributes_surplus(self, env):
         """Max-min: a capped flow keeps its cap, others split the rest."""
-        link = FairShareLink(env, capacity=90.0)
+        link = FlowNetwork(env).link("a", "b", capacity=90.0)
         capped = link.open(size=90, max_rate=10.0)
         free_a = link.open(size=400)
         free_b = link.open(size=400)
@@ -96,29 +99,31 @@ class TestFairShareLink:
         assert env.now == pytest.approx(9.0)
 
     def test_zero_size_flow_completes_immediately(self, env):
-        link = FairShareLink(env, capacity=10.0)
+        link = FlowNetwork(env).link("a", "b", capacity=10.0)
         flow = link.open(size=0)
         env.run(until=flow.done)
         assert env.now == 0.0
         assert link.n_active == 0
 
     def test_fair_rate_estimator_counts_prospective_flow(self, env):
-        link = FairShareLink(env, capacity=100.0)
-        assert link.fair_rate() == pytest.approx(100.0)
+        net = FlowNetwork(env)
+        link = net.link("a", "b", capacity=100.0)
+        assert net.estimate_rate("a", "b", 100.0) == pytest.approx(100.0)
         link.open(size=1000)
-        assert link.fair_rate() == pytest.approx(50.0)
+        assert net.estimate_rate("a", "b", 100.0) == pytest.approx(50.0)
 
     def test_fair_rate_estimator_respects_existing_caps(self, env):
         """A capped active flow leaves its surplus to the newcomer."""
-        link = FairShareLink(env, capacity=100.0)
+        net = FlowNetwork(env)
+        link = net.link("a", "b", capacity=100.0)
         link.open(size=1000, max_rate=10.0)
-        assert link.fair_rate() == pytest.approx(90.0)
+        assert net.estimate_rate("a", "b", 100.0) == pytest.approx(90.0)
         # And the estimate matches what a real flow then receives.
         newcomer = link.open(size=1000)
         assert newcomer.rate == pytest.approx(90.0)
 
     def test_stats_track_concurrency(self, env):
-        link = FairShareLink(env, capacity=100.0)
+        link = FlowNetwork(env).link("a", "b", capacity=100.0)
         flows = [link.open(size=50) for _ in range(3)]
         env.run(until=AllOf(env, [f.done for f in flows]))
         assert link.stats.flows == 3
@@ -126,7 +131,7 @@ class TestFairShareLink:
         assert link.stats.max_concurrent == 3
 
     def test_abort_frees_bandwidth(self, env):
-        link = FairShareLink(env, capacity=100.0)
+        link = FlowNetwork(env).link("a", "b", capacity=100.0)
         doomed = link.open(size=1000)
         survivor = link.open(size=100)
         failures = []
@@ -157,7 +162,7 @@ class TestFairShareLink:
         count as delivered, the unsent 975 as aborted, and the closed
         link conserves bytes exactly.
         """
-        link = FairShareLink(env, capacity=100.0)
+        link = FlowNetwork(env).link("a", "b", capacity=100.0)
         doomed = link.open(size=1000)
         survivor = link.open(size=100)
 
@@ -183,7 +188,7 @@ class TestFairShareLink:
         assert s.delivered_bytes + s.aborted_bytes == pytest.approx(s.bytes)
 
     def test_weighted_flows_split_proportionally(self, env):
-        link = FairShareLink(env, capacity=90.0)
+        link = FlowNetwork(env).link("a", "b", capacity=90.0)
         light = link.open(size=900, weight=1.0)
         heavy = link.open(size=900, weight=2.0)
         assert light.rate == pytest.approx(30.0)
@@ -193,7 +198,7 @@ class TestFairShareLink:
         assert env.now == pytest.approx(15.0)
 
     def test_invalid_weight_rejected(self, env):
-        link = FairShareLink(env, capacity=10.0)
+        link = FlowNetwork(env).link("a", "b", capacity=10.0)
         with pytest.raises(ValueError, match="weight"):
             link.open(size=10, weight=0.0)
 
