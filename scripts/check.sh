@@ -11,23 +11,29 @@
 #      the spec-vs-direct golden equivalence in
 #      tests/experiments/test_seed_compat.py, the spec-source CLI
 #      checks in tests/test_cli.py and the documented-command check in
-#      tests/test_cli_docs.py) and the three fast example scripts
-#      (tests/test_examples.py); the slow-marked benches
+#      tests/test_cli_docs.py), the three fast example scripts
+#      (tests/test_examples.py) and the repository benchmark's own
+#      checks (bench/test_bench.py); the slow-marked benches
 #      (benchmarks/test_schedulers.py, benchmarks/test_workloads.py)
 #      and the three slow examples run in the FULL profile;
 #   2. a --dump-spec replay: a registry scenario with a --set override
 #      is written as a JSON spec, and run --spec must run that file
 #      (--quick);
 #   3. the parallel experiment plane: a --jobs 2 sweep persisted to a
-#      result store, the serial twin, a store diff between them (must
-#      pair every artifact), and a quick BENCH trajectory run
-#      (scripts/bench.py) gated against the newest *committed*
-#      BENCH_*.json (scripts/bench.py --print-baseline; falls back to
-#      BENCH_seed.json) -- any pinned scenario whose --quick wall
-#      exceeds 1.25x that baseline's full-run wall fails the check
-#      (kernel-regression smoke); the bench runs with tracing
-#      disabled, so the gate doubles as the observability plane's
-#      zero-overhead guard (docs/observability.md);
+#      result store, the serial twin, and a store diff between them
+#      (must pair every artifact), then a perf guard on the repository
+#      benchmark (bench/run.py --quick, the one measurement plane; see
+#      bench/README.md): every run must be correct ("correct": true,
+#      "failed": 0), and each workload's host-normalised quick wall_s
+#      must stay at or below a ceiling of 2.5x the median of five quick
+#      passes on the reference host -- coarse, so only a gross kernel or
+#      solver slowdown trips it, not host noise.  The work a run does
+#      is pinned exactly by step 1's trace and artifact digests
+#      (tests/obs/test_trace_golden.py,
+#      tests/results/test_artifact_pins.py), not here.  Three of the
+#      four workloads run untraced, so the guard doubles as the
+#      observability plane's zero-overhead guard
+#      (docs/observability.md);
 #   4. an export smoke: run --export writes the artifact a result
 #      store holds (a synthetic export used to die with "not JSON
 #      serializable"); diff of two exports at different seeds must
@@ -48,7 +54,9 @@
 #      missing directory, which used to end in a traceback, must exit 2
 #      with an "error:" line; and results on a store holding a sweep
 #      --export document, which it used to list as a "?" run, must exit
-#      2 with an "error:" line naming the file;
+#      2 with an "error:" line naming the file, and so must analyze
+#      --artifact on that sweep document, which it used to refuse as
+#      carrying no analysis block (and a JSON list with a traceback);
 #   6. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
@@ -77,9 +85,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 if [ "${FULL:-0}" = "1" ]; then
-    python -m pytest -x -q tests benchmarks
+    python -m pytest -x -q tests benchmarks bench
 else
-    python -m pytest -x -q -m "not slow" tests benchmarks
+    python -m pytest -x -q -m "not slow" tests benchmarks bench
 fi
 
 TMP=$(mktemp -d)
@@ -96,33 +104,25 @@ python -m repro.cli sweep --scenario paper_synthetic \
 python -m repro.cli diff "$TMP/par" "$TMP/ser" > "$TMP/diff.txt"
 grep -q "2 paired" "$TMP/diff.txt"
 python -m repro.cli results "$TMP/par" > /dev/null
-python scripts/bench.py --quick --label check \
-    --out "$TMP/BENCH_check.json" 2> /dev/null
-python -c "import json, sys; \
-doc = json.load(open(sys.argv[1])); \
-assert doc['kind'] == 'bench-trajectory' and len(doc['scenarios']) >= 3" \
-    "$TMP/BENCH_check.json"
-# Bench-regression smoke: a --quick run covers a fraction of each full
-# pinned scenario, so its wall must sit far below the committed
-# baseline wall; any quick scenario exceeding 1.25x the baseline's
-# FULL wall means an order-of-magnitude kernel/solver regression, not
-# timer noise.  The baseline is the newest committed BENCH_*.json so
-# the bar tracks the trajectory instead of pinning the seed forever.
-BASELINE=$(python scripts/bench.py --print-baseline)
-python - "$TMP/BENCH_check.json" "$BASELINE" <<'PY'
+# Perf guard: the quick benchmark must be correct, and each workload's
+# quick wall_s (reference-host seconds) at or below 2.5x the median of
+# five quick passes, measured when the ceilings were set.
+python bench/run.py --quick > "$TMP/bench.txt"
+python - "$TMP/bench.txt" <<'PY'
 import json, sys
-quick = json.load(open(sys.argv[1]))["scenarios"]
-base = json.load(open(sys.argv[2]))["scenarios"]
-bad = [
-    (name, quick[name]["wall_time_s"], entry["wall_time_s"])
-    for name, entry in base.items()
-    if name in quick
-    and quick[name]["wall_time_s"] > 1.25 * entry["wall_time_s"]
-]
-for name, got, ref in bad:
-    print(f"bench regression: {name} quick wall {got}s > "
-          f"1.25 x baseline wall {ref}s ({sys.argv[2]})", file=sys.stderr)
-sys.exit(1 if bad else 0)
+from pathlib import Path
+line = json.loads(Path(sys.argv[1]).read_text().splitlines()[-1])
+if not line["correct"] or line["failed"]:
+    sys.exit(f"perf guard: {line['failed']} of {line['attempted']} "
+             "runs failed")
+ceilings = {"synthetic_hybrid": 0.22, "montage_slots": 0.41,
+            "montage_fair": 0.80, "autoscale_traced": 0.30}
+walls = {w: line["metrics"][f"{w}.wall_s"]["value"] for w in ceilings}
+slow = [w for w in ceilings if walls[w] > ceilings[w]]
+for w in slow:
+    print(f"perf guard: {w} quick wall_s {walls[w]:.3f}s > "
+          f"{ceilings[w]}s", file=sys.stderr)
+sys.exit(1 if slow else 0)
 PY
 
 # Export smoke: one artifact format per run.  Two exports at different
@@ -151,7 +151,8 @@ grep -q "^error:" "$TMP/out.txt"
 # the cell reported as errored with that message; given to run --set,
 # it must stop the run before it starts (exit 2), and so must a NaN
 # switch.  An output path in a missing directory exits 2 with "error:",
-# and so does a result store holding a document that is no run artifact.
+# and so do a result store holding a document that is no run artifact
+# and analyze --artifact on that document.
 python -m repro.cli sweep --scenario fanout_bandwidth_aware \
     --set network.transfer_flow_weight=NaN --quick > "$TMP/nan.txt" 2>&1
 grep -q "ERROR: ValueError: transfer_flow_weight must be a positive finite" \
@@ -183,6 +184,11 @@ mkdir "$TMP/mixed"
 cp "$TMP/a.json" "$TMP/sweep.json" "$TMP/mixed/"
 rc=0
 python -m repro.cli results "$TMP/mixed" > "$TMP/out.txt" 2>&1 || rc=$?
+[ "$rc" = 2 ]
+grep -q "^error: .*sweep.json is not a run artifact" "$TMP/out.txt"
+rc=0
+python -m repro.cli analyze --artifact "$TMP/sweep.json" \
+    > "$TMP/out.txt" 2>&1 || rc=$?
 [ "$rc" = 2 ]
 grep -q "^error: .*sweep.json is not a run artifact" "$TMP/out.txt"
 
