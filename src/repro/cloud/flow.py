@@ -62,10 +62,23 @@ A link whose source has no finite egress cap and whose destination has
 no finite ingress cap is *uncoupled*: it is a component of its own.
 ``rebalance`` (for one changed link) and ``estimate_rate`` test for that
 first, reading each of the two caps once, and then skip the component
-search.  A lone flow on an uncoupled link is settled, given the
-closed-form rate of the loop's single round and (re)timed directly; a
-probe on an idle uncoupled link gets the closed form too.  Every rate,
-timer instant, counter and trace record is the general path's.
+search.  Any other component is found by walking per-site lists of the
+network's links (built once, as links are created; links are never
+removed) from the seed sites across finite caps only, so a search
+touches the coupled sites' links and no others.
+
+A component with a single active link -- an uncoupled link, or a
+capped link whose coupled siblings are idle -- is solved in place: a
+lone flow gets the closed-form rate of the loop's single round, and
+several flows (or flows plus a probe) get ``_fill_link``, the
+water-filling loop specialised to constraints that all cover the same
+flows: the same constraint order (link, egress, ingress), the same
+per-round weight sums in flow order, the same ``_LEVEL_RTOL`` threshold
+and the same ``max(0.0, cap - used)`` update, without the general
+loop's record arrays and membership maps.  A probe on an idle link
+gets the closed form too.  Every rate, timer instant, counter and
+trace record is the general path's; components of two or more active
+links take the general ``_water_fill``.
 ``solver="global"`` restores the legacy full re-solve per change, and
 ``solver="verify"`` runs the incremental update *and* a shadow global
 solve, asserting the rates agree (used by the equivalence tests; the
@@ -425,8 +438,14 @@ class FlowNetwork:
         #: rebalance and rate estimate walks it, so re-sorting per solve
         #: was a measurable slice of the churn-scenario profiles.
         self._sorted_keys: List[Tuple[str, str]] = []
+        #: Links by source and by destination site, for :meth:`_component`
+        #: (built in :meth:`link`, like ``_sorted_keys``).
+        self._out: Dict[str, List[FairShareLink]] = {}
+        self._in: Dict[str, List[FairShareLink]] = {}
         self._site_caps = site_caps or (lambda site: (math.inf, math.inf))
-        self._down_until: Dict[str, float] = {}
+        #: Site -> instant its outage window ends; empty until some site
+        #: has been down, which lets the transport skip the check.
+        self.down_until: Dict[str, float] = {}
         #: Global rebalance count (diagnostics).
         self.rebalances = 0
         # Observability: re-solve scope events under the "flow" category.
@@ -454,6 +473,8 @@ class FlowNetwork:
             )
             self._links[key] = flink
             self._sorted_keys = sorted(self._links)
+            self._out.setdefault(src, []).append(flink)
+            self._in.setdefault(dst, []).append(flink)
         return flink
 
     @property
@@ -477,7 +498,7 @@ class FlowNetwork:
 
     def down_remaining(self, site: str) -> float:
         """Seconds until ``site`` recovers from an outage (0 if up)."""
-        return max(0.0, self._down_until.get(site, 0.0) - self.env.now)
+        return max(0.0, self.down_until.get(site, 0.0) - self.env.now)
 
     # -- fault teardown -----------------------------------------------------
 
@@ -489,8 +510,8 @@ class FlowNetwork:
         out -- the transport consults :meth:`down_remaining`).
         """
         if duration > 0:
-            self._down_until[site] = max(
-                self._down_until.get(site, 0.0), self.env.now + duration
+            self.down_until[site] = max(
+                self.down_until.get(site, 0.0), self.env.now + duration
             )
         return self._abort_where(
             lambda link: link.src == site or link.dst == site,
@@ -516,8 +537,8 @@ class FlowNetwork:
         if duration > 0:
             until = self.env.now + duration
             for site in down:
-                self._down_until[site] = max(
-                    self._down_until.get(site, 0.0), until
+                self.down_until[site] = max(
+                    self.down_until.get(site, 0.0), until
                 )
         member = frozenset(down)
         return self._abort_where(
@@ -575,46 +596,43 @@ class FlowNetwork:
 
         Links couple only through *finite* site caps: a finite egress
         cap joins all links sharing a source site, a finite ingress cap
-        all links sharing a destination, transitively.  Expands those
-        couplings to a fixpoint starting from the seed link keys (the
-        seeds' sites count even if the seed link itself has drained --
-        its departure is exactly what frees headroom for the others).
-        Returns the component in sorted-key order, so a solve over it
-        builds constraints in the same order a global solve would.
+        all links sharing a destination, transitively.  Walks those
+        couplings from the seed link keys through the per-site link
+        lists (the seeds' sites count even if the seed link itself has
+        drained -- its departure is exactly what frees headroom for the
+        others), reading each site's cap at most once.  Returns the
+        component in sorted-key order, so a solve over it builds
+        constraints in the same order a global solve would.
         """
         caps = self._site_caps
-        seed_keys = set(seed_keys)
-        egress: set = set()
-        ingress: set = set()
-        for src, dst in seed_keys:
-            if math.isfinite(caps(src)[0]):
-                egress.add(src)
-            if math.isfinite(caps(dst)[1]):
-                ingress.add(dst)
-        active = self._active_links()
-        in_comp: set = set()
-        grew = True
-        while grew:
-            grew = False
-            for link in active:
-                if link in in_comp:
-                    continue
-                if (
-                    (link.src, link.dst) in seed_keys
-                    or link.src in egress
-                    or link.dst in ingress
-                ):
-                    in_comp.add(link)
-                    grew = True
-                    if link.src not in egress and math.isfinite(
-                        caps(link.src)[0]
-                    ):
-                        egress.add(link.src)
-                    if link.dst not in ingress and math.isfinite(
-                        caps(link.dst)[1]
-                    ):
-                        ingress.add(link.dst)
-        return [link for link in active if link in in_comp]
+        links = self._links
+        found: Dict[Tuple[str, str], FairShareLink] = {}
+        for key in seed_keys:
+            link = links.get(key)
+            if link is not None and link.flows:
+                found[key] = link
+        # Keys whose sites are still to be walked; each site's cap is
+        # read once per side.
+        pending = list(seed_keys)
+        seen_src: set = set()
+        seen_dst: set = set()
+        while pending:
+            src, dst = pending.pop()
+            coupled: List[FairShareLink] = []
+            if src not in seen_src:
+                seen_src.add(src)
+                if math.isfinite(caps(src)[0]):
+                    coupled += self._out.get(src, ())
+            if dst not in seen_dst:
+                seen_dst.add(dst)
+                if math.isfinite(caps(dst)[1]):
+                    coupled += self._in.get(dst, ())
+            for link in coupled:
+                key = (link.src, link.dst)
+                if link.flows and key not in found:
+                    found[key] = link
+                    pending.append(key)
+        return [found[key] for key in sorted(found)]
 
     def _uncoupled_caps(
         self, src: str, dst: str
@@ -642,29 +660,36 @@ class FlowNetwork:
         idea -- re-solve everything".  Under the incremental solver only
         the constraint component of the changed links is touched; the
         global solver ignores the hint.  A single changed link that is
-        uncoupled (:meth:`_uncoupled_caps`) is its own component: with
-        one flow it takes :meth:`_rebalance_lone`.
+        uncoupled (:meth:`_uncoupled_caps`) is its own component, found
+        without a search.  A component of one active link takes
+        :meth:`_rebalance_lone`.
         """
         now = self.env.now
         self.rebalances += 1
         if changed is None or self.solver == "global":
             scope = "global"
             links = self._active_links()
-        elif isinstance(changed, FairShareLink):
-            scope = "component"
-            caps = self._uncoupled_caps(changed.src, changed.dst)
-            if caps is None:
-                links = self._component([(changed.src, changed.dst)])
-            elif len(changed.flows) == 1:
-                self._rebalance_lone(changed, caps)
-                return
-            else:
-                links = [changed] if changed.flows else []
         else:
             scope = "component"
-            links = self._component(
-                {(link.src, link.dst) for link in changed}
-            )
+            caps = None
+            if isinstance(changed, FairShareLink):
+                caps = self._uncoupled_caps(changed.src, changed.dst)
+                if caps is None:
+                    links = self._component([(changed.src, changed.dst)])
+                else:
+                    links = [changed] if changed.flows else []
+            else:
+                links = self._component(
+                    {(link.src, link.dst) for link in changed}
+                )
+            if len(links) == 1:
+                link = links[0]
+                if caps is None:
+                    caps = (
+                        self.egress_cap(link.src), self.ingress_cap(link.dst)
+                    )
+                self._rebalance_lone(link, caps)
+                return
         if self._trace_flow:
             self._tracer.emit(
                 "flow", "rebalance",
@@ -695,25 +720,35 @@ class FlowNetwork:
     def _rebalance_lone(
         self, link: FairShareLink, caps: Tuple[float, float]
     ) -> None:
-        """:meth:`rebalance` of an uncoupled link carrying one flow.
+        """:meth:`rebalance` of a component with one active link.
 
         Records, settles, solves and reschedules exactly as the general
-        path would for this one-link component, without its rate maps
-        and lists: the rate is :func:`_lone_rate` of the ``caps`` just
-        read, and the timer step is :meth:`FairShareLink._retime`.
+        path would for this component, without its rate maps: one flow
+        gets :func:`_lone_rate` of the ``(egress, ingress)`` ``caps``
+        just read and :meth:`FairShareLink._retime`; more flows get
+        :func:`_fill_link` and :meth:`FairShareLink._reschedule`.
         """
-        flow = link.flows[0]
+        flows = link.flows
         if self._trace_flow:
             self._tracer.emit(
-                "flow", "rebalance", scope="component", links=1, flows=1
+                "flow", "rebalance",
+                scope="component", links=1, flows=len(flows),
             )
         link.stats.rebalances += 1
         link._settle(self.env.now)
-        old_rate = flow.rate
-        flow.rate = _lone_rate(
-            link.capacity, flow.weight, flow.max_rate, *caps
-        )
-        link._retime(flow, old_rate)
+        if len(flows) == 1:
+            flow = flows[0]
+            old_rate = flow.rate
+            flow.rate = _lone_rate(
+                link.capacity, flow.weight, flow.max_rate, *caps
+            )
+            link._retime(flow, old_rate)
+        else:
+            old = [flow.rate for flow in flows]
+            rates = _fill_link(flows, link.capacity, *caps)
+            for flow, rate in zip(flows, rates):
+                flow.rate = rate
+            link._reschedule(old)
         if self.solver == "verify":
             self._verify_against_global()
 
@@ -755,9 +790,13 @@ class FlowNetwork:
         egress/ingress caps and the load of *other* links sharing those
         caps are all reflected.  Pure: no RNG, no state changes.  Under
         the incremental solver the probe only interacts with its own
-        constraint component, so only that component is solved; a single
-        probe on an idle uncoupled link gets :func:`_lone_rate` directly.
+        constraint component, so only that component is solved.  When
+        that component is the probe's own link, idle or active, the
+        probe gets :func:`_lone_rate` or :func:`_fill_link` directly.
         """
+        probe = _Probe(src, dst, max_flow_rate, weight)
+        extra = [probe] * max(1, extra_flows)
+        extra_capacity = ((src, dst), capacity)
         caps = None
         if self.solver == "global":
             links = self._active_links()
@@ -768,13 +807,23 @@ class FlowNetwork:
             else:
                 link = self._links.get((src, dst))
                 links = [link] if link is not None and link.flows else []
-        probe = _Probe(src, dst, max_flow_rate, weight)
-        extra = [probe] * max(1, extra_flows)
-        extra_capacity = ((src, dst), capacity)
-        if caps is not None and not links and len(extra) == 1:
-            rate = _lone_rate(capacity, weight, max_flow_rate, *caps)
-        else:
+        if self.solver == "global" or (
+            links and links != [self._links.get((src, dst))]
+        ):
             rate = self._solve(links, extra, extra_capacity)[id(probe)]
+        else:
+            if caps is None:
+                caps = (self.egress_cap(src), self.ingress_cap(dst))
+            if links:
+                # A live link's configured capacity wins over the probe's.
+                link = links[0]
+                rate = _fill_link(
+                    link.flows + extra, link.capacity, *caps
+                )[-1]
+            elif len(extra) == 1:
+                rate = _lone_rate(capacity, weight, max_flow_rate, *caps)
+            else:
+                rate = _fill_link(extra, capacity, *caps)[-1]
         if self.solver == "verify":
             want = self._solve(
                 self._active_links(), extra, extra_capacity
@@ -980,6 +1029,73 @@ def _lone_rate(
     if not math.isfinite(level):
         level = 0.0
     return min(max_rate, level * weight)
+
+
+def _fill_link(
+    records: List, capacity: float, egress: float, ingress: float
+) -> List[float]:
+    """:meth:`FlowNetwork._water_fill` over the ``records`` of one link.
+
+    ``records`` are the flows (and probes) of a component with one
+    active link, in record order.  Every constraint of such a component
+    -- the link ``capacity``, then its finite ``egress`` and ``ingress``
+    site caps -- covers the same live records, so each round takes one
+    weight sum over them in record order and the lowest saturation
+    level among the caps and the records' ``max_rate / weight``.  A cap
+    within ``_LEVEL_RTOL`` of that level freezes every live record;
+    otherwise only the rate-capped ones freeze, and their rates come off
+    every cap through the loop's ``max(0.0, cap - used)``.  These are
+    the loop's float operations in the loop's order, so the rates are
+    bit-identical.  Returns the rates in record order.
+    """
+    bounds = [capacity]
+    if math.isfinite(egress):
+        bounds.append(egress)
+    if math.isfinite(ingress):
+        bounds.append(ingress)
+    rates = [0.0] * len(records)
+    alive = list(range(len(records)))
+    while True:
+        w = 0.0
+        ratio_level = math.inf
+        for i in alive:
+            record = records[i]
+            w += record.weight
+            ratio = record.max_rate / record.weight
+            if ratio < ratio_level:
+                ratio_level = ratio
+        cap_level = math.inf
+        if w > 0:
+            for cap in bounds:
+                lvl = max(0.0, cap) / w
+                if lvl < cap_level:
+                    cap_level = lvl
+        level = min(cap_level, ratio_level)
+        if not math.isfinite(level):
+            level = 0.0
+        threshold = level * (1.0 + _LEVEL_RTOL)
+        frozen = alive
+        if cap_level > threshold:
+            frozen = []
+            rest = []
+            for i in alive:
+                record = records[i]
+                if record.max_rate / record.weight <= threshold:
+                    frozen.append(i)
+                else:
+                    rest.append(i)
+            if not frozen:
+                frozen = alive
+        used = 0.0
+        for i in frozen:
+            record = records[i]
+            rate = min(record.max_rate, level * record.weight)
+            rates[i] = rate
+            used += rate
+        if frozen is alive or not rest:
+            return rates
+        bounds = [max(0.0, cap - used) for cap in bounds]
+        alive = rest
 
 
 class _Probe:
