@@ -317,7 +317,7 @@ class Network:
         model it is the plain full-bandwidth figure.  Jitter-free,
         RNG-untouched.
         """
-        if size <= 0 or src == dst or self.bandwidth_model != "fair":
+        if size <= 0 or src == dst or not self._fair:
             return self.expected_one_way_delay(src, dst, size)
         link = self._route(src, dst)[0]
         rate = self.flow_net.estimate_rate(
@@ -327,10 +327,7 @@ class Network:
             weight=weight,
         )
         # A site in an outage window delays new flows until it recovers.
-        down = max(
-            self.flow_net.down_remaining(src),
-            self.flow_net.down_remaining(dst),
-        )
+        down = self._down(src, dst) if self.flow_net.down_until else 0.0
         return down + link.latency + self.PER_MESSAGE_OVERHEAD + size / rate
 
     # -- link state ---------------------------------------------------------
@@ -455,37 +452,26 @@ class Network:
             while True:
                 # A down endpoint queues the transfer until recovery
                 # (the behaviour of a connection-retrying client).
-                while True:
-                    down = max(
-                        self.flow_net.down_remaining(src),
-                        self.flow_net.down_remaining(dst),
-                    )
-                    if down <= 0:
-                        break
-                    yield down
+                if self.flow_net.down_until:
+                    down = self._down(src, dst)
+                    if down > 0:
+                        yield down
+                        continue
                 # Transmission at the link's max-min fair share, then
                 # propagation (+ jitter): the last byte arrives one link
                 # latency after it was transmitted.
                 flow = self._flow_link(src, dst).open(size, weight=weight)
                 try:
                     yield flow.done
+                    break
                 except FlowAborted:
-                    self.stats.aborted_transfers += 1
-                    self.stats.aborted_bytes += flow.remaining
-                    if trace:
-                        self._tracer.emit(
-                            "network", "transfer_abort",
-                            src=src, dst=dst, remaining=flow.remaining,
-                        )
+                    self._flow_aborted(src, dst, flow, trace)
                     if not retry_on_abort:
                         if sp is not None:
                             sp.finish(aborted=True)
                         raise
                     self.count_retry(size)
-                    continue
-                break
-            link = self._route(src, dst)[0]
-            yield link.latency + self.PER_MESSAGE_OVERHEAD + self._jitter(link)
+            yield self._arrival(src, dst)
         else:
             leg = self._start_leg(src, dst, size)
             if leg is None:
@@ -529,38 +515,63 @@ class Network:
         retransmit on fault teardown -- an RPC's endpoints are fixed, so
         unlike a storage fetch it cannot re-source around a failure.
 
-        Untraced slots-model RPCs run both legs in the returned
-        generator's own frame (see :meth:`_slots_rpc`); fair-model and
-        traced ones run each leg through :meth:`transfer`.  Both give
-        the same timings, RNG draws and :class:`NetworkStats`.
+        Untraced RPCs run both legs in the returned generator's own
+        frame (see :meth:`_one_frame_rpc`); traced ones run each leg
+        through :meth:`transfer`.  Both give the same timings, RNG draws,
+        flows and :class:`NetworkStats`.
         """
-        if self._fair or self._trace_net or self._trace_span:
+        if self._trace_net or self._trace_span:
             return self._transfer_rpc(
                 src, dst, service, request_size, response_size
             )
-        return self._slots_rpc(src, dst, service, request_size, response_size)
+        return self._one_frame_rpc(
+            src, dst, service, request_size, response_size
+        )
 
-    def _slots_rpc(
+    def _one_frame_rpc(
         self, src, dst, service, request_size, response_size
     ) -> Generator:
-        """:meth:`rpc` with both legs in this frame (untraced slots model).
+        """:meth:`rpc` with both legs in this frame (untraced).
 
-        Each leg is :meth:`transfer`'s slots branch inlined: start it with
-        :meth:`_start_leg`, sleep out its delay (or queue for the link
-        via :meth:`_queued_leg` when contended), then :meth:`_account`.
+        Each leg is :meth:`transfer`'s body inlined.  A fair-model WAN
+        leg waits out any down window (:meth:`_down`), rides a flow at
+        ``rpc_weight`` and retransmits on teardown (:meth:`_flow_aborted`,
+        :meth:`count_retry`), then propagates (:meth:`_arrival`).  Any
+        other leg starts with :meth:`_start_leg` and sleeps out its delay,
+        or queues for the link via :meth:`_queued_leg` when contended.
+        Each leg ends in :meth:`_account`.
         """
         env = self.env
+        fair = self._fair
         sent = env.now
-        leg = self._start_leg(src, dst, request_size)
-        if leg is None:
-            yield from self._queued_leg(src, dst, request_size)
+        if fair and src != dst and request_size > 0:
+            while True:
+                if self.flow_net.down_until:
+                    down = self._down(src, dst)
+                    if down > 0:
+                        yield down
+                        continue
+                flow = self._flow_link(src, dst).open(
+                    request_size, weight=self.rpc_weight
+                )
+                try:
+                    yield flow.done
+                    break
+                except FlowAborted:
+                    self._flow_aborted(src, dst, flow, False)
+                    self.count_retry(request_size)
+            yield self._arrival(src, dst)
         else:
-            delay, held = leg
-            try:
-                yield delay
-            finally:
-                if held is not None:
-                    held.cancel()
+            leg = self._start_leg(src, dst, request_size)
+            if leg is None:
+                yield from self._queued_leg(src, dst, request_size)
+            else:
+                delay, held = leg
+                try:
+                    yield delay
+                finally:
+                    if held is not None:
+                        held.cancel()
         self._account(src, dst, request_size, sent)
         if hasattr(service, "send"):
             result = yield from service
@@ -569,23 +580,41 @@ class Network:
         else:
             result = service
         sent = env.now
-        leg = self._start_leg(dst, src, response_size)
-        if leg is None:
-            yield from self._queued_leg(dst, src, response_size)
+        if fair and src != dst and response_size > 0:
+            while True:
+                if self.flow_net.down_until:
+                    down = self._down(dst, src)
+                    if down > 0:
+                        yield down
+                        continue
+                flow = self._flow_link(dst, src).open(
+                    response_size, weight=self.rpc_weight
+                )
+                try:
+                    yield flow.done
+                    break
+                except FlowAborted:
+                    self._flow_aborted(dst, src, flow, False)
+                    self.count_retry(response_size)
+            yield self._arrival(dst, src)
         else:
-            delay, held = leg
-            try:
-                yield delay
-            finally:
-                if held is not None:
-                    held.cancel()
+            leg = self._start_leg(dst, src, response_size)
+            if leg is None:
+                yield from self._queued_leg(dst, src, response_size)
+            else:
+                delay, held = leg
+                try:
+                    yield delay
+                finally:
+                    if held is not None:
+                        held.cancel()
         self._account(dst, src, response_size, sent)
         return result
 
     def _transfer_rpc(
         self, src, dst, service, request_size, response_size
     ) -> Generator:
-        """:meth:`rpc` with each leg a :meth:`transfer` (fair or traced)."""
+        """:meth:`rpc` with each leg a :meth:`transfer` (traced runs)."""
         trace = self._trace_net
         sp = (
             self._tracer.span("rpc", src=src, dst=dst)
@@ -624,7 +653,34 @@ class Network:
             sp.finish(request_s=t1 - t0, service_s=t2 - t1)
         return result
 
-    # -- slots-model legs (shared by transfer and the one-frame rpc) ----------
+    # -- legs (shared by transfer and the one-frame rpc) ----------------------
+
+    def _down(self, src: str, dst: str) -> float:
+        """Seconds until both ends of a fair-model leg are up.
+
+        Callers skip it while ``flow_net.down_until`` is empty, that is
+        until some site has been down.
+        """
+        flow_net = self.flow_net
+        return max(flow_net.down_remaining(src), flow_net.down_remaining(dst))
+
+    def _flow_aborted(
+        self, src: str, dst: str, flow: Flow, trace: bool
+    ) -> None:
+        """Account one fair-model leg whose flow was torn down."""
+        self.stats.aborted_transfers += 1
+        self.stats.aborted_bytes += flow.remaining
+        if trace:
+            self._tracer.emit(
+                "network", "transfer_abort",
+                src=src, dst=dst, remaining=flow.remaining,
+            )
+
+    def _arrival(self, src: str, dst: str) -> float:
+        """A fair-model leg's propagation once its last byte is sent:
+        link latency, per-message overhead and a jitter draw."""
+        link = self._route(src, dst)[0]
+        return link.latency + self.PER_MESSAGE_OVERHEAD + self._jitter(link)
 
     def _start_leg(self, src: str, dst: str, size: int):
         """Start a slots-model leg that needs no queueing.

@@ -220,8 +220,15 @@ class CloudTopology:
         spec.ingress_bw = caps.ingress_bw
 
     def site_caps(self, name: str) -> Tuple[float, float]:
-        """The ``(egress, ingress)`` caps of a site, bytes/second."""
-        spec = self.get(name).spec
+        """The ``(egress, ingress)`` caps of a site, bytes/second.
+
+        Read live on every fair-share rebalance, so it looks the site up
+        directly; an unknown name still gets :meth:`get`'s error.
+        """
+        try:
+            spec = self._by_name[name].spec
+        except KeyError:
+            spec = self.get(name).spec
         return (spec.egress_bw, spec.ingress_bw)
 
     def copy(self) -> "CloudTopology":
