@@ -39,33 +39,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import sys
 import time
 from typing import List, Optional
 
-from repro.analysis.advisor import profile_workflow, recommend_strategy
+# Only what every command's front door needs is imported here (plus the
+# 50-line table renderer, which every ``run`` report loads anyway).  The
+# figure harnesses, the advisor, the workflow readers and the result
+# store load in the commands that use them, so a ``run`` does not pay
+# for them at start-up (``tests/test_imports.py`` pins the set).
 from repro.elastic import ELASTICITY_NAMES, ELASTICITY_POLICIES
-from repro.experiments.fig1_latency import run_fig1
-from repro.experiments.fig3_replication import run_fig3
-from repro.experiments.fig5_makespan import run_fig5
-from repro.experiments.fig6_progress import run_fig6
-from repro.experiments.fig7_throughput import run_fig7
-from repro.experiments.fig8_scalability import run_fig8
-from repro.experiments.fig10_workflows import run_fig10
 from repro.experiments.reporting import render_table
 from repro.metadata.controller import STRATEGIES, StrategyName
-from repro.results import (
-    ResultStore,
-    current_git_rev,
-    diff_artifacts,
-    diff_stores,
-    read_artifact,
-    run_artifact,
-    sweep_result_to_dict,
-    write_document,
-)
 from repro.scenario import (
     SCENARIOS,
     WORKFLOW_BUILDERS,
@@ -81,37 +69,42 @@ from repro.workload import (
     APPLICATION_NAMES,
     APPLICATIONS,
 )
-from repro.workflow.serialization import load_workflow
-from repro.workflow.traces import characterize
 
 __all__ = ["main", "build_parser", "load_spec", "parse_overrides"]
+
+
+def _figure(module: str):
+    """``run_figN`` of ``repro.experiments.<module>``, imported on use."""
+    harness = importlib.import_module(f"repro.experiments.{module}")
+    return getattr(harness, "run_" + module.split("_")[0])
+
 
 #: Figure name -> ``(quick, jobs)`` runner; Figs. 1 and 3 are raw
 #: micro-benchmarks with no sweep to parallelise.
 FIGURES = {
-    "fig1": lambda quick, jobs: run_fig1(
+    "fig1": lambda quick, jobs: _figure("fig1_latency")(
         file_counts=(100, 500, 1000) if quick else (100, 500, 1000, 5000)
     ),
-    "fig3": lambda quick, jobs: run_fig3(),
-    "fig5": lambda quick, jobs: run_fig5(
+    "fig3": lambda quick, jobs: _figure("fig3_replication")(),
+    "fig5": lambda quick, jobs: _figure("fig5_makespan")(
         ops_per_node=(100, 250, 500, 1000) if quick else (500, 1000, 5000, 10000),
         n_nodes=32,
         jobs=jobs,
     ),
-    "fig6": lambda quick, jobs: run_fig6(
+    "fig6": lambda quick, jobs: _figure("fig6_progress")(
         n_nodes=32, ops_per_node=1500 if quick else 5000, jobs=jobs
     ),
-    "fig7": lambda quick, jobs: run_fig7(
+    "fig7": lambda quick, jobs: _figure("fig7_throughput")(
         node_counts=(8, 16, 32, 64) if quick else (8, 16, 32, 64, 128),
         ops_per_node=500 if quick else 5000,
         jobs=jobs,
     ),
-    "fig8": lambda quick, jobs: run_fig8(
+    "fig8": lambda quick, jobs: _figure("fig8_scalability")(
         node_counts=(8, 16, 32, 64) if quick else (8, 16, 32, 64, 128),
         total_ops=8000 if quick else 32000,
         jobs=jobs,
     ),
-    "fig10": lambda quick, jobs: run_fig10(
+    "fig10": lambda quick, jobs: _figure("fig10_workflows")(
         scenarios=("SS", "MI") if quick else ("SS", "CI", "MI"), jobs=jobs
     ),
 }
@@ -418,6 +411,8 @@ def _check_store_dir(path: Optional[str]) -> None:
 
 def _resolve_workflow(args):
     if getattr(args, "file", None):
+        from repro.workflow.serialization import load_workflow
+
         return load_workflow(args.file)
     return WORKFLOWS[args.workflow](ops_per_task=args.ops)
 
@@ -435,6 +430,9 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_advise(args) -> int:
+    from repro.analysis.advisor import profile_workflow, recommend_strategy
+    from repro.workflow.traces import characterize
+
     try:
         # The bounds validate() puts on n_nodes and ops_per_task.
         check_number("--nodes", args.nodes, integer=True)
@@ -499,6 +497,8 @@ def _cmd_run(args) -> int:
         print()
         print(_render_obs(result.obs))
     if args.export:
+        from repro.results import current_git_rev, run_artifact, write_document
+
         doc = run_artifact(
             result,
             overrides=overrides,
@@ -809,6 +809,8 @@ def _render_elastic_dict(el: dict) -> str:
 
 def _artifact_report(path: str) -> str:
     """The ``analyze`` report of a stored run artifact, without re-running."""
+    from repro.results import read_artifact
+
     doc = read_artifact(path)
     analysis = doc.get("analysis")
     slo = doc.get("slo")
@@ -960,6 +962,13 @@ def _cmd_scenarios(_args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.results import (
+        ResultStore,
+        current_git_rev,
+        sweep_result_to_dict,
+        write_document,
+    )
+
     try:
         base = load_spec(args, overrides={})
         axes = parse_overrides(args.overrides, axes=True)
@@ -1007,6 +1016,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_results(args) -> int:
+    from repro.results import ResultStore
+
     try:
         docs = ResultStore(args.store).list()
     except ValueError as exc:
@@ -1054,6 +1065,8 @@ def _cmd_results(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from repro.results import diff_artifacts, diff_stores, read_artifact
+
     try:
         if os.path.isdir(args.a) and os.path.isdir(args.b):
             print(diff_stores(args.a, args.b).render())

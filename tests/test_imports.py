@@ -8,6 +8,11 @@ planes a spec does not ask for -- the workflow engine and transfers,
 the workload runner, the autoscaler, fault injection, the fair-share
 flow solver, trace analysis and export, the result store and the
 process pool -- must not load at all.
+
+``import repro.cli`` is pinned the same way: every CLI command pays for
+what the module imports at its top, so the figure harnesses, the
+advisor, the workflow readers and the result store load inside the
+commands that use them.
 """
 
 import json
@@ -41,6 +46,10 @@ UNUSED_BY_SYNTHETIC = (
 #: The workflow surface runs the engine and its transfers, nothing more.
 WORKFLOW_PLANES = ("repro.workflow.engine", "repro.storage.transfer")
 
+#: What ``import repro.cli`` loads beyond a quick synthetic run: the
+#: CLI itself and the table renderer that every ``run`` report uses.
+CLI_FRONT_DOOR = ("repro.cli", "repro.experiments.reporting")
+
 _PROBE = """
 import json, sys
 from repro.scenario import get_scenario
@@ -48,15 +57,22 @@ get_scenario(sys.argv[1]).run(quick=True)
 print(json.dumps(sorted(sys.modules)))
 """
 
+_CLI_PROBE = """
+import json, sys
+import repro.cli
+print(json.dumps(sorted(sys.modules)))
+"""
 
-def loaded_modules(scenario):
-    """Every module in ``sys.modules`` after a quick run of ``scenario``."""
+
+def loaded_modules(scenario, probe=_PROBE):
+    """Every module in ``sys.modules`` after a quick run of ``scenario``
+    (or after running ``probe``)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, scenario],
+        [sys.executable, "-c", probe, scenario],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -91,3 +107,15 @@ def test_workflow_run_loads_only_the_engine_planes():
 )
 def test_a_plane_loads_where_the_spec_uses_it(scenario, planes):
     assert loaded_modules(scenario).issuperset(planes)
+
+
+def test_cli_import_loads_only_the_front_door():
+    cli, run = (
+        {m for m in modules if m.split(".")[0] == "repro"}
+        for modules in (
+            loaded_modules("", probe=_CLI_PROBE),
+            loaded_modules("paper_synthetic"),
+        )
+    )
+    assert sorted(cli - run) == sorted(CLI_FRONT_DOOR)
+    assert sorted(cli.intersection(UNUSED_BY_SYNTHETIC)) == []
