@@ -22,12 +22,14 @@
 #   3. the parallel experiment plane: a --jobs 2 sweep persisted to a
 #      result store, the serial twin, and a store diff between them
 #      (must pair every artifact), then a perf guard on the repository
-#      benchmark (bench/run.py --quick, the one measurement plane; see
-#      bench/README.md): every run must be correct ("correct": true,
-#      "failed": 0), and each workload's host-normalised quick wall_s
-#      must stay at or below a ceiling of 2.5x the median of five quick
-#      passes on the reference host -- coarse, so only a gross kernel or
-#      solver slowdown trips it, not host noise.  The work a run does
+#      benchmark (three bench/run.py --quick passes, the one measurement
+#      plane; see bench/README.md): every run of every pass must be
+#      correct ("correct": true, "failed": 0), and each workload's
+#      median host-normalised quick wall_s over the three passes must
+#      stay at or below a ceiling of 2.5x the median of five quick
+#      passes on the reference host -- coarse, and a median, so only a
+#      gross kernel or solver slowdown trips it, not one slow pass on a
+#      busy host.  The work a run does
 #      is pinned exactly by step 1's trace and artifact digests
 #      (tests/obs/test_trace_golden.py,
 #      tests/results/test_artifact_pins.py), not here.  Three of the
@@ -104,23 +106,30 @@ python -m repro.cli sweep --scenario paper_synthetic \
 python -m repro.cli diff "$TMP/par" "$TMP/ser" > "$TMP/diff.txt"
 grep -q "2 paired" "$TMP/diff.txt"
 python -m repro.cli results "$TMP/par" > /dev/null
-# Perf guard: the quick benchmark must be correct, and each workload's
-# quick wall_s (reference-host seconds) at or below 2.5x the median of
-# five quick passes, measured when the ceilings were set.
-python bench/run.py --quick > "$TMP/bench.txt"
-python - "$TMP/bench.txt" <<'PY'
-import json, sys
+# Perf guard: three quick benchmark passes, each of them correct, and
+# each workload's median quick wall_s over the passes (reference-host
+# seconds) at or below 2.5x the median of five quick passes, measured
+# when the ceilings were set.  One quick pass is one sample per
+# workload, and a single pass on a busy host can read 1.7x its median.
+for n in 1 2 3; do
+    python bench/run.py --quick > "$TMP/bench$n.txt"
+done
+python - "$TMP/bench1.txt" "$TMP/bench2.txt" "$TMP/bench3.txt" <<'PY'
+import json, statistics, sys
 from pathlib import Path
-line = json.loads(Path(sys.argv[1]).read_text().splitlines()[-1])
-if not line["correct"] or line["failed"]:
-    sys.exit(f"perf guard: {line['failed']} of {line['attempted']} "
-             "runs failed")
+lines = [json.loads(Path(p).read_text().splitlines()[-1])
+         for p in sys.argv[1:]]
+for line in lines:
+    if not line["correct"] or line["failed"]:
+        sys.exit(f"perf guard: {line['failed']} of {line['attempted']} "
+                 "runs failed")
 ceilings = {"synthetic_hybrid": 0.22, "montage_slots": 0.41,
             "montage_fair": 0.80, "autoscale_traced": 0.30}
-walls = {w: line["metrics"][f"{w}.wall_s"]["value"] for w in ceilings}
+walls = {w: statistics.median(line["metrics"][f"{w}.wall_s"]["value"]
+                              for line in lines) for w in ceilings}
 slow = [w for w in ceilings if walls[w] > ceilings[w]]
 for w in slow:
-    print(f"perf guard: {w} quick wall_s {walls[w]:.3f}s > "
+    print(f"perf guard: {w} median quick wall_s {walls[w]:.3f}s > "
           f"{ceilings[w]}s", file=sys.stderr)
 sys.exit(1 if slow else 0)
 PY
