@@ -807,6 +807,7 @@ class FlowNetwork:
             else:
                 link = self._links.get((src, dst))
                 links = [link] if link is not None and link.flows else []
+        # Solved in place unless the component holds another link.
         if self.solver == "global" or (
             links and links != [self._links.get((src, dst))]
         ):
