@@ -15,16 +15,27 @@ the paper's design arguments in measurements:
 import pytest
 
 from repro.cloud.deployment import Deployment
-from repro.experiments.synthetic import run_synthetic_workload
 from repro.experiments.reporting import render_table
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController
+from repro.scenario import ScenarioSpec, StrategySpec
 from repro.workflow.applications import montage
 from repro.workflow.engine import WorkflowEngine
 
 pytestmark = pytest.mark.slow
 
 N_NODES = 32
+
+
+def _run_synthetic(strategy, **pins):
+    """The reader/writer benchmark, 500 ops/node, with strategy pins."""
+    return ScenarioSpec(
+        surface="synthetic",
+        strategy=StrategySpec(name=strategy, **pins),
+        ops_per_node=500,
+        n_nodes=N_NODES,
+        seed=7,
+    ).run().result
 
 
 def _run_workflow(strategy, cfg, ops=400, compute=0.5, scheduler=None, seed=7):
@@ -73,13 +84,7 @@ def test_ablation_sync_period(benchmark):
     def run():
         out = []
         for p in periods:
-            res = run_synthetic_workload(
-                "replicated",
-                n_nodes=N_NODES,
-                ops_per_node=500,
-                seed=7,
-                config=MetadataConfig(sync_period=p),
-            )
+            res = _run_synthetic("replicated", sync_period=p)
             out.append((p, res.makespan, res.ops.total_retries))
         return out
 
@@ -104,20 +109,8 @@ def test_ablation_write_lookup(benchmark):
     """Client-side existence checks double the WAN cost of remote writes."""
 
     def run():
-        one_rpc = run_synthetic_workload(
-            "decentralized",
-            n_nodes=N_NODES,
-            ops_per_node=500,
-            seed=7,
-            config=MetadataConfig(write_lookup=False),
-        )
-        two_rpc = run_synthetic_workload(
-            "decentralized",
-            n_nodes=N_NODES,
-            ops_per_node=500,
-            seed=7,
-            config=MetadataConfig(write_lookup=True),
-        )
+        one_rpc = _run_synthetic("decentralized", write_lookup=False)
+        two_rpc = _run_synthetic("decentralized", write_lookup=True)
         return one_rpc, two_rpc
 
     one_rpc, two_rpc = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -142,13 +135,7 @@ def test_ablation_home_site_centrality(benchmark):
     def run():
         out = {}
         for site in ("east-us", "south-central-us"):
-            res = run_synthetic_workload(
-                "centralized",
-                n_nodes=N_NODES,
-                ops_per_node=500,
-                seed=7,
-                config=MetadataConfig(home_site=site),
-            )
+            res = _run_synthetic("centralized", home_site=site)
             out[site] = res.makespan
         return out
 

@@ -8,9 +8,9 @@ here against the implemented comparison strategies.
 
 from repro.cloud.deployment import Deployment
 from repro.experiments.reporting import render_table
-from repro.experiments.synthetic import run_synthetic_workload
 from repro.metadata.controller import ArchitectureController
 from repro.metadata.entry import RegistryEntry
+from repro.scenario import ScenarioSpec, StrategySpec
 from repro.sim import AllOf
 
 
@@ -76,14 +76,17 @@ def test_relational_db_too_heavy(benchmark):
     """The in-memory registry sustains a metadata-intensive workload the
     database-backed one cannot (paper: ~10x in-memory advantage)."""
 
+    def synthetic(strategy):
+        return ScenarioSpec(
+            surface="synthetic",
+            strategy=StrategySpec(name=strategy),
+            ops_per_node=400,
+            n_nodes=16,
+            seed=3,
+        ).run().result
+
     def run():
-        mem = run_synthetic_workload(
-            "centralized", n_nodes=16, ops_per_node=400, seed=3
-        )
-        db = run_synthetic_workload(
-            "relational-db", n_nodes=16, ops_per_node=400, seed=3
-        )
-        return mem, db
+        return synthetic("centralized"), synthetic("relational-db")
 
     mem, db = benchmark.pedantic(run, rounds=1, iterations=1)
     print(

@@ -16,10 +16,7 @@ The makespan table over all five policies is printed for the report.
 
 import pytest
 
-from repro.experiments.scheduler_compare import (
-    fanout_workflow,
-    run_scheduler_compare,
-)
+from repro.experiments.scheduler_compare import run_scheduler_compare
 from repro.scenario import (
     NetworkSpec,
     ScenarioSpec,
@@ -81,6 +78,8 @@ def test_hybrid_weights_sweep_spans_locality_to_bandwidth(benchmark):
         topology=TopologySpec(preset="hetero_fanout"),
         network=NetworkSpec(bandwidth_model="fair"),
         strategy=StrategySpec(name="decentralized"),
+        application="fanout",
+        ops_per_task=0,
         n_nodes=8,
         seed=11,
     )
@@ -90,15 +89,12 @@ def test_hybrid_weights_sweep_spans_locality_to_bandwidth(benchmark):
             policies=("round_robin", "bandwidth_aware"),
             bandwidth_model="fair",
         )
-        workflow = fanout_workflow(
-            fan_out=12, file_size=24 * MB, compute_time=2.0
-        )
         hybrid = {
             label: base.replace(
                 scheduler=SchedulerSpec(
                     name="hybrid", input_site="hub", **knobs
                 )
-            ).run(workflow=workflow).result
+            ).run().result
             for label, knobs in weightings.items()
         }
         return reference, hybrid

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Single entry point for the pre-commit checks:
 #   1. fast test profile (everything except the @slow figure
-#      regenerations, ~1-1.5 min; see pytest.ini for the profiles) --
+#      regenerations, about 2 min: 123 s on a 2-core host; see
+#      pytest.ini for the profiles) --
 #      explicitly including the scheduling-subsystem modules
 #      (tests/scheduling, the seed-compat goldens and the scheduler
 #      spec validation), the workload-subsystem modules
@@ -59,21 +60,27 @@
 #      2 with an "error:" line naming the file, and so must analyze
 #      --artifact on that sweep document, which it used to refuse as
 #      carrying no analysis block (and a JSON list with a traceback);
-#   6. a trace smoke: a quick fully-traced scenario must export valid,
+#   6. an outage smoke: run --set with a whole faults list (JSON
+#      objects, which used to end in a traceback) puts a 20 s outage
+#      of west-europe into quick paper_synthetic, and the run must
+#      print its site-outage-end fault line (the synthetic surface used
+#      to wire outages to no registry, so the run ended at 13.233 s,
+#      before the outage did);
+#   7. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
 #      tracer's event log into an event, kernel rows included);
-#   7. an analyze smoke: repro.cli analyze on the SLO-bearing registry
+#   8. an analyze smoke: repro.cli analyze on the SLO-bearing registry
 #      scenario must render an observed-critical-path section and an
 #      SLO verdict line (docs/observability.md);
-#   8. an elasticity smoke: a quick autoscale_ramp run must emit at
+#   9. an elasticity smoke: a quick autoscale_ramp run must emit at
 #      least one scale_up event under the elastic trace category, read
 #      through tracer.events_of("elastic") as capacity_timeline reads
 #      it, and repro.cli analyze on it must render the capacity-timeline
 #      section (docs/elasticity.md);
-#   9. a figures smoke: Fig. 8 at CI sizes through the sweep path in
+#  10. a figures smoke: Fig. 8 at CI sizes through the sweep path in
 #      two worker processes (repro.cli figures --jobs) must render;
-#  10. lint over the source tree: unused imports and yielded
+#  11. lint over the source tree: unused imports and yielded
 #      timeouts (step 1 also runs tests/test_lint.py, which holds
 #      tests/, benchmarks/, examples/, scripts/ and bench/ to the
 #      unused-import rule).
@@ -200,6 +207,14 @@ python -m repro.cli analyze --artifact "$TMP/sweep.json" \
     > "$TMP/out.txt" 2>&1 || rc=$?
 [ "$rc" = 2 ]
 grep -q "^error: .*sweep.json is not a run artifact" "$TMP/out.txt"
+
+# Outage smoke: a faults list given as JSON objects becomes FaultSpecs,
+# and on the synthetic surface the outage holds the site's registry
+# slots, so the run outlasts it and reports its end.
+python -m repro.cli run --scenario paper_synthetic --quick \
+    --set 'faults=[{"kind":"site_outage","site":"west-europe","start":0.5,"duration":20.0}]' \
+    > "$TMP/outage.txt"
+grep -q "site-outage-end" "$TMP/outage.txt"
 
 # Trace smoke: full tracing on a quick scenario must yield a valid,
 # non-empty Chrome trace with every major layer represented.  The

@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_value(text: str):
-    """One override value: JSON scalar when it parses, else a string."""
+    """One override value: JSON when it parses, else a string."""
     try:
         return json.loads(text)
     except ValueError:

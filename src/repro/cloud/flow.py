@@ -251,9 +251,10 @@ class FairShareLink:
         capacity: float,
         max_flow_rate: float = math.inf,
     ):
-        if capacity <= 0:
+        # ``not x > 0`` so that NaN fails too; ``inf`` stays uncapped.
+        if not capacity > 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if max_flow_rate <= 0:
+        if not max_flow_rate > 0:
             raise ValueError("max_flow_rate must be positive")
         self.env = network.env
         self.capacity = float(capacity)
@@ -287,9 +288,9 @@ class FairShareLink:
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
         cap = self.max_flow_rate if max_rate is None else float(max_rate)
-        if cap <= 0:
+        if not cap > 0:
             raise ValueError("max_rate must be positive")
-        if weight <= 0:
+        if not weight > 0:
             raise ValueError("weight must be positive")
         flow = Flow(self, size, cap, weight=float(weight))
         self.stats.flows += 1

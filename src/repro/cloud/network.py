@@ -199,7 +199,7 @@ class Network:
                 f"unknown bandwidth_model {bandwidth_model!r}; "
                 f"expected one of {BANDWIDTH_MODELS}"
             )
-        if rpc_weight <= 0:
+        if not rpc_weight > 0:  # NaN fails too
             raise ValueError("rpc_weight must be positive")
         self.env = env
         self.topology = topology

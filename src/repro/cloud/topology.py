@@ -186,9 +186,10 @@ class CloudTopology:
             raise KeyError(f"Unknown datacenter in link {a!r}-{b!r}")
         if a == b:
             raise ValueError("Use 'local_link' for intra-DC latency")
-        if latency < 0 or bandwidth <= 0:
+        # Bounds stated positively so that NaN fails them.
+        if not (latency >= 0 and bandwidth > 0):
             raise ValueError("latency must be >=0 and bandwidth > 0")
-        if max_flow_rate <= 0:
+        if not max_flow_rate > 0:
             raise ValueError("max_flow_rate must be positive")
         self._links[(a, b)] = LinkSpec(latency, bandwidth, jitter, max_flow_rate)
         if symmetric:

@@ -23,9 +23,8 @@ Paper properties checked:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
 from repro.scenario import StrategySpec, get_scenario, run_cells
@@ -144,7 +143,6 @@ def run_fig10(
     n_nodes: int = 32,
     seed: int = 7,
     home_site: str = DEFAULT_HOME_SITE,
-    config: Optional[MetadataConfig] = None,
     ops_scale: float = 1.0,
     jobs: int = 1,
 ) -> Fig10Result:
@@ -184,7 +182,7 @@ def run_fig10(
     result = Fig10Result(
         n_nodes=n_nodes, scenarios=tuple(scenarios), workflows=tuple(workflows)
     )
-    for cell in run_cells(cells, jobs=jobs, config_base=config):
+    for cell in run_cells(cells, jobs=jobs):
         key = tuple(cell.overrides.values())  # (workflow, scenario, strategy)
         result.makespan[key] = cell.unwrap().makespan
     return result

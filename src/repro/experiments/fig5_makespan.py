@@ -19,9 +19,8 @@ Paper properties checked:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
 from repro.scenario import get_scenario, iter_sweep
@@ -113,7 +112,6 @@ def run_fig5(
     ops_per_node: Sequence[int] = PAPER_OPS_PER_NODE,
     n_nodes: int = 32,
     seed: int = 0,
-    config: Optional[MetadataConfig] = None,
     jobs: int = 1,
 ) -> Fig5Result:
     """Sweep strategy x ops per node over ``paper_synthetic``."""
@@ -126,7 +124,6 @@ def run_fig5(
         get_scenario("paper_synthetic").replace(n_nodes=n_nodes, seed=seed),
         {"strategy.name": StrategyName.all(), "ops_per_node": ops_per_node},
         jobs=jobs,
-        config_base=config,
     ):
         result.mean_node_time.setdefault(
             cell.overrides["strategy.name"], []

@@ -18,12 +18,11 @@ Paper properties checked:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.presets import azure_4dc_topology
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
 from repro.scenario import get_scenario, iter_sweep
@@ -113,7 +112,6 @@ def run_fig6(
     n_nodes: int = 32,
     ops_per_node: int = 5000,
     seed: int = 0,
-    config: Optional[MetadataConfig] = None,
     percents: Sequence[float] = PROGRESS_PERCENTS,
     jobs: int = 1,
 ) -> Fig6Result:
@@ -130,9 +128,7 @@ def run_fig6(
     result = Fig6Result(
         n_nodes=n_nodes, ops_per_node=ops_per_node, percents=tuple(percents)
     )
-    for cell in iter_sweep(
-        base, {"strategy.name": strategies}, jobs=jobs, config_base=config
-    ):
+    for cell in iter_sweep(base, {"strategy.name": strategies}, jobs=jobs):
         strat = cell.overrides["strategy.name"]
         run = cell.unwrap().result
         result.curves[strat] = [

@@ -14,9 +14,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
 from repro.scenario import get_scenario, iter_sweep
@@ -119,7 +118,6 @@ def run_fig7(
     node_counts: Sequence[int] = PAPER_NODE_COUNTS,
     ops_per_node: int = 5000,
     seed: int = 0,
-    config: Optional[MetadataConfig] = None,
     jobs: int = 1,
 ) -> Fig7Result:
     """Sweep strategy x node count over ``paper_synthetic``."""
@@ -132,7 +130,6 @@ def run_fig7(
         ),
         {"strategy.name": StrategyName.all(), "n_nodes": node_counts},
         jobs=jobs,
-        config_base=config,
     ):
         result.throughput.setdefault(
             cell.overrides["strategy.name"], []

@@ -10,9 +10,8 @@ the replicated strategy."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.experiments.reporting import check, render_table
 from repro.scenario import get_scenario, run_cells
@@ -84,7 +83,6 @@ def run_fig8(
     node_counts: Sequence[int] = PAPER_NODE_COUNTS,
     total_ops: int = PAPER_TOTAL_OPS,
     seed: int = 0,
-    config: Optional[MetadataConfig] = None,
     jobs: int = 1,
 ) -> Fig8Result:
     """Run strategy x node count over ``paper_synthetic``, each fleet
@@ -100,7 +98,7 @@ def run_fig8(
             }
             cells.append((overrides, base.replace(**overrides)))
     result = Fig8Result(node_counts=tuple(node_counts), total_ops=total_ops)
-    for cell in run_cells(cells, jobs=jobs, config_base=config):
+    for cell in run_cells(cells, jobs=jobs):
         result.completion.setdefault(
             cell.overrides["strategy.name"], []
         ).append(cell.unwrap().makespan)

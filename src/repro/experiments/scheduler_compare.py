@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.metadata.config import MetadataConfig
 from repro.scenario import (
     NetworkSpec,
     ScenarioSpec,
@@ -38,65 +37,8 @@ from repro.scenario import (
 from repro.scheduling import SCHEDULER_NAMES
 from repro.experiments.reporting import check, render_table
 from repro.util.units import MB
-from repro.workflow.dag import Task, Workflow, WorkflowFile
 
-__all__ = [
-    "SchedulerCompareResult",
-    "fanout_workflow",
-    "run_scheduler_compare",
-]
-
-
-def fanout_workflow(
-    fan_out: int = 12,
-    file_size: int = 24 * MB,
-    compute_time: float = 2.0,
-    extra_ops: int = 0,
-    seed_size: int = 1 * MB,
-) -> Workflow:
-    """A splitter fanning out ``fan_out`` bulky files to consumers.
-
-    The splitter reads one external ``seed`` input staged at the
-    engine's ``input_site``.  Data-*aware* policies (bandwidth_aware,
-    hybrid) anchor the splitter there because staging is free on-site;
-    data-blind ones (locality's root round-robin, round_robin,
-    load_balanced) place it on the fleet's first worker regardless.
-    With the scenario default ``input_site="hub"`` both coincide --
-    worker 0 lives at the topology's first site -- so every policy
-    starts from an identical data layout and the comparison varies
-    only the consumer placements.  Moving ``input_site`` elsewhere
-    additionally charges the data-blind policies a cross-WAN seed
-    fetch (the ``input_site`` knob's purpose).
-    """
-    if fan_out <= 0:
-        raise ValueError("fan_out must be positive")
-    wf = Workflow("capped-fanout")
-    seed = WorkflowFile("fanout/seed", size=seed_size)
-    parts = [
-        WorkflowFile(f"fanout/part-{i}", size=file_size)
-        for i in range(fan_out)
-    ]
-    wf.add_task(
-        Task(
-            "split",
-            inputs=[seed],
-            outputs=parts,
-            compute_time=min(compute_time, 0.5),
-            stage="split",
-        )
-    )
-    for i in range(fan_out):
-        wf.add_task(
-            Task(
-                f"consume-{i}",
-                inputs=[parts[i]],
-                outputs=[WorkflowFile(f"fanout/result-{i}", size=64 * 1024)],
-                compute_time=compute_time,
-                extra_ops=extra_ops,
-                stage="consume",
-            )
-        )
-    return wf
+__all__ = ["SchedulerCompareResult", "run_scheduler_compare"]
 
 
 @dataclass
@@ -187,30 +129,25 @@ class SchedulerCompareResult:
 def run_scheduler_compare(
     policies: Sequence[str] = SCHEDULER_NAMES,
     n_nodes: int = 8,
-    fan_out: int = 12,
-    file_size: int = 24 * MB,
-    compute_time: float = 2.0,
-    extra_ops: int = 0,
     seed: int = 11,
     bandwidth_model: str = "fair",
     hub_egress_bw: Optional[float] = None,
     strategy: str = "decentralized",
     input_site: str = "hub",
-    config: Optional[MetadataConfig] = None,
     jobs: int = 1,
 ) -> SchedulerCompareResult:
     """Run the capped-link fan-out under each placement policy.
 
     A spec consumer on the sweep path: one base
-    :class:`~repro.scenario.ScenarioSpec` describes the whole setup,
-    and :func:`~repro.scenario.run_sweep` runs the one-axis
+    :class:`~repro.scenario.ScenarioSpec` describes the whole setup
+    (the ``fanout`` application, see
+    :func:`~repro.workflow.applications.fanout`), and
+    :func:`~repro.scenario.run_sweep` runs the one-axis
     ``scheduler.name`` grid -- every cell gets a fresh deployment on a
     freshly-built topology (site caps mutate topologies in place), so
     the only varying factor is placement.  ``jobs=N`` runs policies in
     N worker processes (identical results).  ``hub_egress_bw`` adds a
-    hierarchical egress cap at the data origin (fair model only);
-    ``config`` supplies :class:`MetadataConfig` defaults the spec's
-    own pins override.
+    hierarchical egress cap at the data origin (fair model only).
     """
     base = ScenarioSpec(
         name="scheduler-compare",
@@ -224,6 +161,8 @@ def run_scheduler_compare(
         network=NetworkSpec(bandwidth_model=bandwidth_model),
         strategy=StrategySpec(name=strategy),
         scheduler=SchedulerSpec(input_site=input_site),
+        application="fanout",
+        ops_per_task=0,
         n_nodes=n_nodes,
         seed=seed,
     )
@@ -232,18 +171,7 @@ def run_scheduler_compare(
         n_nodes=n_nodes,
         bandwidth_model=bandwidth_model,
     )
-    sweep = run_sweep(
-        base,
-        {"scheduler.name": list(policies)},
-        jobs=jobs,
-        workflow=fanout_workflow(
-            fan_out=fan_out,
-            file_size=file_size,
-            compute_time=compute_time,
-            extra_ops=extra_ops,
-        ),
-        config_base=config,
-    )
+    sweep = run_sweep(base, {"scheduler.name": list(policies)}, jobs=jobs)
     for cell in sweep.cells:
         policy = cell.overrides["scheduler.name"]
         run = cell.unwrap()

@@ -14,15 +14,14 @@ times and the full op trace are captured for Figs. 5-8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 import numpy as np
 
 from repro.cloud.deployment import Deployment
-from repro.metadata.config import MetadataConfig
-from repro.metadata.controller import ArchitectureController
 from repro.metadata.entry import RegistryEntry
 from repro.metadata.stats import OpStats
+from repro.metadata.strategies import MetadataStrategy
 
 __all__ = ["SyntheticResult", "run_synthetic_workload"]
 
@@ -64,29 +63,20 @@ class SyntheticResult:
 
 
 def run_synthetic_workload(
-    strategy: str,
-    n_nodes: int = 32,
-    ops_per_node: int = 1000,
-    seed: int = 0,
-    config: Optional[MetadataConfig] = None,
-    deployment: Optional[Deployment] = None,
+    deployment: Deployment,
+    strategy: MetadataStrategy,
+    ops_per_node: int,
 ) -> SyntheticResult:
-    """Run the reader/writer benchmark under one strategy.
+    """Run the reader/writer benchmark on a built deployment and strategy.
 
     Nodes alternate writer/reader roles (even index writes, odd reads),
     which also spreads both roles evenly across sites because the
-    deployment places nodes round-robin.  Without a ``deployment`` the
-    run gets the default one; WAN settings arrive through the
-    deployment ``ScenarioSpec.run`` builds from its ``NetworkSpec``.
+    deployment places nodes round-robin.  ``ScenarioSpec.run`` builds
+    both arguments from the spec (its ``NetworkSpec`` sets the WAN,
+    its ``StrategySpec`` the strategy) and shuts the strategy down
+    after the run.
     """
-    if n_nodes < 2:
-        raise ValueError("need at least one writer and one reader")
-    if ops_per_node <= 0:
-        raise ValueError("ops_per_node must be positive")
-    dep = deployment or Deployment(n_nodes=n_nodes, seed=seed)
-    ctrl = ArchitectureController(dep, strategy=strategy, config=config)
-    strat = ctrl.strategy
-    env = dep.env
+    env = deployment.env
 
     # Alternate writer/reader *within* each site so both roles are
     # evenly represented everywhere -- assigning roles by global node
@@ -95,16 +85,16 @@ def run_synthetic_workload(
     # starting role alternates by site so tiny fleets (one node per
     # site) still get both roles.
     writers, readers = [], []
-    for s_idx, site in enumerate(dep.sites):
-        for k, vm in enumerate(dep.workers_at(site)):
+    for s_idx, site in enumerate(deployment.sites):
+        for k, vm in enumerate(deployment.workers_at(site)):
             (writers if (k + s_idx) % 2 == 0 else readers).append(vm)
     if not writers or not readers:
         raise ValueError(
             "deployment too small to host both writers and readers"
         )
     n_writers = len(writers)
-    node_times: List[float] = [0.0] * len(dep.workers)
-    node_index = {vm.name: i for i, vm in enumerate(dep.workers)}
+    node_times: List[float] = [0.0] * len(deployment.workers)
+    node_index = {vm.name: i for i, vm in enumerate(deployment.workers)}
 
     # Writers advance a visible progress counter so readers sample only
     # files that have actually been published somewhere -- the paper's
@@ -122,12 +112,12 @@ def run_synthetic_workload(
                 key=f"file-{writer_id}-{i}",
                 locations=frozenset({vm.site}),
             )
-            yield from strat.write(vm.site, entry)
+            yield from strategy.write(vm.site, entry)
             progress[writer_id] = i + 1
         node_times[node_index[vm.name]] = env.now - start
 
     def reader(vm, reader_id: int) -> Generator:
-        rng = dep.rng.blocks(f"reader-{reader_id}")
+        rng = deployment.rng.blocks(f"reader-{reader_id}")
         start = env.now
         done = 0
         while done < ops_per_node:
@@ -137,7 +127,7 @@ def run_synthetic_workload(
                 yield 0.05
                 continue
             j = rng.integers(progress[w])
-            yield from strat.read(
+            yield from strategy.read(
                 vm.site, f"file-{w}-{j}", require_found=True
             )
             done += 1
@@ -155,14 +145,13 @@ def run_synthetic_workload(
 
     env.run(until=AllOf(env, procs))
     makespan = env.now - start
-    ctrl.shutdown()
 
     return SyntheticResult(
-        strategy=strat.name,
-        n_nodes=len(dep.workers),
+        strategy=strategy.name,
+        n_nodes=len(deployment.workers),
         ops_per_node=ops_per_node,
         makespan=makespan,
         node_times=node_times,
-        node_sites=[vm.site for vm in dep.workers],
-        ops=strat.stats,
+        node_sites=[vm.site for vm in deployment.workers],
+        ops=strategy.stats,
     )

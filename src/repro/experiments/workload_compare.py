@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.experiments.reporting import check, render_table
-from repro.metadata.config import MetadataConfig
 from repro.scenario import (
     NetworkSpec,
     ScenarioSpec,
@@ -168,7 +167,6 @@ def run_workload_compare(
     seed: int = 17,
     bandwidth_model: str = "slots",
     spread_inputs: bool = True,
-    config: Optional[MetadataConfig] = None,
     jobs: int = 1,
 ) -> WorkloadCompareResult:
     """Run the identical K-tenant workload under each combination.
@@ -230,7 +228,7 @@ def run_workload_compare(
                 ),
             )
             cells.append(({"strategy": strategy, "scheduler": scheduler}, spec))
-    for cell in run_cells(cells, jobs=jobs, config_base=config):
+    for cell in run_cells(cells, jobs=jobs):
         combo = (cell.overrides["strategy"], cell.overrides["scheduler"])
         result.results[combo] = cell.unwrap().result
     return result

@@ -25,14 +25,16 @@ parallel-vs-serial bit-for-bit contract covers them) --
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
-from repro.experiments.synthetic import SyntheticResult
 from repro.metadata.stats import OpKind
-from repro.scenario.runner import ScenarioResult
-from repro.scenario.sweep import SweepCell, SweepResult
-from repro.workflow.engine import TaskResult, WorkflowResult
-from repro.workload.result import WorkloadResult
+
+if TYPE_CHECKING:  # annotations only: a writer loads no run plane
+    from repro.experiments.synthetic import SyntheticResult
+    from repro.scenario.runner import ScenarioResult
+    from repro.scenario.sweep import SweepCell, SweepResult
+    from repro.workflow.engine import TaskResult, WorkflowResult
+    from repro.workload.result import WorkloadResult
 
 __all__ = [
     "check_artifact",

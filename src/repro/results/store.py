@@ -32,11 +32,13 @@ from __future__ import annotations
 import json
 import subprocess
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 from repro.results.serialize import check_artifact, scenario_result_to_dict
-from repro.scenario.runner import ScenarioResult
-from repro.scenario.spec import ScenarioSpec
+
+if TYPE_CHECKING:  # annotations only
+    from repro.scenario.runner import ScenarioResult
+    from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "ResultStore",

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cloud.deployment import Deployment
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController
 from repro.obs import Tracer
 from repro.scenario.slo import SLOReport, evaluate_slo
@@ -168,14 +167,13 @@ class ScenarioResult:
 def _wire_faults(
     spec: ScenarioSpec,
     deployment: Deployment,
-    registries: Optional[Dict[str, object]],
+    registries: Dict[str, object],
 ) -> List[object]:
     """Instantiate one injector per fault spec against the deployment.
 
-    Registry-backed control-plane behaviour (service slots held during
-    outages) engages when the strategy's registries are available;
-    data-plane teardown is wired through the network unconditionally
-    (a safe no-op under the slot model).
+    Outages hold the service slots of the strategy's registries at the
+    downed sites (the control plane) and tear down fair flows through
+    them (the data plane; a safe no-op under the slot model).
     """
     if not spec.faults:
         return []
@@ -194,7 +192,7 @@ def _wire_faults(
             injectors.append(
                 SiteOutage(
                     env,
-                    registry=(registries or {}).get(f.site),
+                    registry=registries.get(f.site),
                     start=f.start,
                     duration=f.duration,
                     network=network,
@@ -371,38 +369,17 @@ def _build_workflow(spec: ScenarioSpec):
     return builder(**kwargs)
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    quick: bool = False,
-    workflow=None,
-    config_base: Optional[MetadataConfig] = None,
-) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec, quick: bool = False) -> ScenarioResult:
     """Validate ``spec`` and execute it end to end.
 
-    Parameters
-    ----------
-    quick:
-        Run the :meth:`~repro.scenario.spec.ScenarioSpec.quick`
-        reduction of the spec (CI-friendly op volumes, same shape).
-    workflow:
-        Workflow surface only: a pre-built
-        :class:`~repro.workflow.dag.Workflow` to execute instead of
-        the spec's ``application``/``workflow_file`` (used by
-        experiment harnesses with bespoke DAGs).
-    config_base:
-        Optional :class:`MetadataConfig` supplying strategy and
-        registry defaults that the spec's own strategy pins override.
-        It cannot change which placement or admission policy runs:
-        those come from the spec alone.
+    ``quick`` runs the :meth:`~repro.scenario.spec.ScenarioSpec.quick`
+    reduction of the spec (CI-friendly op volumes, same shape).  The
+    run is built from the spec alone: one metadata controller on every
+    surface, its registries wired to the spec's faults.
     """
     spec.validate()
     if quick:
         spec = spec.quick()
-    if workflow is not None and spec.surface != "workflow":
-        raise ValueError(
-            "a pre-built workflow applies to the workflow surface only"
-        )
-    config = spec.to_metadata_config(base=config_base)
     net = spec.network
     # The tracer must be attached before the deployment is built:
     # network/registry/engine components cache their tracer category
@@ -435,110 +412,81 @@ def run_scenario(
         ),
         rpc_flow_weight=net.rpc_flow_weight,
     )
-
+    controller = ArchitectureController(
+        deployment,
+        strategy=spec.strategy.name,
+        config=spec.to_metadata_config(),
+    )
+    injectors = _wire_faults(
+        spec, deployment, registries=controller.strategy.registries
+    )
+    scheduler, admission, wan_bytes = "", None, 0
+    elastic: Optional[ElasticController] = None
     if spec.surface == "synthetic":
-        # The synthetic harness owns its controller, so outages here
-        # are data-plane-only (no registries to hold slots on).
-        injectors = _wire_faults(spec, deployment, registries=None)
         # Imported lazily: the experiments package sits above the
         # scenario layer (its compare modules consume specs).
         from repro.experiments.synthetic import run_synthetic_workload
 
         result = run_synthetic_workload(
-            spec.strategy.name,
-            n_nodes=spec.n_nodes,
-            ops_per_node=spec.ops_per_node,
-            seed=spec.seed,
-            config=config,
-            deployment=deployment,
+            deployment, controller.strategy, spec.ops_per_node
         )
-        return _finalize(
-            ScenarioResult(
-                spec=spec,
-                result=result,
-                fault_events=_collect_events(injectors),
-                provenance=_provenance(deployment),
-                obs=tracer.export() if tracer is not None else None,
-                tracer=tracer,
+    else:
+        from repro.storage.transfer import TransferService
+
+        transfer = TransferService(
+            env,
+            deployment.network,
+            deployment.sites,
+            default_weight=net.transfer_flow_weight,
+        )
+        policy = _placement_policy(spec.scheduler)
+        if spec.surface == "workflow":
+            from repro.workflow.engine import WorkflowEngine
+
+            engine = WorkflowEngine(
+                deployment,
+                controller.strategy,
+                transfer=transfer,
+                scheduler=policy,
+                input_site=spec.scheduler.input_site,
             )
-        )
-
-    controller = ArchitectureController(
-        deployment, strategy=spec.strategy.name, config=config
-    )
-    injectors = _wire_faults(
-        spec, deployment, registries=controller.strategy.registries
-    )
-    from repro.storage.transfer import TransferService
-
-    transfer = TransferService(
-        env,
-        deployment.network,
-        deployment.sites,
-        default_weight=net.transfer_flow_weight,
-    )
-    policy = _placement_policy(spec.scheduler)
-    if spec.surface == "workflow":
-        from repro.workflow.engine import WorkflowEngine
-
-        engine = WorkflowEngine(
-            deployment,
-            controller.strategy,
-            transfer=transfer,
-            scheduler=policy,
-            input_site=spec.scheduler.input_site,
-        )
-        # Workflow surface has no admission layer, so the autoscaler
-        # senses queue depth only (signals=None).
-        elastic = _start_elastic(
-            spec, deployment, engine.cluster, None, tracer
-        )
-        result = engine.run(
-            workflow if workflow is not None else _build_workflow(spec)
-        )
-        controller.shutdown()
-        return _finalize(
-            ScenarioResult(
-                spec=spec,
-                result=result,
-                scheduler=engine.policy.name,
-                fault_events=_collect_events(injectors),
-                wan_bytes=engine.transfer.wan_bytes,
-                provenance=_provenance(deployment),
-                obs=tracer.export() if tracer is not None else None,
-                elastic=(
-                    elastic.finalize() if elastic is not None else None
-                ),
-                tracer=tracer,
+            # Workflow surface has no admission layer, so the autoscaler
+            # senses queue depth only (signals=None).
+            elastic = _start_elastic(
+                spec, deployment, engine.cluster, None, tracer
             )
-        )
+            result = engine.run(_build_workflow(spec))
+            scheduler = engine.policy.name
+            wan_bytes = engine.transfer.wan_bytes
+        else:
+            from repro.workload.runner import WorkloadRunner
 
-    from repro.workload.runner import WorkloadRunner
-
-    signals = (
-        _elastic_signals(spec) if spec.elasticity.enabled else None
-    )
-    runner = WorkloadRunner(
-        deployment,
-        controller.strategy,
-        scheduler=policy,
-        admission=_admission_controller(spec, env),
-        transfer=transfer,
-        elastic_signals=signals,
-    )
-    elastic = _start_elastic(
-        spec, deployment, runner.engine.cluster, signals, tracer
-    )
-    result = runner.run(spec.workload)
+            signals = (
+                _elastic_signals(spec) if spec.elasticity.enabled else None
+            )
+            runner = WorkloadRunner(
+                deployment,
+                controller.strategy,
+                scheduler=policy,
+                admission=_admission_controller(spec, env),
+                transfer=transfer,
+                elastic_signals=signals,
+            )
+            elastic = _start_elastic(
+                spec, deployment, runner.engine.cluster, signals, tracer
+            )
+            result = runner.run(spec.workload)
+            scheduler, admission = result.scheduler, result.admission
+            wan_bytes = result.wan_bytes
     controller.shutdown()
     return _finalize(
         ScenarioResult(
             spec=spec,
             result=result,
-            scheduler=result.scheduler,
-            admission=result.admission,
+            scheduler=scheduler,
+            admission=admission,
             fault_events=_collect_events(injectors),
-            wan_bytes=result.wan_bytes,
+            wan_bytes=wan_bytes,
             provenance=_provenance(deployment),
             obs=tracer.export() if tracer is not None else None,
             elastic=elastic.finalize() if elastic is not None else None,

@@ -58,7 +58,7 @@ from repro.scenario.slo import SLOSpec
 from repro.scheduling import SCHEDULER_NAMES
 from repro.util.checks import check_bool, check_number, is_int
 from repro.util.units import MB
-from repro.workflow.applications import buzzflow, montage
+from repro.workflow.applications import buzzflow, fanout, montage
 from repro.workload.admission import ADMISSION_NAMES
 from repro.workload.spec import WorkloadSpec
 
@@ -86,10 +86,15 @@ TOPOLOGY_PRESETS: Tuple[str, ...] = ("azure_4dc", "hetero_fanout", "uniform")
 SURFACES: Tuple[str, ...] = ("workflow", "synthetic", "workload")
 
 #: Applications the single-workflow surface can build (the paper's two
-#: real DAGs; arbitrary DAGs come in via ``workflow_file``).  The one
-#: name -> builder mapping every consumer (validation, the scenario
-#: runner, the CLI) derives from.
-WORKFLOW_BUILDERS = {"buzzflow": buzzflow, "montage": montage}
+#: real DAGs and the scheduler comparison's capped fan-out; arbitrary
+#: DAGs come in via ``workflow_file``).  The one name -> builder
+#: mapping every consumer (validation, the scenario runner, the CLI)
+#: derives from.
+WORKFLOW_BUILDERS = {
+    "buzzflow": buzzflow,
+    "fanout": fanout,
+    "montage": montage,
+}
 
 #: Recognized workflow-surface application names, in a stable order.
 WORKFLOW_APPLICATIONS: Tuple[str, ...] = tuple(sorted(WORKFLOW_BUILDERS))
@@ -776,6 +781,40 @@ def _nested_replace(obj, path: str, value):
     return dataclasses.replace(obj, **{head: value})
 
 
+#: The sub-spec class of each ``ScenarioSpec`` field a mapping fills.
+_SUB_SPECS = {
+    "topology": TopologySpec,
+    "network": NetworkSpec,
+    "strategy": StrategySpec,
+    "scheduler": SchedulerSpec,
+    "observability": ObservabilitySpec,
+    "slo": SLOSpec,
+    "elasticity": ElasticitySpec,
+}
+
+
+def _sub_specs(fields: Mapping) -> Dict[str, Any]:
+    """``fields`` with each mapping made the sub-spec its field holds.
+
+    The one conversion :meth:`ScenarioSpec.from_dict` and
+    :meth:`ScenarioSpec.replace` share: a mapping on a sub-spec field,
+    each mapping in ``faults`` and a ``workload`` mapping become their
+    spec objects (strict keys); everything else passes through.
+    """
+    out = dict(fields)
+    for key, value in fields.items():
+        if key in _SUB_SPECS and isinstance(value, Mapping):
+            out[key] = _sub_from_dict(_SUB_SPECS[key], value)
+        elif key == "faults":
+            out[key] = tuple(
+                _sub_from_dict(FaultSpec, f) if isinstance(f, Mapping) else f
+                for f in value
+            )
+        elif key == "workload" and isinstance(value, Mapping):
+            out[key] = WorkloadSpec.from_dict(value)
+    return out
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """The full description of one experiment: validated, serializable.
@@ -856,6 +895,16 @@ class ScenarioSpec:
             raise ValueError(
                 f"surface must be one of {SURFACES}, got {self.surface!r}"
             )
+        # A scalar set on a sub-spec field (``--set strategy=hybrid``)
+        # has no validate() of its own.
+        fields = [(k, getattr(self, k), cls) for k, cls in _SUB_SPECS.items()]
+        fields += [("faults", f, FaultSpec) for f in self.faults]
+        for key, value, cls in fields:
+            if not (isinstance(value, cls) or key == "slo" and value is None):
+                raise ValueError(
+                    f"{key} must be a {cls.__name__} (a JSON object of "
+                    f"its fields), got {value!r}"
+                )
         self.topology.validate()
         self.network.validate()
         self.strategy.validate()
@@ -1030,18 +1079,14 @@ class ScenarioSpec:
 
     # -- derived artefacts -------------------------------------------------
 
-    def to_metadata_config(
-        self, base: Optional[MetadataConfig] = None
-    ) -> Optional[MetadataConfig]:
+    def to_metadata_config(self) -> Optional[MetadataConfig]:
         """The :class:`MetadataConfig` this scenario's strategy pins.
 
-        Only the strategy knobs the spec actually pins override
-        ``base`` -- an unset default never clobbers a base-config
-        value -- and ``base`` comes back unchanged (possibly ``None``,
-        so callers keep their defaults) when nothing is pinned.  The
-        placement policy, admission control and transfer weight are no
-        config fields: ``repro.scenario.runner`` builds them from the
-        spec.
+        ``None`` (the strategies keep the ``MetadataConfig`` defaults)
+        when the spec pins no strategy knob; otherwise the pins over
+        ``MetadataConfig()``.  The placement policy, admission control
+        and transfer weight are no config fields:
+        ``repro.scenario.runner`` builds them from the spec.
         """
         s = self.strategy
         pins: Dict[str, Any] = {}
@@ -1054,10 +1099,8 @@ class ScenarioSpec:
         if s.sync_period is not None:
             pins["sync_period"] = s.sync_period
         if not pins:
-            return base
-        config = MetadataConfig(
-            **{**(base.__dict__ if base is not None else {}), **pins}
-        )
+            return None
+        config = MetadataConfig(**pins)
         config.validate()
         return config
 
@@ -1095,10 +1138,12 @@ class ScenarioSpec:
         >>> spec.replace(**{"scheduler.name": "bandwidth_aware",
         ...                 "network.bandwidth_model": "fair"})
 
-        Plain keys replace top-level fields (``replace(n_nodes=8)``).
-        The original spec is untouched; the result is *not* validated
-        (sweeps may pass through transiently-invalid intermediates) --
-        :meth:`run` validates.
+        Plain keys replace top-level fields (``replace(n_nodes=8)``);
+        a mapping or a list of mappings set on a sub-spec field becomes
+        that sub-spec, as in :meth:`from_dict`.  The original spec is
+        untouched; the result is *not* validated (sweeps may pass
+        through transiently-invalid intermediates) -- :meth:`run`
+        validates.
         """
         direct: Dict[str, Any] = {}
         for key, value in overrides.items():
@@ -1113,7 +1158,7 @@ class ScenarioSpec:
                 )
             direct[head] = _nested_replace(current, rest, value)
         try:
-            return dataclasses.replace(self, **direct)
+            return dataclasses.replace(self, **_sub_specs(direct))
         except TypeError as exc:
             raise ValueError(f"bad override: {exc}") from None
 
@@ -1131,29 +1176,10 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output (strict keys)."""
-        data = dict(data)
         _check_keys(
             "ScenarioSpec", data, (f.name for f in dataclasses.fields(cls))
         )
-        for key, sub in (
-            ("topology", TopologySpec),
-            ("network", NetworkSpec),
-            ("strategy", StrategySpec),
-            ("scheduler", SchedulerSpec),
-            ("observability", ObservabilitySpec),
-            ("slo", SLOSpec),
-            ("elasticity", ElasticitySpec),
-        ):
-            if isinstance(data.get(key), Mapping):
-                data[key] = _sub_from_dict(sub, data[key])
-        if "faults" in data:
-            data["faults"] = tuple(
-                _sub_from_dict(FaultSpec, f) if isinstance(f, Mapping) else f
-                for f in data["faults"]
-            )
-        if isinstance(data.get("workload"), Mapping):
-            data["workload"] = WorkloadSpec.from_dict(data["workload"])
-        return cls(**data)
+        return cls(**_sub_specs(data))
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -1216,21 +1242,11 @@ class ScenarioSpec:
 
     # -- execution ---------------------------------------------------------
 
-    def run(
-        self,
-        quick: bool = False,
-        workflow=None,
-        config_base: Optional[MetadataConfig] = None,
-    ):
+    def run(self, quick: bool = False):
         """Validate and execute this scenario; see ``repro.scenario.runner``.
 
         Returns a :class:`~repro.scenario.runner.ScenarioResult`.
-        ``workflow`` optionally injects a pre-built DAG (workflow
-        surface only); ``config_base`` supplies defaults the spec's
-        own pins override.
         """
         from repro.scenario.runner import run_scenario
 
-        return run_scenario(
-            self, quick=quick, workflow=workflow, config_base=config_base
-        )
+        return run_scenario(self, quick=quick)

@@ -32,7 +32,6 @@ The CLI form is ``repro.cli sweep --scenario NAME --set path=v1,v2
 
 from __future__ import annotations
 
-import copy
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -216,11 +215,7 @@ class SweepResult:
         return render_table(headers, rows, title=title)
 
 
-def _run_cell(
-    payload: Tuple[
-        Dict[str, Any], ScenarioSpec, bool, Optional[object], Optional[object]
-    ]
-) -> SweepCell:
+def _run_cell(payload: Tuple[Dict[str, Any], ScenarioSpec, bool]) -> SweepCell:
     """Execute one self-contained cell; never raises on cell failure.
 
     Module-level so a ``multiprocessing.Pool`` can pickle it; the
@@ -228,12 +223,10 @@ def _run_cell(
     from the (pickled) frozen spec, which is what makes ``jobs=N``
     bit-for-bit equal to serial execution.
     """
-    overrides, spec, quick, workflow, config_base = payload
+    overrides, spec, quick = payload
     t0 = time.perf_counter()
     try:
-        result = run_scenario(
-            spec, quick=quick, workflow=workflow, config_base=config_base
-        )
+        result = run_scenario(spec, quick=quick)
     except Exception as exc:  # per-cell isolation: report, don't kill
         return SweepCell(
             overrides=overrides,
@@ -251,8 +244,6 @@ def run_cells(
     cells: Sequence[Tuple[Mapping[str, Any], ScenarioSpec]],
     quick: bool = False,
     jobs: int = 1,
-    workflow=None,
-    config_base=None,
 ) -> Iterator[SweepCell]:
     """Execute ``(overrides, spec)`` cells, yielding each in input order.
 
@@ -261,26 +252,17 @@ def run_cells(
     runs independently on a fresh deployment and failures are captured
     per-cell.  Cells are yielded as they finish, so a caller that keeps
     a few numbers per cell holds one run at a time, not the grid.
-
-    ``jobs > 1`` dispatches cells to a ``multiprocessing.Pool``; a
-    prebuilt ``workflow`` (workflow surface only) is deep-copied per
-    cell in serial mode -- exactly what pickling does on the parallel
-    path -- so no DAG instance is ever shared between runs.
+    ``jobs > 1`` dispatches cells to a ``multiprocessing.Pool``.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    payloads = [
-        (dict(overrides), spec, quick, workflow, config_base)
-        for overrides, spec in cells
-    ]
+    payloads = [(dict(overrides), spec, quick) for overrides, spec in cells]
     return _stream_cells(payloads, min(jobs, len(payloads)))
 
 
 def _stream_cells(payloads, jobs: int) -> Iterator[SweepCell]:
     if jobs <= 1:
-        for overrides, spec, quick, wf, config in payloads:
-            wf = copy.deepcopy(wf) if wf is not None else None
-            yield _run_cell((overrides, spec, quick, wf, config))
+        yield from map(_run_cell, payloads)
         return
     import multiprocessing  # the pool only: serial sweeps never load it
 
@@ -295,8 +277,6 @@ def iter_sweep(
     axes: Mapping[str, Sequence[Any]],
     quick: bool = False,
     jobs: int = 1,
-    workflow=None,
-    config_base=None,
 ) -> Iterator[SweepCell]:
     """Yield :func:`run_sweep`'s cells one at a time, in grid order."""
     if not axes:
@@ -325,8 +305,6 @@ def iter_sweep(
         [(o, spec) for o, spec, err in prepared if err is None],
         quick=quick,
         jobs=jobs,
-        workflow=workflow,
-        config_base=config_base,
     )
     for overrides, _spec, err in prepared:
         yield (
@@ -341,8 +319,6 @@ def run_sweep(
     axes: Mapping[str, Sequence[Any]],
     quick: bool = False,
     jobs: int = 1,
-    workflow=None,
-    config_base=None,
 ) -> SweepResult:
     """Run the cartesian product of ``axes`` overrides over ``base``.
 
@@ -350,9 +326,8 @@ def run_sweep(
     :meth:`ScenarioSpec.replace`) to the values each axis takes; every
     combination is validated and executed independently.  ``jobs=N``
     runs cells in N worker processes (same results, see
-    :func:`run_cells`); ``workflow``/``config_base`` pass through to
-    :func:`~repro.scenario.runner.run_scenario` for every cell.
+    :func:`run_cells`).
     """
     axes = {key: tuple(vals) for key, vals in axes.items()}
-    cells = iter_sweep(base, axes, quick, jobs, workflow, config_base)
+    cells = iter_sweep(base, axes, quick, jobs)
     return SweepResult(base=base, axes=axes, cells=list(cells))

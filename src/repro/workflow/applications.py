@@ -1,4 +1,5 @@
-"""Models of the paper's two real-life workflows (Section VI-D, Fig. 9).
+"""Models of the paper's two real-life workflows (Section VI-D, Fig. 9),
+plus the capped fan-out the placement policies are compared on.
 
 **BuzzFlow** -- "a near-pipelined application that searches for trends
 and correlations in large scientific publications databases like DBLP
@@ -18,6 +19,10 @@ Both builders take ``ops_per_task`` and ``compute_time`` so the three
 evaluation scenarios (Small Scale / Computation Intensive / Metadata
 Intensive) are just parameterizations; presets live in
 ``repro.experiments.fig10_workflows.TABLE_I``.
+
+**Fan-out** -- a splitter fanning bulky parts out to a wave of
+consumers (``docs/scheduling.md``); ``repro.experiments.scheduler_compare``
+runs it on the heterogeneous fan-out testbed.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import List
 from repro.util.units import KB, MB
 from repro.workflow.dag import Task, Workflow, WorkflowFile
 
-__all__ = ["buzzflow", "montage", "BUZZFLOW_JOBS", "MONTAGE_JOBS"]
+__all__ = ["buzzflow", "fanout", "montage", "BUZZFLOW_JOBS", "MONTAGE_JOBS"]
 
 #: Job counts implied by Table I's totals.
 BUZZFLOW_JOBS = 72
@@ -151,4 +156,51 @@ def montage(
         )
     )
     assert len(wf) == 1 + n_parallel + n_merges + 1
+    return wf
+
+
+def fanout(ops_per_task: int = 0, compute_time: float = 2.0) -> Workflow:
+    """A splitter fanning out 12 bulky 24 MB parts to 12 consumers.
+
+    ``ops_per_task`` extra registry ops go to each consumer, as in the
+    workload surface's ``scatter`` and ``pipeline`` applications.  The
+    splitter reads one external ``seed`` input staged at the engine's
+    ``input_site``.  Data-*aware* policies (bandwidth_aware, hybrid)
+    anchor the splitter there because staging is free on-site;
+    data-blind ones (locality's root round-robin, round_robin,
+    load_balanced) place it on the fleet's first worker regardless.
+    With the scenario default ``input_site="hub"`` both coincide --
+    worker 0 lives at the topology's first site -- so every policy
+    starts from an identical data layout and the comparison varies
+    only the consumer placements.  Moving ``input_site`` elsewhere
+    additionally charges the data-blind policies a cross-WAN seed
+    fetch (the ``input_site`` knob's purpose).
+    """
+    fan_out = 12
+    wf = Workflow("capped-fanout")
+    seed = WorkflowFile("fanout/seed", size=1 * MB)
+    parts = [
+        WorkflowFile(f"fanout/part-{i}", size=24 * MB)
+        for i in range(fan_out)
+    ]
+    wf.add_task(
+        Task(
+            "split",
+            inputs=[seed],
+            outputs=parts,
+            compute_time=min(compute_time, 0.5),
+            stage="split",
+        )
+    )
+    for i in range(fan_out):
+        wf.add_task(
+            Task(
+                f"consume-{i}",
+                inputs=[parts[i]],
+                outputs=[WorkflowFile(f"fanout/result-{i}", size=64 * 1024)],
+                compute_time=compute_time,
+                extra_ops=ops_per_task,
+                stage="consume",
+            )
+        )
     return wf

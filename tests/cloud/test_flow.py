@@ -203,6 +203,49 @@ class TestFairShareLink:
             link.open(size=10, weight=0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda env, topo: FlowNetwork(env).link("a", "b", capacity=NAN),
+        lambda env, topo: FlowNetwork(env).link(
+            "a", "b", capacity=100.0, max_flow_rate=NAN
+        ),
+        lambda env, topo: FlowNetwork(env)
+        .link("a", "b", capacity=100.0)
+        .open(1000, max_rate=NAN),
+        lambda env, topo: FlowNetwork(env)
+        .link("a", "b", capacity=100.0)
+        .open(1000, weight=NAN),
+        lambda env, topo: topo.set_link("west-europe", "east-us", NAN),
+        lambda env, topo: topo.set_link(
+            "west-europe", "east-us", 0.04, bandwidth=NAN
+        ),
+        lambda env, topo: topo.set_link(
+            "west-europe", "east-us", 0.04, max_flow_rate=NAN
+        ),
+        lambda env, topo: Network(env, topo, rpc_weight=NAN),
+    ],
+    ids=[
+        "link-capacity",
+        "link-max_flow_rate",
+        "open-max_rate",
+        "open-weight",
+        "set_link-latency",
+        "set_link-bandwidth",
+        "set_link-max_flow_rate",
+        "network-rpc_weight",
+    ],
+)
+def test_nan_rate_bound_rejected(env, topo, build):
+    """A NaN cap, capacity, weight or latency fails its bound instead
+    of reaching the solver (a NaN-rate flow never completes)."""
+    with pytest.raises(ValueError, match="must be"):
+        build(env, topo)
+
+
 class TestFlowNetworkHierarchy:
     """Site egress/ingress caps couple links through a FlowNetwork."""
 

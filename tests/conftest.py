@@ -6,7 +6,9 @@ from repro.sim import Environment
 from repro.cloud.deployment import Deployment
 from repro.cloud.network import Network
 from repro.cloud.presets import azure_4dc_topology
+from repro.experiments.synthetic import run_synthetic_workload
 from repro.metadata.config import MetadataConfig
+from repro.metadata.controller import ArchitectureController
 
 
 @pytest.fixture
@@ -45,6 +47,24 @@ def fast_config():
         read_retry_interval=0.05,
         read_retry_max_delay=0.2,
     )
+
+
+@pytest.fixture
+def run_synthetic():
+    """The synthetic benchmark on a hand-built deployment and controller.
+
+    For calibrations no spec field names (``fast_config``);
+    ``ScenarioSpec.run`` is the route for everything else.
+    """
+
+    def run(strategy, n_nodes, ops_per_node, seed=0, config=None):
+        dep = Deployment(n_nodes=n_nodes, seed=seed)
+        ctrl = ArchitectureController(dep, strategy=strategy, config=config)
+        result = run_synthetic_workload(dep, ctrl.strategy, ops_per_node)
+        ctrl.shutdown()
+        return result
+
+    return run
 
 
 def drive(env, gen, name="test"):

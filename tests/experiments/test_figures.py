@@ -5,12 +5,13 @@ experiment plumbing (series shapes, rendering, reference data) quickly.
 
 The sweep-backed figures (5-8, 10) are also pinned bit for bit: the
 ``*_GOLDEN`` values below are each figure's full output at these test
-sizes with ``fast_config``, captured from the hand-built harness before
-the figures moved onto scenario sweeps.  They pin what the
+sizes, at the default ``MetadataConfig`` calibration a spec runs with,
+captured before the runner built the synthetic surface's controller.
+They pin what the
 ``test_seed_compat.py`` goldens do not reach: Fig. 8's per-node share
 of a fixed total, Fig. 6's progress curves and per-site times, and
-Fig. 10's merge of the home site and synchronous hybrid replication
-into the caller's config (plus its ``ops_scale`` rounding).
+Fig. 10's home site and synchronous hybrid replication pinned through
+``StrategySpec`` (plus its ``ops_scale`` rounding).
 Comparisons are exact (``==`` on floats): the simulator is
 deterministic, so bit-for-bit equality is the contract.
 """
@@ -28,89 +29,88 @@ from repro.experiments.fig6_progress import run_fig6
 from repro.experiments.fig7_throughput import run_fig7
 from repro.experiments.fig8_scalability import run_fig8
 from repro.experiments.fig10_workflows import TABLE_I, run_fig10
-from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 from repro.workflow.applications import BUZZFLOW_JOBS, MONTAGE_JOBS
 
 # ops_per_node=(20, 50), 8 nodes, seed 1.
 FIG5_GOLDEN = {
-    "centralized": [1.197768670374999, 2.92292629943241],
-    "replicated": [0.5555985233086875, 0.776082689811193],
-    "decentralized": [1.2892767930602598, 2.9873268087160683],
-    "hybrid": [0.5441445709495716, 1.4535516990269415],
+    "centralized": [2.2292849435952418, 5.49408462289718],
+    "replicated": [2.673429872702181, 5.0577554901875175],
+    "decentralized": [2.2875877679617656, 5.531071398042904],
+    "hybrid": [1.8654134883958218, 4.263628602349488],
 }
 
 # 8 nodes, 60 ops/node, seed 0, progress at 10 %, 20 %, ..., 100 %.
 FIG6_CURVES_GOLDEN = {
     "centralized": [
-        0.12437948255012295, 0.2120209958599067, 0.3212460428606444,
-        0.6170006699769136, 0.9974282843833119, 1.3602329042284758,
-        2.42950032916888, 3.6188110058038085, 4.813377482873515,
-        7.303127783258353,
+        0.6428941254595367, 1.1802008855029065, 1.7077903978754878,
+        2.2282730258993944, 2.764357661022459, 3.305361323131835,
+        4.148823506017269, 5.525924044985548, 7.391730427929192,
+        10.407438387819132,
     ],
     "decentralized": [
-        0.41829102147961456, 0.8197611939627532, 1.1254189753604043,
-        1.5423429415616696, 1.8778882670321, 2.1645697491657265,
-        2.5072523006107352, 2.7638416839317146, 3.071473578041567,
-        4.15106024357692,
+        0.7868464784519374, 1.4764022637070493, 2.1422485438450893,
+        2.802193399801611, 3.485398780382671, 4.172935721602106,
+        4.797607251460599, 5.3628632760950055, 6.034524688968084,
+        7.187661029646872,
     ],
     "hybrid": [
-        0.037205403518676766, 0.07441081657409673, 0.11471668071746836,
-        0.1513190130222005, 0.1885244260776203, 0.9579696341642068,
-        1.5239220272560154, 2.236389333579425, 2.7150762607147496,
-        4.172594432491604,
+        0.5427349148458679, 1.0287905432939304, 1.5148126209259039,
+        1.9493466431326119, 2.4257201742272683, 2.817628966903691,
+        3.267650586968668, 4.660091217691045, 5.8600681345354495,
+        8.150439680892045,
     ],
 }
 FIG6_SITE_TIMES_GOLDEN = {
     "centralized": {
-        "west-europe": 0.2672124784025977,
-        "north-europe": 1.4038673745971257,
-        "east-us": 5.049953932765604,
-        "south-central-us": 7.276527158182952,
+        "west-europe": 3.336911675991333,
+        "north-europe": 4.508798158927734,
+        "east-us": 8.144592313022923,
+        "south-central-us": 10.360279996370648,
     },
     "decentralized": {
-        "west-europe": 3.10659334845284,
-        "north-europe": 3.365530398686227,
-        "east-us": 3.2233619209730278,
-        "south-central-us": 3.945947484776015,
+        "west-europe": 6.2586021796772,
+        "north-europe": 6.963863539850874,
+        "east-us": 6.463817954437319,
+        "south-central-us": 6.927314894175348,
     },
     "hybrid": {
-        "west-europe": 1.5531010560827012,
-        "north-europe": 1.7576463339868795,
-        "east-us": 1.601731827949968,
-        "south-central-us": 2.1793107441159805,
+        "west-europe": 4.8086900023705805,
+        "north-europe": 5.344647461628174,
+        "east-us": 4.814047381563115,
+        "south-central-us": 5.700436128249676,
     },
 }
 
 # node_counts=(4, 8), 40 ops/node, seed 0.
 FIG7_GOLDEN = {
-    "centralized": [32.64496469072707, 65.06468923764675],
-    "replicated": [132.24070777670346, 226.17274997976415],
-    "decentralized": [56.862740748878245, 120.36280717018494],
-    "hybrid": [50.872857376450554, 131.16119827913204],
+    "centralized": [22.88895350845299, 45.817044035211275],
+    "replicated": [23.93442927759622, 41.93612402547617],
+    "decentralized": [33.05187170245301, 65.71291751827272],
+    "hybrid": [29.335990071020422, 60.516810936519306],
 }
 
 # node_counts=(4, 8), 400 total ops (100 and 50 per node), seed 0.
 FIG8_GOLDEN = {
-    "centralized": [12.128719069468483, 6.1307745304037145],
-    "replicated": [1.5935402832031207, 1.503145614587578],
-    "decentralized": [6.547075127080188, 3.200676795219815],
-    "hybrid": [9.644838261606331, 3.370587508885256],
+    "centralized": [17.275193759951225, 8.687553524207976],
+    "replicated": [11.935312122454661, 8.21020382522112],
+    "decentralized": [12.164927705531628, 5.964666018126586],
+    "hybrid": [15.010326530221231, 6.675030669836744],
 }
 
 # BuzzFlow on 8 nodes, seed 7, home site east-us, sync replication.
 FIG10_GOLDEN = {
-    ("buzzflow", "SS", "centralized"): 176.80434238230825,
-    ("buzzflow", "SS", "replicated"): 34.44449763932134,
-    ("buzzflow", "SS", "decentralized"): 128.57957898283445,
-    ("buzzflow", "SS", "hybrid"): 105.15156009962412,
+    ("buzzflow", "SS", "centralized"): 268.79257309716587,
+    ("buzzflow", "SS", "replicated"): 128.65539821416664,
+    ("buzzflow", "SS", "decentralized"): 223.10041673859183,
+    ("buzzflow", "SS", "hybrid"): 199.71043770992765,
 }
 # The CI row at ops_scale=0.05 (200 ops/task -> 10).
 FIG10_CI_SCALED_GOLDEN = {
-    ("buzzflow", "CI", "centralized"): 106.4305335016436,
-    ("buzzflow", "CI", "replicated"): 91.15841968729832,
-    ("buzzflow", "CI", "decentralized"): 102.53522049355314,
-    ("buzzflow", "CI", "hybrid"): 99.77311495749076,
+    ("buzzflow", "CI", "centralized"): 115.71876293453077,
+    ("buzzflow", "CI", "replicated"): 100.36610480885126,
+    ("buzzflow", "CI", "decentralized"): 111.80341981306293,
+    ("buzzflow", "CI", "hybrid"): 109.1761648493725,
 }
 
 
@@ -136,9 +136,9 @@ class TestFig1:
 
 
 class TestFig5:
-    def test_series_shapes(self, fast_config):
+    def test_series_shapes(self):
         r = run_fig5(
-            ops_per_node=(20, 50), n_nodes=8, config=fast_config, seed=1
+            ops_per_node=(20, 50), n_nodes=8, seed=1
         )
         assert set(r.mean_node_time) == set(StrategyName.all())
         for series in r.mean_node_time.values():
@@ -148,83 +148,73 @@ class TestFig5:
         assert r.mean_node_time == FIG5_GOLDEN
         assert list(r.mean_node_time) == list(FIG5_GOLDEN)
 
-    def test_jobs2_bit_for_bit(self, fast_config):
+    def test_jobs2_bit_for_bit(self):
         """Two worker processes reproduce the serial figure exactly."""
         r = run_fig5(
             ops_per_node=(20, 50),
             n_nodes=8,
-            config=fast_config,
             seed=1,
             jobs=2,
         )
         assert r.mean_node_time == FIG5_GOLDEN
 
-    def test_gain_computation(self, fast_config):
-        r = run_fig5(ops_per_node=(30,), n_nodes=8, config=fast_config)
+    def test_gain_computation(self):
+        r = run_fig5(ops_per_node=(30,), n_nodes=8)
         g = r.gain_vs_centralized(StrategyName.HYBRID)
         assert -2.0 < g < 1.0
 
 
 class TestFig6:
-    def test_progress_curves_monotone(self, fast_config):
-        r = run_fig6(n_nodes=8, ops_per_node=60, config=fast_config)
+    def test_progress_curves_monotone(self):
+        r = run_fig6(n_nodes=8, ops_per_node=60)
         for series in r.curves.values():
             assert all(a <= b for a, b in zip(series, series[1:]))
         assert r.curves == FIG6_CURVES_GOLDEN
         assert r.site_times == FIG6_SITE_TIMES_GOLDEN
 
-    def test_site_times_present(self, fast_config):
-        r = run_fig6(n_nodes=8, ops_per_node=40, config=fast_config)
+    def test_site_times_present(self):
+        r = run_fig6(n_nodes=8, ops_per_node=40)
         assert len(r.site_times[StrategyName.HYBRID]) == 4
 
-    def test_speedup_positive(self, fast_config):
-        r = run_fig6(n_nodes=8, ops_per_node=60, config=fast_config)
+    def test_speedup_positive(self):
+        r = run_fig6(n_nodes=8, ops_per_node=60)
         assert r.speedup() > 0
 
 
 class TestFig7:
-    def test_throughput_series(self, fast_config):
-        r = run_fig7(
-            node_counts=(4, 8), ops_per_node=40, config=fast_config
-        )
+    def test_throughput_series(self):
+        r = run_fig7(node_counts=(4, 8), ops_per_node=40)
         for strat in StrategyName.all():
             assert len(r.throughput[strat]) == 2
             assert all(t > 0 for t in r.throughput[strat])
         assert r.throughput == FIG7_GOLDEN
         assert list(r.throughput) == list(FIG7_GOLDEN)
 
-    def test_decentralized_scales(self, fast_config):
-        r = run_fig7(
-            node_counts=(4, 16), ops_per_node=60, config=fast_config
-        )
+    def test_decentralized_scales(self):
+        r = run_fig7(node_counts=(4, 16), ops_per_node=60)
         assert r.scaling_ratio(StrategyName.DECENTRALIZED) > 1.5
 
 
 class TestFig8:
-    def test_fixed_total_ops(self, fast_config):
-        r = run_fig8(
-            node_counts=(4, 8), total_ops=400, config=fast_config
-        )
+    def test_fixed_total_ops(self):
+        r = run_fig8(node_counts=(4, 8), total_ops=400)
         for strat in StrategyName.all():
             assert len(r.completion[strat]) == 2
         assert r.completion == FIG8_GOLDEN
         assert list(r.completion) == list(FIG8_GOLDEN)
 
-    def test_more_nodes_faster_decentralized(self, fast_config):
-        r = run_fig8(
-            node_counts=(4, 16), total_ops=800, config=fast_config
-        )
+    def test_more_nodes_faster_decentralized(self):
+        r = run_fig8(node_counts=(4, 16), total_ops=800)
         dn = r.completion[StrategyName.DECENTRALIZED]
         assert dn[1] < dn[0]
 
 
 class TestFig10:
-    def test_small_run_structure(self, fast_config):
+    def test_small_run_structure(self):
         r = run_fig10(
             scenarios=("SS",),
             workflows=("buzzflow",),
             n_nodes=8,
-            config=fast_config,
         )
         for strat in StrategyName.all():
             assert ("buzzflow", "SS", strat) in r.makespan
@@ -232,23 +222,21 @@ class TestFig10:
         assert r.best_strategy("buzzflow", "SS") in StrategyName.all()
         assert r.makespan == FIG10_GOLDEN
 
-    def test_gain_vs_centralized(self, fast_config):
+    def test_gain_vs_centralized(self):
         r = run_fig10(
             scenarios=("SS",),
             workflows=("buzzflow",),
             n_nodes=8,
-            config=fast_config,
         )
         g = r.gain("buzzflow", "SS", StrategyName.CENTRALIZED)
         assert g == pytest.approx(0.0)
 
-    def test_render_covers_only_the_workflows_run(self, fast_config):
+    def test_render_covers_only_the_workflows_run(self):
         """A workflow subset renders (no lookups of workflows not run)."""
         r = run_fig10(
             scenarios=("CI",),
             workflows=("buzzflow",),
             n_nodes=8,
-            config=fast_config,
             ops_scale=0.05,
         )
         assert r.makespan == FIG10_CI_SCALED_GOLDEN
@@ -265,26 +253,28 @@ class TestErroredCell:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda cfg: run_fig5(ops_per_node=(20,), n_nodes=4, config=cfg),
-            lambda cfg: run_fig6(n_nodes=4, ops_per_node=20, config=cfg),
-            lambda cfg: run_fig7(node_counts=(4,), ops_per_node=20, config=cfg),
-            lambda cfg: run_fig8(node_counts=(4,), total_ops=80, config=cfg),
-            lambda cfg: run_fig10(
+            lambda: run_fig5(ops_per_node=(20,), n_nodes=4),
+            lambda: run_fig6(n_nodes=4, ops_per_node=20),
+            lambda: run_fig7(node_counts=(4,), ops_per_node=20),
+            lambda: run_fig8(node_counts=(4,), total_ops=80),
+            lambda: run_fig10(
                 scenarios=("SS",),
                 workflows=("buzzflow",),
                 n_nodes=4,
-                config=cfg,
                 ops_scale=0.05,
             ),
         ],
         ids=["fig5", "fig6", "fig7", "fig8", "fig10"],
     )
-    def test_errored_cell_raises(self, run):
-        bad = MetadataConfig(service_time=0.0)
+    def test_errored_cell_raises(self, run, monkeypatch):
+        def fail(spec, quick=False):
+            raise ValueError("service_time must be positive")
+
+        monkeypatch.setattr("repro.scenario.sweep.run_scenario", fail)
         with pytest.raises(
             RuntimeError, match="failed: ValueError: service_time"
         ):
-            run(bad)
+            run()
 
 
 class TestTableI:

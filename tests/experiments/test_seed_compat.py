@@ -14,8 +14,6 @@ deterministic, so bit-for-bit equality is the contract.
 
 import pytest
 
-from repro.experiments.synthetic import run_synthetic_workload
-
 # -- Engine placement: the default locality scheduler is frozen ------------
 # Captured from the pre-scheduling-subsystem code (PR 2 state): Montage
 # (20 ops/task, compute 0.5 s) on 16 nodes / seed 7 with the Fig. 10
@@ -72,20 +70,18 @@ FIG7_GOLDEN = {
 
 
 @pytest.mark.parametrize("strategy", sorted(FIG5_GOLDEN))
-def test_fig5_slots_results_bit_for_bit(strategy):
+def test_fig5_slots_results_bit_for_bit(strategy, run_synthetic):
     golden = FIG5_GOLDEN[strategy]
-    run = run_synthetic_workload(
-        strategy, n_nodes=8, ops_per_node=40, seed=0
-    )
+    run = run_synthetic(strategy, n_nodes=8, ops_per_node=40, seed=0)
     assert run.makespan == golden["makespan"]
     assert run.mean_node_time == golden["mean_node_time"]
     assert run.throughput == golden["throughput"]
 
 
 @pytest.mark.parametrize("n_nodes", sorted(FIG7_GOLDEN))
-def test_fig7_slots_results_bit_for_bit(n_nodes):
+def test_fig7_slots_results_bit_for_bit(n_nodes, run_synthetic):
     golden = FIG7_GOLDEN[n_nodes]
-    run = run_synthetic_workload(
+    run = run_synthetic(
         "centralized", n_nodes=n_nodes, ops_per_node=40, seed=7
     )
     assert run.throughput == golden["throughput"]
@@ -257,19 +253,23 @@ def test_engine_spec_path_bit_for_bit(strategy):
     assert res.result.total_transfer_time == golden["transfer_time"]
 
 
-def test_engine_scatter_spec_path_bit_for_bit():
-    """The locality placement golden via the spec path (pre-built DAG
-    injected through run(workflow=...))."""
+def test_engine_scatter_spec_path_bit_for_bit(tmp_path):
+    """The locality placement golden via the spec path (the DAG saved
+    and run through ``workflow_file``)."""
     from repro.scenario import ScenarioSpec, StrategySpec
     from repro.workflow.patterns import scatter
+    from repro.workflow.serialization import save_workflow
 
+    path = tmp_path / "scatter.json"
+    save_workflow(scatter(12, compute_time=0.25, extra_ops=6), path)
     spec = ScenarioSpec(
         surface="workflow",
         strategy=StrategySpec(name="decentralized"),
+        workflow_file=str(path),
         n_nodes=8,
         seed=3,
     )
-    res = spec.run(workflow=scatter(12, compute_time=0.25, extra_ops=6))
+    res = spec.run()
     assert res.result.makespan == SCATTER_GOLDEN["makespan"]
     assert res.result.total_transfer_time == SCATTER_GOLDEN["transfer_time"]
     assert res.result.tasks_per_site() == SCATTER_GOLDEN["tasks_per_site"]

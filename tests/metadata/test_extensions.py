@@ -108,16 +108,16 @@ class TestRelationalDB:
 
         assert drive(dep.env, flow()) is not None
 
-    def test_slower_than_in_memory_under_load(self, dep, fast_config):
+    def test_slower_than_in_memory_under_load(
+        self, run_synthetic, fast_config
+    ):
         """The paper's claim: DBs are too heavy for metadata-intensive
         workloads."""
-        from repro.experiments.synthetic import run_synthetic_workload
-
-        mem = run_synthetic_workload(
+        mem = run_synthetic(
             "centralized", n_nodes=8, ops_per_node=60, seed=1,
             config=fast_config,
         )
-        db = run_synthetic_workload(
+        db = run_synthetic(
             "relational-db", n_nodes=8, ops_per_node=60, seed=1,
             config=fast_config,
         )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments.synthetic import run_synthetic_workload
 from repro.scenario import (
     FaultSpec,
     NetworkSpec,
@@ -49,19 +48,17 @@ class TestWorkflowSurface:
         ).run()
         assert res.scheduler == "round_robin"
 
-    def test_prebuilt_workflow_override(self):
+    def test_prebuilt_workflow_override(self, tmp_path):
+        """A DAG built in code runs through ``workflow_file``, which wins
+        over ``application``."""
         from repro.workflow.patterns import scatter
+        from repro.workflow.serialization import save_workflow
 
-        res = small_workflow_spec().run(workflow=scatter(4))
+        path = tmp_path / "scatter.json"
+        save_workflow(scatter(4), path)
+        res = small_workflow_spec(workflow_file=str(path)).run()
         assert res.result.workflow == "scatter"
         assert len(res.result.task_results) == 4 + 1
-
-    def test_prebuilt_workflow_rejected_off_surface(self):
-        from repro.workflow.patterns import scatter
-
-        spec = get_scenario("paper_synthetic")
-        with pytest.raises(ValueError, match="workflow surface"):
-            spec.run(workflow=scatter(4))
 
     def test_workflow_file_spec(self, tmp_path):
         from repro.workflow.patterns import pipeline
@@ -79,7 +76,7 @@ class TestWorkflowSurface:
 
 
 class TestSyntheticSurface:
-    def test_spec_run_matches_direct_call_exactly(self):
+    def test_spec_run_matches_direct_call_exactly(self, run_synthetic):
         spec = ScenarioSpec(
             surface="synthetic",
             strategy=StrategySpec(name="decentralized"),
@@ -88,7 +85,7 @@ class TestSyntheticSurface:
             seed=5,
         )
         via_spec = spec.run().result
-        direct = run_synthetic_workload(
+        direct = run_synthetic(
             "decentralized", n_nodes=8, ops_per_node=10, seed=5
         )
         assert via_spec.makespan == direct.makespan
@@ -202,6 +199,24 @@ class TestFaultWiring:
             ),
         )
         assert "faults:" in spec.run().render()
+
+    def test_synthetic_outage_holds_registry_slots(self):
+        """The runner wires faults to the registries of the controller
+        it builds on every surface, so a site outage delays the
+        synthetic benchmark even under the slot model, where it has no
+        data plane to tear down."""
+        spec = get_scenario("paper_synthetic")
+        outage = FaultSpec(
+            "site_outage", start=0.5, duration=20.0, site="west-europe"
+        )
+        clean = spec.run(quick=True)
+        res = spec.replace(faults=(outage,)).run(quick=True)
+        assert [ev.kind for ev in res.fault_events] == [
+            "site-outage-start",
+            "site-outage-end",
+        ]
+        assert clean.makespan == 13.23298110491986
+        assert res.makespan == 32.59112492438066
 
 
 class TestTopologyIsolation:

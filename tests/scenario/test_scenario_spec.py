@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.metadata.config import MetadataConfig
 from repro.scenario import (
     SCENARIOS,
     ElasticitySpec,
@@ -112,6 +111,43 @@ class TestReplace:
     def test_descending_into_unset_field_rejected(self):
         with pytest.raises(ValueError, match="unset"):
             ScenarioSpec().replace(**{"workload.mode": "open"})
+
+    def test_mappings_become_their_sub_specs(self):
+        """A whole sub-spec set as a mapping (``--set strategy={...}``)
+        is built as ``from_dict`` builds it."""
+        workload = get_scenario("multi_tenant_8").workload
+        out = ScenarioSpec().replace(
+            strategy={"name": "hybrid"},
+            topology={"preset": "azure_4dc", "jitter": False},
+            slo={"deadline_s": 30.0},
+            faults=[
+                {
+                    "kind": "site_outage",
+                    "site": "west-europe",
+                    "start": 0.5,
+                    "duration": 20.0,
+                }
+            ],
+            workload=workload.to_dict(),
+        )
+        assert out.strategy == StrategySpec(name="hybrid")
+        assert out.topology == TopologySpec(jitter=False)
+        assert out.slo == SLOSpec(deadline_s=30.0)
+        assert out.faults == (
+            FaultSpec(
+                "site_outage", start=0.5, duration=20.0, site="west-europe"
+            ),
+        )
+        assert out.workload == workload
+        assert ScenarioSpec.from_dict(out.to_dict()) == out
+
+    def test_mapping_with_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown StrategySpec keys"):
+            ScenarioSpec().replace(strategy={"nmae": "hybrid"})
+        with pytest.raises(ValueError, match="unknown FaultSpec keys"):
+            ScenarioSpec().replace(
+                faults=[{"kind": "site_outage", "sight": "east-us"}]
+            )
 
 
 class TestReplaceIndexPaths:
@@ -691,13 +727,14 @@ class TestConfigMapping:
         return seen
 
     def test_scheduler_and_transfer_weight_reach_the_engine(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         """The spec's hybrid weights and penalty reach ``engine.policy``
         and its transfer weight ``engine.transfer`` (no config in
         between)."""
         from repro.workflow.engine import WorkflowEngine
         from repro.workflow.patterns import scatter
+        from repro.workflow.serialization import save_workflow
 
         engines = self.built(monkeypatch, WorkflowEngine)
         spec = ScenarioSpec(
@@ -714,7 +751,9 @@ class TestConfigMapping:
             n_nodes=4,
         )
         assert spec.to_metadata_config() is None
-        result = spec.run(workflow=scatter(3, compute_time=0.1))
+        path = tmp_path / "scatter.json"
+        save_workflow(scatter(3, compute_time=0.1), path)
+        result = spec.replace(workflow_file=str(path)).run()
         (engine,) = engines
         assert result.scheduler == "hybrid"
         assert engine.policy.locality_weight == 3.0
@@ -765,35 +804,6 @@ class TestConfigMapping:
         assert cfg.home_site == "east-us"
         assert cfg.hybrid_sync_replication is True
         assert not hasattr(cfg, "scheduler")
-
-    def test_config_base_is_overridden_by_spec_pins(self):
-        base = MetadataConfig(sync_period=9.0, virtual_nodes=8)
-        cfg = ScenarioSpec(
-            strategy=StrategySpec(sync_period=3.0)
-        ).to_metadata_config(base=base)
-        assert cfg.sync_period == 3.0
-        assert cfg.virtual_nodes == 8
-
-    def test_unpinned_strategy_knobs_never_clobber_the_base(self):
-        """Pinning one strategy knob must not reset the base's others
-        to spec defaults."""
-        base = MetadataConfig(
-            home_site="east-us", hybrid_sync_replication=True
-        )
-        cfg = ScenarioSpec(
-            strategy=StrategySpec(write_lookup=True)
-        ).to_metadata_config(base=base)
-        assert cfg.home_site == "east-us"
-        assert cfg.hybrid_sync_replication is True
-        assert cfg.write_lookup is True
-
-    def test_base_returned_unchanged_when_the_strategy_pins_nothing(self):
-        base = MetadataConfig()
-        spec = ScenarioSpec(
-            network=NetworkSpec(bandwidth_model="fair"),
-            scheduler=SchedulerSpec(name="round_robin"),
-        )
-        assert spec.to_metadata_config(base=base) is base
 
 
 class TestQuick:

@@ -158,10 +158,10 @@ class TestInputSite:
 
 
 class TestBandwidthAwareEndToEnd:
-    def test_avoids_thin_pipe_on_capped_fanout(self, fast_config):
+    def test_avoids_thin_pipe_on_capped_fanout(self):
         """End-to-end: on the heterogeneous testbed the bandwidth-aware
         engine never stages bulk inputs over the thin link, and beats
-        the locality engine's makespan."""
+        the locality engine's makespan (both pinned exactly)."""
         from repro.experiments.scheduler_compare import (
             run_scheduler_compare,
         )
@@ -169,11 +169,14 @@ class TestBandwidthAwareEndToEnd:
         result = run_scheduler_compare(
             policies=("locality", "bandwidth_aware"),
             bandwidth_model="fair",
-            config=fast_config,
         )
         assert (
             result.makespan["bandwidth_aware"]
             <= result.makespan["locality"]
         )
+        assert result.makespan == {
+            "locality": 23.87546841220856,
+            "bandwidth_aware": 8.013919096946717,
+        }
         assert result.tasks_per_site["bandwidth_aware"].get("thin", 0) == 0
         assert result.tasks_per_site["locality"].get("thin", 0) > 0

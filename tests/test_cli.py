@@ -474,6 +474,9 @@ class TestScenarioFlags:
                 [
                     "run", "--spec", str(path), "--set", "n_nodes=4",
                     "--set", "elasticity.enabled=true",
+                    "--set", 'strategy={"name": "decentralized"}',
+                    "--set", 'faults=[{"kind": "site_outage", '
+                    '"site": "west-europe", "start": 0.5, "duration": 2.0}]',
                     "--dump-spec", "-",
                 ]
             )
@@ -485,6 +488,11 @@ class TestScenarioFlags:
         assert doc["ops_per_task"] == 2
         assert doc["n_nodes"] == 4
         assert doc["elasticity"]["enabled"] is True
+        # A JSON object fills the whole sub-spec, as in a spec file.
+        assert doc["strategy"]["name"] == "decentralized"
+        assert doc["strategy"]["home_site"] is None
+        assert doc["faults"][0]["site"] == "west-europe"
+        assert doc["faults"][0]["duration"] == 2.0
 
     # Every guard is a ScenarioSpec.validate() rule: an override that
     # breaks one exits 2 with a message naming spec paths, before any
@@ -506,6 +514,12 @@ class TestScenarioFlags:
             (["n_nodes=2.5"], "n_nodes must be a positive integer"),
             (["nmae=1"], "bad override"),
             (["scheduler.nmae=1"], "unknown field"),
+            (['strategy={"nmae": "hybrid"}'], "unknown StrategySpec keys"),
+            (["strategy=hybrid"], "strategy must be a StrategySpec"),
+            (
+                ['faults=[{"kind": "site_outage", "sight": "east-us"}]'],
+                "unknown FaultSpec keys",
+            ),
         ],
     )
     def test_invalid_override_exits_2(self, overrides, message, capsys):
@@ -657,6 +671,19 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "2 combinations" in out
         assert "centralized" in out and "hybrid" in out
+        # A JSON object is one axis value: the whole sub-spec.
+        assert (
+            main(
+                [
+                    "sweep", "--spec", str(path),
+                    "--set", 'strategy={"name": "decentralized"}',
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "1 combinations" in out
+        assert "ERROR" not in out
 
     def test_sweep_export(self, capsys, tmp_path):
         from repro.scenario import ScenarioSpec

@@ -12,7 +12,9 @@ process pool -- must not load at all.
 ``import repro.cli`` is pinned the same way: every CLI command pays for
 what the module imports at its top, so the figure harnesses, the
 advisor, the workflow readers and the result store load inside the
-commands that use them.
+commands that use them.  So is ``import repro.results``: it names the
+result types in annotations only, so an artifact reader or writer
+loads no run plane.
 """
 
 import json
@@ -60,6 +62,30 @@ print(json.dumps(sorted(sys.modules)))
 _CLI_PROBE = """
 import json, sys
 import repro.cli
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: What ``import repro.results`` loads beyond a quick synthetic run.
+RESULTS_PACKAGE = (
+    "repro.results",
+    "repro.results.diff",
+    "repro.results.serialize",
+    "repro.results.store",
+)
+
+#: The planes behind the result types ``repro.results`` annotates.
+RESULT_TYPE_PLANES = (
+    "repro.experiments.synthetic",
+    "repro.scenario.runner",
+    "repro.scenario.sweep",
+    "repro.workflow.engine",
+    "repro.workload.result",
+    "repro.workload.runner",
+)
+
+_RESULTS_PROBE = """
+import json, sys
+import repro.results
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -119,3 +145,15 @@ def test_cli_import_loads_only_the_front_door():
     )
     assert sorted(cli - run) == sorted(CLI_FRONT_DOOR)
     assert sorted(cli.intersection(UNUSED_BY_SYNTHETIC)) == []
+
+
+def test_results_import_loads_no_run_plane():
+    results, run = (
+        {m for m in modules if m.split(".")[0] == "repro"}
+        for modules in (
+            loaded_modules("", probe=_RESULTS_PROBE),
+            loaded_modules("paper_synthetic"),
+        )
+    )
+    assert sorted(results - run) == sorted(RESULTS_PACKAGE)
+    assert sorted(results.intersection(RESULT_TYPE_PLANES)) == []
