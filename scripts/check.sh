@@ -65,7 +65,9 @@
 #      of west-europe into quick paper_synthetic, and the run must
 #      print its site-outage-end fault line (the synthetic surface used
 #      to wire outages to no registry, so the run ended at 13.233 s,
-#      before the outage did);
+#      before the outage did); and sweep --set with a whole strategy
+#      object of two keys must run it as one cell without error (the
+#      sweep used to split it at its comma into two errored cells);
 #   7. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers (the exporter turns every row of the
@@ -210,11 +212,20 @@ grep -q "^error: .*sweep.json is not a run artifact" "$TMP/out.txt"
 
 # Outage smoke: a faults list given as JSON objects becomes FaultSpecs,
 # and on the synthetic surface the outage holds the site's registry
-# slots, so the run outlasts it and reports its end.
+# slots, so the run outlasts it and reports its end.  A sweep axis value
+# that is a JSON object stays one value.
 python -m repro.cli run --scenario paper_synthetic --quick \
     --set 'faults=[{"kind":"site_outage","site":"west-europe","start":0.5,"duration":20.0}]' \
     > "$TMP/outage.txt"
 grep -q "site-outage-end" "$TMP/outage.txt"
+python -m repro.cli sweep --scenario paper_synthetic --quick \
+    --set 'strategy={"name":"hybrid","home_site":"east-us"}' \
+    > "$TMP/sweep_obj.txt" 2>&1
+grep -q -- "-- 1 combinations" "$TMP/sweep_obj.txt"
+if grep -q "ERROR" "$TMP/sweep_obj.txt"; then
+    echo "sweep split a JSON object axis value" >&2
+    exit 1
+fi
 
 # Trace smoke: full tracing on a quick scenario must yield a valid,
 # non-empty Chrome trace with every major layer represented.  The

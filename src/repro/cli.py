@@ -344,11 +344,40 @@ def _parse_value(text: str):
         return text
 
 
+def _split_axis(text: str) -> List[str]:
+    """``text`` split on its top-level commas: those outside ``{}``,
+    ``[]`` and double-quoted strings, so a JSON object or array stays
+    one value."""
+    parts = []
+    depth = 0
+    begin = 0
+    quoted = escaped = False
+    for i, ch in enumerate(text):
+        if quoted:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                quoted = False
+        elif ch == '"':
+            quoted = True
+        elif ch in "{[":
+            depth += 1
+        elif ch in "}]":
+            depth = max(depth - 1, 0)
+        elif ch == "," and depth == 0:
+            parts.append(text[begin:i])
+            begin = i + 1
+    parts.append(text[begin:])
+    return parts
+
+
 def parse_overrides(items, axes: bool = False) -> dict:
     """``--set dotted.path=value`` items as ``{path: value}``.
 
-    With ``axes`` (``sweep``) each value splits on commas into a tuple,
-    one grid axis per path.
+    With ``axes`` (``sweep``) each value splits on its top-level commas
+    (:func:`_split_axis`) into a tuple, one grid axis per path.
     """
     out = {}
     for item in items:
@@ -359,7 +388,7 @@ def parse_overrides(items, axes: bool = False) -> dict:
                 f"bad --set {item!r}; expected dotted.path={form}"
             )
         if axes:
-            out[path] = tuple(_parse_value(v) for v in text.split(","))
+            out[path] = tuple(_parse_value(v) for v in _split_axis(text))
         else:
             out[path] = _parse_value(text)
     return out

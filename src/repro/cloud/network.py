@@ -76,6 +76,11 @@ __all__ = [
 #: Recognized values of the ``bandwidth_model`` switch.
 BANDWIDTH_MODELS = ("slots", "fair")
 
+#: Field names of the transfer trace records, in the order
+#: :meth:`Network.transfer` passes the values to ``tracer.record``.
+_OPEN = ("src", "dst", "size")
+_DONE = ("src", "dst", "size", "latency")
+
 
 class RpcError(Exception):
     """Raised to RPC callers when the remote service fails the request."""
@@ -438,8 +443,8 @@ class Network:
         # and carry no WAN signal.
         trace = self._trace_net and src != dst
         if trace:
-            self._tracer.emit(
-                "network", "transfer_open", src=src, dst=dst, size=size
+            self._tracer.record(
+                "network", "transfer_open", _OPEN, src, dst, size
             )
         sp = (
             self._tracer.span(
@@ -486,9 +491,8 @@ class Network:
         self._account(src, dst, size, msg.sent_at)
         if trace:
             latency = self.env.now - msg.sent_at
-            self._tracer.emit(
-                "network", "transfer_done",
-                src=src, dst=dst, size=size, latency=latency,
+            self._tracer.record(
+                "network", "transfer_done", _DONE, src, dst, size, latency
             )
             self._h_transfer.add(latency)
         if sp is not None:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.util.checks import check_number
 from repro.util.units import MB
 
 __all__ = [
@@ -191,6 +192,7 @@ class CloudTopology:
             raise ValueError("latency must be >=0 and bandwidth > 0")
         if not max_flow_rate > 0:
             raise ValueError("max_flow_rate must be positive")
+        check_number("jitter", jitter, minimum=0)
         self._links[(a, b)] = LinkSpec(latency, bandwidth, jitter, max_flow_rate)
         if symmetric:
             self._links[(b, a)] = LinkSpec(

@@ -80,6 +80,9 @@ ATTRIBUTION_BUCKETS: Tuple[str, ...] = (
 
 _EPS = 1e-9
 
+#: The child spans of a ``task`` span that its time is split across.
+_TASK_PARTS = frozenset(("stage", "compute", "publish", "ops"))
+
 #: Max points persisted per utilization timeline in ``to_dict()``.
 _MAX_SERIES_POINTS = 512
 
@@ -206,31 +209,58 @@ def concurrency_profile(
     start, end = window
     if not intervals or end - start <= _EPS:
         return [], 0, 0.0, 0.0
-    deltas: List[Tuple[float, int]] = []
+    starts: List[float] = []
+    ends: List[float] = []
     for s, e in intervals:
         if e < s:
             s, e = e, s
-        deltas.append((min(max(s, start), end), 1))
-        deltas.append((min(max(e, start), end), -1))
-    deltas.sort()
+        # Clamped into the window as ``min(max(x, start), end)`` would.
+        if start > s:
+            s = start
+        if end < s:
+            s = end
+        if start > e:
+            e = start
+        if end < e:
+            e = end
+        starts.append(s)
+        ends.append(e)
+    starts.sort()
+    ends.sort()
     series: List[Tuple[float, int]] = []
+    last_t = None  # the instant of ``series[-1]``
     level = 0
     peak = 0
     prev_t = start
     area = 0.0
     busy = 0.0
-    for t, d in deltas:
+    n = len(starts)
+    i = j = 0
+    # Merge the two sorted lists, taking an end before a start at equal
+    # t: the order a sort of ``(t, +1)``/``(t, -1)`` tuples gives, so
+    # every level, area and busy sum is the same float.
+    for _ in range(2 * n):
+        if i < n and (j == n or starts[i] < ends[j]):
+            t = starts[i]
+            i += 1
+            step = 1
+        else:
+            t = ends[j]
+            j += 1
+            step = -1
         if t > prev_t:
             area += level * (t - prev_t)
             if level > 0:
                 busy += t - prev_t
             prev_t = t
-        level += d
-        peak = max(peak, level)
-        if series and series[-1][0] == t:
+        level += step
+        if level > peak:
+            peak = level
+        if t == last_t:
             series[-1] = (t, level)
         else:
             series.append((t, level))
+            last_t = t
     if end > prev_t:
         area += level * (end - prev_t)
         if level > 0:
@@ -412,22 +442,33 @@ def analyze_tracer(tracer) -> RunAnalysis:
     members, and a traced run never turns its kernel rows into
     event tuples.  Unfinished spans are skipped.
     """
-    finished = [s for s in tracer.spans if s.end is not None]
+    # One pass over the spans: the window, the task and transfer spans,
+    # and each task's parts by parent id (the only children
+    # ``_decompose_task`` reads).
+    task_spans = []
+    transfer_spans = []
     by_parent: Dict[int, list] = {}
-    for s in finished:
-        if s.parent is not None:
+    lo = hi = None
+    for s in tracer.spans:
+        end = s.end
+        if end is None:
+            continue
+        start = s.start
+        if lo is None:
+            lo, hi = start, end
+        else:
+            if start < lo:
+                lo = start
+            if end > hi:
+                hi = end
+        name = s.name
+        if name == "task":
+            task_spans.append(s)
+        elif name == "transfer":
+            transfer_spans.append(s)
+        elif name in _TASK_PARTS and s.parent is not None:
             by_parent.setdefault(s.parent, []).append(s)
-
-    task_spans = [s for s in finished if s.name == "task"]
-    transfer_spans = [s for s in finished if s.name == "transfer"]
-
-    if finished:
-        window = (
-            min(s.start for s in finished),
-            max(s.end for s in finished),
-        )
-    else:
-        window = (0.0, 0.0)
+    window = (0.0, 0.0) if lo is None else (lo, hi)
 
     # Workload correlation: submit times and admission waits by run tag.
     submit_ts: Dict[str, float] = {}

@@ -157,6 +157,17 @@ class P2Quantile:
         return self._count
 
 
+def _percentile(vs: List[float], q: float) -> float:
+    """The q-th percentile of the sorted ``vs`` by linear interpolation
+    (``0.0`` when ``vs`` is empty)."""
+    if not vs:
+        return 0.0
+    rank = (len(vs) - 1) * q / 100.0
+    lo = int(math.floor(rank))
+    hi = min(lo + 1, len(vs) - 1)
+    return vs[lo] + (rank - lo) * (vs[hi] - vs[lo])
+
+
 class ReservoirHistogram:
     """Bounded uniform-sample histogram with deterministic replacement.
 
@@ -187,26 +198,24 @@ class ReservoirHistogram:
             state = (state ^ ord(ch)) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
         self._state = state or 1
 
-    def _rand(self, bound: int) -> int:
-        """Deterministic integer in [0, bound) -- xorshift64*."""
-        x = self._state
-        x ^= (x >> 12)
-        x ^= (x << 25) & 0xFFFFFFFFFFFFFFFF
-        x ^= (x >> 27)
-        self._state = x
-        return ((x * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF) % bound
-
     def add(self, x: float) -> None:
-        self.n += 1
+        self.n = n = self.n + 1
         self.sum += x
         if x < self.min:
             self.min = x
         if x > self.max:
             self.max = x
-        if len(self._samples) < self.capacity:
+        if n <= self.capacity:  # the reservoir holds every sample so far
             self._samples.append(x)
         else:
-            j = self._rand(self.n)
+            # Algorithm R: keep x at a uniform slot in [0, n), drawn by
+            # xorshift64*.
+            s = self._state
+            s ^= s >> 12
+            s ^= (s << 25) & 0xFFFFFFFFFFFFFFFF
+            s ^= s >> 27
+            self._state = s
+            j = ((s * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF) % n
             if j < self.capacity:
                 self._samples[j] = x
 
@@ -220,26 +229,21 @@ class ReservoirHistogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"q must be in [0, 100], got {q}")
-        if not self._samples:
-            return 0.0
-        vs = sorted(self._samples)
-        rank = (len(vs) - 1) * q / 100.0
-        lo = int(math.floor(rank))
-        hi = min(lo + 1, len(vs) - 1)
-        return vs[lo] + (rank - lo) * (vs[hi] - vs[lo])
+        return _percentile(sorted(self._samples), q)
 
     def mean(self) -> float:
         return self.sum / self.n if self.n else 0.0
 
     def export(self) -> Dict[str, float]:
+        vs = sorted(self._samples)
         return {
             "count": float(self.n),
             "mean": self.mean(),
             "min": self.min if self.n else 0.0,
             "max": self.max if self.n else 0.0,
-            "p50": self.quantile(50),
-            "p90": self.quantile(90),
-            "p99": self.quantile(99),
+            "p50": _percentile(vs, 50),
+            "p90": _percentile(vs, 90),
+            "p99": _percentile(vs, 99),
         }
 
     def __len__(self) -> int:

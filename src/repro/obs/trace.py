@@ -21,8 +21,9 @@ never schedules simulation events, so enabling it cannot perturb a run.
 Point events are kept in one flat, append-only log of scalars, eight
 slots a row: ``now``, ``cat``, ``name``, then either the kwargs dict of
 an :meth:`Tracer.emit` (``None`` when it had none) and four unused
-slots, or the kernel's field-name tuple and up to four values passed
-positionally to :meth:`Tracer.kernel`.  A kernel record therefore
+slots, or a field-name tuple and up to four values passed positionally
+to :meth:`Tracer.record` (the kernel's calendar records and the
+network's transfer open/done records).  A positional record therefore
 builds no dict and keeps no tuple.  ``tracer.events`` turns rows into
 ``(ts, cat, name, args)`` tuples when it is read, and
 :meth:`Tracer.events_of` yields only the rows of one category.
@@ -54,28 +55,15 @@ TRACE_CATEGORIES: Tuple[str, ...] = (
 
 
 class Span:
-    """One traced interval, closed by ``end()`` or a ``with`` block."""
+    """One traced interval, closed by ``finish()`` or a ``with`` block.
+
+    Only :meth:`Tracer.span` makes spans, filling every slot itself:
+    ``id``, ``name``, ``cat``, the ``parent`` span id (or ``None``),
+    ``start``, ``end`` (``None`` while open), the ``args`` dict and the
+    owning ``_tracer``.
+    """
 
     __slots__ = ("id", "name", "cat", "parent", "start", "end", "args", "_tracer")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        span_id: int,
-        name: str,
-        cat: str,
-        parent: Optional[int],
-        start: float,
-        args: Dict[str, object],
-    ):
-        self.id = span_id
-        self.name = name
-        self.cat = cat
-        self.parent = parent
-        self.start = start
-        self.end: Optional[float] = None
-        self.args = args
-        self._tracer = tracer
 
     def finish(self, **extra: object) -> None:
         """Close the span at the current simulated time (idempotent)."""
@@ -126,6 +114,10 @@ NULL_SPAN = _NullSpan()
 #: Slots per row of :attr:`Tracer._log`.
 _STRIDE = 8
 
+#: Allocates a :class:`Span` without a constructor call; the tracer
+#: fills its slots.
+_new_span = object.__new__
+
 
 class Tracer:
     """Collects events and spans from an instrumented simulation.
@@ -162,7 +154,9 @@ class Tracer:
         #: Rows already turned into ``events`` tuples (a prefix).
         self._events: List[Tuple[float, str, str, Optional[dict]]] = []
         self.spans: List[Span] = []
-        self.counts: Dict[str, int] = {}
+        #: Records per category, every category present from the start
+        #: so that a recorder counts with one subscript (``counts``).
+        self._counts: Dict[str, int] = dict.fromkeys(TRACE_CATEGORIES, 0)
         self.dropped = 0
         self._budget = max_events
         self._next_span_id = 0
@@ -170,6 +164,13 @@ class Tracer:
             sample_interval=sample_interval,
             histogram_capacity=histogram_capacity,
         )
+        #: The simulated instant of the previous record.  Only the first
+        #: record of an instant can pass the registry's sample gate
+        #: ``now - last < sample_interval``: the interval is validated
+        #: positive, and a passing record sets ``last`` to ``now``.  So
+        #: the recorders call ``maybe_sample`` once per instant, which
+        #: samples exactly as a call per record would.
+        self._instant: Optional[float] = None
 
     # -- emission -----------------------------------------------------------------
 
@@ -177,11 +178,17 @@ class Tracer:
         """True if ``cat`` events would be recorded; cache me as a bool."""
         return cat in self._cats
 
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Records per category that recorded any, dropped ones
+        included: the budget caps what is kept, never what is counted."""
+        return {cat: n for cat, n in self._counts.items() if n}
+
     def emit(self, cat: str, name: str, **args: object) -> None:
         """Record one point event at the current simulated time."""
         if cat not in self._cats:
             return
-        self.counts[cat] = self.counts.get(cat, 0) + 1
+        self._counts[cat] += 1
         now = self._env.now
         if self._budget > 0:
             self._budget -= 1
@@ -190,27 +197,31 @@ class Tracer:
             )
         else:
             self.dropped += 1
-        self.metrics.maybe_sample(now)
+        if now != self._instant:
+            self._instant = now
+            self.metrics.maybe_sample(now)
 
-    def kernel(
-        self, name: str, keys: Tuple[str, ...], a, b, c=None, d=None
+    def record(
+        self, cat: str, name: str, keys: Tuple[str, ...], a, b, c=None, d=None
     ) -> None:
-        """Record one ``kernel`` event whose fields ``keys`` name the
-        values ``a``..``d`` in order (as many as there are keys).
+        """Record one ``cat`` event whose fields ``keys`` name the values
+        ``a``..``d`` in order (as many as there are keys).
 
-        The kernel's trace sites call this instead of :meth:`emit`, and
-        only while ``wants("kernel")``: the row keeps the values
+        The kernel's calendar sites and the network's ``transfer_open``
+        and ``transfer_done`` sites call this instead of :meth:`emit`,
+        and only while ``wants(cat)``: the row keeps the values
         themselves, so no dict is built until ``events`` is read.
         """
-        counts = self.counts
-        counts["kernel"] = counts.get("kernel", 0) + 1
+        self._counts[cat] += 1
         now = self._env.now
         if self._budget > 0:
             self._budget -= 1
-            self._log += (now, "kernel", name, keys, a, b, c, d)
+            self._log += (now, cat, name, keys, a, b, c, d)
         else:
             self.dropped += 1
-        self.metrics.maybe_sample(now)
+        if now != self._instant:
+            self._instant = now
+            self.metrics.maybe_sample(now)
 
     def span(self, name: str, cat: str = "span", parent=None, **args) -> Span:
         """Open a span at ``env.now``; close with ``finish()``/``with``.
@@ -222,17 +233,26 @@ class Tracer:
         """
         if cat not in self._cats:
             return NULL_SPAN
-        self.counts[cat] = self.counts.get(cat, 0) + 1
-        parent_id = parent.id if isinstance(parent, Span) else parent
-        sid = self._next_span_id
+        self._counts[cat] += 1
+        now = self._env.now
+        span = _new_span(Span)
+        span.id = self._next_span_id
         self._next_span_id += 1
-        span = Span(self, sid, name, cat, parent_id, self._env.now, args)
+        span.name = name
+        span.cat = cat
+        span.parent = parent.id if isinstance(parent, Span) else parent
+        span.start = now
+        span.end = None
+        span.args = args
+        span._tracer = self
         if self._budget > 0:
             self._budget -= 1
             self.spans.append(span)
         else:
             self.dropped += 1
-        self.metrics.maybe_sample(span.start)
+        if now != self._instant:
+            self._instant = now
+            self.metrics.maybe_sample(now)
         return span
 
     # -- reading ------------------------------------------------------------------
@@ -241,7 +261,7 @@ class Tracer:
     def _row(log: list, i: int) -> Tuple[float, str, str, Optional[dict]]:
         """The ``(ts, cat, name, args)`` tuple of the row at slot ``i``."""
         args = log[i + 3]
-        if type(args) is tuple:  # kernel row: field names, then values
+        if type(args) is tuple:  # positional row: field names, values
             args = dict(zip(args, log[i + 4:i + _STRIDE]))
         return log[i], log[i + 1], log[i + 2], args
 

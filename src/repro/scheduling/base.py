@@ -20,13 +20,13 @@ two runs with the same seed and policy place identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # typing only: keep the package import-cycle free
     from repro.cloud.deployment import Deployment
     from repro.cloud.vm import VirtualMachine
     from repro.storage.transfer import TransferService
-    from repro.workflow.dag import Task, Workflow
+    from repro.workflow.dag import Task, Workflow, WorkflowFile
 
 __all__ = ["ClusterView", "PlacementPolicy", "TenantContext"]
 
@@ -276,9 +276,38 @@ class PlacementPolicy:
         simultaneous placements does not stampede one link before the
         flow network can see any congestion.
         """
+        return cls.staging_time_from(
+            cls.input_replicas(task, cluster),
+            site,
+            cluster,
+            pending,
+            pending_penalty,
+        )
+
+    @staticmethod
+    def input_replicas(
+        task: "Task", cluster: ClusterView
+    ) -> List[Tuple["WorkflowFile", List[str]]]:
+        """Each of ``task``'s inputs with the sites holding a replica of
+        it, sorted (the tie-break order :meth:`_source_like_storage`
+        needs)."""
+        return [
+            (f, sorted(cluster.locations_of(f.name))) for f in task.inputs
+        ]
+
+    @classmethod
+    def staging_time_from(
+        cls,
+        replicas: List[Tuple["WorkflowFile", List[str]]],
+        site: str,
+        cluster: ClusterView,
+        pending: Optional[Dict[tuple, float]] = None,
+        pending_penalty: float = 1.0,
+    ) -> float:
+        """:meth:`staging_time` from the task's :meth:`input_replicas`,
+        so that one placement resolves them once to score every site."""
         total = 0.0
-        for f in task.inputs:
-            sources = sorted(cluster.locations_of(f.name))
+        for f, sources in replicas:
             if not sources or site in sources:
                 continue
             src = cls._source_like_storage(sources, f.size, site, cluster)

@@ -69,7 +69,7 @@ __all__ = [
 _INF = float("inf")
 
 #: Field names of the kernel's trace records, in the order each trace
-#: site passes the values to ``tracer.kernel`` (``repro.obs.Tracer``).
+#: site passes the values to ``tracer.record`` (``repro.obs.Tracer``).
 _SCHEDULE = ("t", "prio", "kind", "depth")
 _POP = ("t", "prio", "depth")
 _RESCHEDULE = ("old_t", "t", "depth")
@@ -233,8 +233,8 @@ class Timeout(Event):
         self._entry = entry
         heappush(env._queue, entry)
         if env._trace_kernel:
-            env.tracer.kernel(
-                "schedule", _SCHEDULE,
+            env.tracer.record(
+                "kernel", "schedule", _SCHEDULE,
                 entry[0], 1, "Timeout", len(env._queue),
             )
 
@@ -258,8 +258,8 @@ class Initialize(Event):
         self._entry = entry
         heappush(env._queue, entry)
         if env._trace_kernel:
-            env.tracer.kernel(
-                "schedule", _SCHEDULE,
+            env.tracer.record(
+                "kernel", "schedule", _SCHEDULE,
                 entry[0], 0, "Initialize", len(env._queue),
             )
 
@@ -321,8 +321,8 @@ class Process(Event):
             self._entry = entry
             heappush(env._queue, entry)
             if env._trace_kernel:
-                env.tracer.kernel(
-                    "schedule", _SCHEDULE,
+                env.tracer.record(
+                    "kernel", "schedule", _SCHEDULE,
                     entry[0], 1, "Timeout", len(env._queue),
                 )
             return
@@ -492,8 +492,8 @@ class Environment:
         event._entry = entry
         heappush(self._queue, entry)
         if self._trace_kernel:
-            self.tracer.kernel(
-                "schedule", _SCHEDULE,
+            self.tracer.record(
+                "kernel", "schedule", _SCHEDULE,
                 entry[0], priority, type(event).__name__, len(self._queue),
             )
 
@@ -514,8 +514,8 @@ class Environment:
         entry[3] = None  # lazy-delete the stale entry
         self._schedule(event, entry[1], delay)
         if self._trace_kernel:
-            self.tracer.kernel(
-                "reschedule", _RESCHEDULE,
+            self.tracer.record(
+                "kernel", "reschedule", _RESCHEDULE,
                 entry[0], event._entry[0], len(self._queue),
             )
         self._note_dead()
@@ -532,8 +532,8 @@ class Environment:
         entry[3] = None
         event._entry = None
         if self._trace_kernel:
-            self.tracer.kernel(
-                "cancel", _CANCEL, entry[0], len(self._queue)
+            self.tracer.record(
+                "kernel", "cancel", _CANCEL, entry[0], len(self._queue)
             )
         self._note_dead()
 
@@ -617,8 +617,8 @@ class Environment:
                 self.now = entry[0]
                 processed += 1
                 if trace:
-                    self.tracer.kernel(
-                        "pop", _POP, entry[0], entry[1], len(queue)
+                    self.tracer.record(
+                        "kernel", "pop", _POP, entry[0], entry[1], len(queue)
                     )
                 event._entry = None
                 if event._ok is None:

@@ -381,10 +381,11 @@ class WorkflowEngine:
         candidate scores (estimated staging seconds -- the quantity
         bandwidth-aware policies minimize).  Score computation is pure
         and only runs when the category is enabled."""
+        policy = self.policy
+        cluster = self.cluster
+        replicas = policy.input_replicas(task, cluster)
         scores = {
-            site: round(
-                self.policy.staging_time(task, site, self.cluster), 6
-            )
+            site: round(policy.staging_time_from(replicas, site, cluster), 6)
             for site in self.deployment.sites
         }
         self._tracer.emit(
@@ -393,7 +394,7 @@ class WorkflowEngine:
             task=task.task_id,
             vm=vm.name,
             site=vm.site,
-            policy=self.policy.name,
+            policy=policy.name,
             parent_sites=sorted(set(parent_sites)),
             scores=scores,
         )

@@ -226,6 +226,15 @@ NAN = float("nan")
         lambda env, topo: topo.set_link(
             "west-europe", "east-us", 0.04, max_flow_rate=NAN
         ),
+        lambda env, topo: topo.set_link(
+            "west-europe", "east-us", 0.04, jitter=NAN
+        ),
+        lambda env, topo: topo.set_link(
+            "west-europe", "east-us", 0.04, jitter=float("inf")
+        ),
+        lambda env, topo: topo.set_link(
+            "west-europe", "east-us", 0.04, jitter=-1.0
+        ),
         lambda env, topo: Network(env, topo, rpc_weight=NAN),
     ],
     ids=[
@@ -236,12 +245,17 @@ NAN = float("nan")
         "set_link-latency",
         "set_link-bandwidth",
         "set_link-max_flow_rate",
+        "set_link-jitter-nan",
+        "set_link-jitter-inf",
+        "set_link-jitter-negative",
         "network-rpc_weight",
     ],
 )
 def test_nan_rate_bound_rejected(env, topo, build):
     """A NaN cap, capacity, weight or latency fails its bound instead
-    of reaching the solver (a NaN-rate flow never completes)."""
+    of reaching the solver (a NaN-rate flow never completes); a NaN,
+    infinite or negative link jitter fails too instead of silently
+    meaning no jitter."""
     with pytest.raises(ValueError, match="must be"):
         build(env, topo)
 

@@ -79,6 +79,91 @@ class TestConcurrencyProfile:
             [], 0, 0.0, 0.0,
         )
 
+    @staticmethod
+    def tuple_sort_profile(intervals, window):
+        """The reference: sort ``(t, +1)``/``(t, -1)`` tuples, so an
+        end goes before a start at equal ``t``, and sweep them."""
+        start, end = window
+        if not intervals or end - start <= 1e-9:
+            return [], 0, 0.0, 0.0
+        deltas = []
+        for s, e in intervals:
+            if e < s:
+                s, e = e, s
+            deltas.append((min(max(s, start), end), 1))
+            deltas.append((min(max(e, start), end), -1))
+        deltas.sort()
+        series = []
+        level = peak = 0
+        prev_t = start
+        area = busy = 0.0
+        for t, d in deltas:
+            if t > prev_t:
+                area += level * (t - prev_t)
+                if level > 0:
+                    busy += t - prev_t
+                prev_t = t
+            level += d
+            peak = max(peak, level)
+            if series and series[-1][0] == t:
+                series[-1] = (t, level)
+            else:
+                series.append((t, level))
+        if end > prev_t:
+            area += level * (end - prev_t)
+            if level > 0:
+                busy += end - prev_t
+        return series, peak, area / (end - start), busy
+
+    def assert_same_as_tuple_sort(self, intervals, window):
+        """Equal results, and the same time object at every instant of
+        the series (an int and a float tie at equal ``t``)."""
+        got = concurrency_profile(intervals, window)
+        want = self.tuple_sort_profile(intervals, window)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "intervals, window",
+        [
+            ([], (0.0, 10.0)),  # no intervals
+            ([(1.0, 2.0)], (3.0, 3.0)),  # zero-length window
+            ([(0.0, 2.0), (2.0, 4.0)], (0.0, 4.0)),  # end ties a start
+            ([(3.0, 1.0), (1.0, 3.0)], (0.0, 4.0)),  # reversed
+            ([(2.0, 2.0), (0.0, 2.0), (2, 3.0)], (0, 4.0)),  # zero length
+            ([(-5.0, 1.0), (9.0, 15.0), (-2, 20)], (0.0, 10.0)),  # clamped
+        ],
+    )
+    def test_merged_sweep_equals_the_tuple_sort(self, intervals, window):
+        self.assert_same_as_tuple_sort(intervals, window)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_merged_sweep_equals_the_tuple_sort_seeded(self, seed):
+        """Times from a coarse grid, so starts and ends tie, mixed int
+        and float; some intervals reversed, of zero length or reaching
+        past the window; some windows of zero length."""
+        import random
+
+        rng = random.Random(seed)
+
+        def instant():
+            t = rng.randrange(-4, 25) / 2
+            return int(t) if t == int(t) and rng.random() < 0.3 else t
+
+        intervals = []
+        for _ in range(rng.randrange(0, 30)):
+            s = instant()
+            kind = rng.random()
+            if kind < 0.15:
+                e = s
+            elif kind < 0.3:
+                e, s = s, s + rng.randrange(1, 6)
+            else:
+                e = s + rng.randrange(0, 8) / 2
+            intervals.append((s, e))
+        window = rng.choice([(0.0, 10.0), (2, 7.5), (3.0, 3.0), (-1.0, 12)])
+        self.assert_same_as_tuple_sort(intervals, window)
+
 
 class TestCriticalPath:
     def test_picks_latest_finishing_predecessor_chain(self):

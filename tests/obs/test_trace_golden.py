@@ -22,6 +22,12 @@ and the sketches), the post-run analysis and the elastic capacity
 timeline, each by the sha256 of its key-sorted JSON.  These move when
 the tracer's storage or the analyzer's reading of it changes what
 comes out, even where the JSONL stream does not.
+
+One full-size run is pinned the same way, stream and outputs:
+``autoscale_ramp`` at its registry seed, the traced run that
+``bench/run.py`` times as ``autoscale_traced``.  The quick pins never
+see its volume: 54,158 records, and three latency histograms that
+outgrow their 2,048-sample reservoirs and start replacing samples.
 """
 
 import hashlib
@@ -84,6 +90,22 @@ OUTPUT_GOLDEN = {
     },
 }
 
+#: scenario -> the full-size run's (sha256 of the JSONL stream, lines,
+#: events_processed) and the sha256 of each traced output
+FULL_GOLDEN = {
+    "autoscale_ramp": {
+        "trace": (
+            "07906ac8bb3c2b7698cb04f2fcb655197dfc0edf47662faec24ae31abfa53d58",
+            54_158,
+            15_701,
+        ),
+        "chrome": "d4fdf273191e79d92be1d11073948f90681d8412aaa4129ccfa6d9a18e49aace",
+        "obs": "3193b3200e78ecc13c237c2a5feea0ad859d5d9eee41075535e445598fb3c0c7",
+        "analysis": "06b9f72e576dd100f5ee67ed1331a296ea7e7e408666c124f14a6750d42562fd",
+        "capacity": "0fb8c2954d0ddb0874f1641ec38789e4a53c6d398eb222d97c47cb145af00651",
+    },
+}
+
 #: Every event class the model schedules; the trace records each by
 #: ``type(event).__name__``.
 KERNEL_KINDS = {
@@ -92,11 +114,11 @@ KERNEL_KINDS = {
 }
 
 
-def traced_run(name):
+def traced_run(name, quick=True):
     spec = get_scenario(name).replace(
         observability=ObservabilitySpec(enabled=True)
     )
-    return spec.run(quick=True)
+    return spec.run(quick=quick)
 
 
 def trace_digest(result):
@@ -154,6 +176,14 @@ def test_trace_matches_golden(traced, name):
 @pytest.mark.parametrize("name", sorted(OUTPUT_GOLDEN))
 def test_outputs_match_golden(traced, name):
     assert output_digests(traced[name]) == OUTPUT_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(FULL_GOLDEN))
+def test_full_size_run_matches_golden(name):
+    result = traced_run(name, quick=False)
+    assert {
+        "trace": trace_digest(result), **output_digests(result)
+    } == FULL_GOLDEN[name]
 
 
 def test_goldens_cover_every_kernel_class_and_reschedule(traced):

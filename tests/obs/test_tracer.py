@@ -96,6 +96,51 @@ class TestTracer:
         assert tracer.dropped == 2
         assert tracer.counts["kernel"] == 5  # counts are never capped
 
+    def test_sampling_once_per_instant_matches_once_per_record(self):
+        """The recorders offer the metrics registry a sample at the first
+        record of each instant only.  The series must be what a registry
+        offered a sample after every record keeps, with a counter bumped
+        between records of one instant and instants on both sides of
+        each interval boundary."""
+        import random
+        from types import SimpleNamespace
+
+        from repro.obs import MetricsRegistry
+
+        clock = SimpleNamespace(now=0.0)
+        tracer = Tracer(clock, sample_interval=1.0)
+        reference = MetricsRegistry(sample_interval=1.0)
+        hits = tracer.metrics.counter("hits")
+        ref_hits = reference.counter("hits")
+        records = (
+            lambda: tracer.emit("workload", "submit", tenant="t0"),
+            lambda: tracer.record(
+                "kernel", "pop", ("t", "prio", "depth"), clock.now, 1, 0
+            ),
+            lambda: tracer.span("task", task="a"),
+        )
+        rng = random.Random(3)
+        # Samples at 0.0, at 1.0 (exactly one interval on) and at 3.1,
+        # none at 0.999 or 3.05; none at 4.1 either, since in floats
+        # 4.1 - 3.1 falls short of 1.0.
+        instants = (
+            0.0, 0.3, 0.999, 1.0, 1.1, 1.9, 2.1, 2.1000001, 3.05, 3.1,
+            4.05, 4.1, 4.2, 7.5, 8.4, 8.5,
+        )
+        for now in instants:
+            clock.now = now
+            for _ in range(rng.randrange(1, 5)):
+                rng.choice(records)()
+                reference.maybe_sample(now)
+                if rng.random() < 0.5:
+                    hits.inc()
+                    ref_hits.inc()
+        assert tracer.metrics.series == reference.series
+        assert [t for t, _ in reference.series] == [
+            0.0, 1.0, 2.1, 3.1, 4.2, 7.5, 8.5,
+        ]
+        assert tracer.counts["kernel"] and tracer.counts["span"]
+
     def test_attach_tracer_caches_kernel_flag(self):
         env = Environment()
         tracer = Tracer(env, categories=("kernel",))

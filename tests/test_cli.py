@@ -722,6 +722,37 @@ class TestSweepCommand:
         assert rc == 2
         assert "dotted.path" in capsys.readouterr().err
 
+    def test_sweep_splits_axes_on_top_level_commas_only(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        strategy = '{"name":"hybrid","home_site":"east-us"}'
+        assert cli.parse_overrides([f"strategy={strategy}"], axes=True) == {
+            "strategy": ({"name": "hybrid", "home_site": "east-us"},)
+        }
+        assert cli.parse_overrides(
+            ['faults=[{"kind":"a"},{"kind":"b"}]'], axes=True
+        ) == {"faults": ([{"kind": "a"}, {"kind": "b"}],)}
+        assert cli.parse_overrides(
+            ["strategy.name=centralized,hybrid"], axes=True
+        ) == {"strategy.name": ("centralized", "hybrid")}
+        out_path = tmp_path / "sweep.json"
+        rc = main(
+            [
+                "sweep", "--scenario", "paper_synthetic", "--quick",
+                "--set", f"strategy={strategy}",
+                "--export", str(out_path),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "1 combinations" in out
+        assert "ERROR" not in out
+        (cell,) = json.loads(out_path.read_text())["cells"]
+        assert cell["error"] is None
+        assert cell["result"]["spec"]["strategy"]["home_site"] == "east-us"
+
     def test_sweep_unknown_scenario(self, capsys):
         rc = main(["sweep", "--scenario", "nope", "--set", "n_nodes=4"])
         assert rc == 2
