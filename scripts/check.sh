@@ -76,10 +76,13 @@
 #      scenario must render an observed-critical-path section and an
 #      SLO verdict line (docs/observability.md);
 #   9. an elasticity smoke: a quick autoscale_ramp run must emit at
-#      least one scale_up event under the elastic trace category, read
-#      through tracer.events_of("elastic") as capacity_timeline reads
-#      it, and repro.cli analyze on it must render the capacity-timeline
-#      section (docs/elasticity.md);
+#      least one scale_up event under the elastic trace category (read
+#      through tracer.events_of("elastic")), repro.cli analyze on it
+#      must render the capacity-timeline section the controller
+#      records (docs/elasticity.md), and analyze --artifact of the
+#      same run's run --export must print the same report from line 2
+#      on (the stored elastic block used to lack the priced cost and
+#      the timeline);
 #  10. a figures smoke: Fig. 8 at CI sizes through the sweep path in
 #      two worker processes (repro.cli figures --jobs) must render;
 #  11. lint over the source tree: unused imports and yielded
@@ -252,9 +255,9 @@ grep -qi "observed critical path" "$TMP/analyze.txt"
 grep -q "SLO verdict:" "$TMP/analyze.txt"
 
 # Elasticity smoke: the autoscaler must actually scale on the ramp
-# scenario (>= 1 scale_up trace event, read by category as
-# capacity_timeline reads it) and the analyze report must carry the
-# capacity timeline built from those events.
+# scenario (>= 1 scale_up trace event, read by category), the analyze
+# report must carry the capacity timeline the controller records, and
+# the stored run's report must equal the live one below its header.
 python - <<'PY'
 from repro.scenario import get_scenario
 
@@ -271,6 +274,13 @@ python -m repro.cli analyze --scenario autoscale_ramp --quick \
     > "$TMP/elastic.txt"
 grep -q "capacity timeline" "$TMP/elastic.txt"
 grep -q "elastic policy predictive" "$TMP/elastic.txt"
+python -m repro.cli run --scenario autoscale_ramp --quick \
+    --export "$TMP/ramp.json" > /dev/null
+python -m repro.cli analyze --artifact "$TMP/ramp.json" \
+    > "$TMP/elastic_stored.txt"
+tail -n +2 "$TMP/elastic.txt" > "$TMP/live_body.txt"
+tail -n +2 "$TMP/elastic_stored.txt" > "$TMP/stored_body.txt"
+diff "$TMP/live_body.txt" "$TMP/stored_body.txt"
 
 # Figures smoke: the paper's figures run as scenario sweeps; Fig. 8's
 # 16 quick cells in two workers must render the figure.

@@ -61,6 +61,7 @@ from repro.scenario import (
     get_scenario,
     run_sweep,
 )
+from repro.scenario.slo import render_slo
 from repro.scheduling import SCHEDULERS, SCHEDULER_NAMES
 from repro.util.checks import check_number
 from repro.workload import (
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "trace a scenario and report where the time went: observed "
             "critical path, attribution buckets, hottest site/link, "
-            "SLO verdicts (docs/observability.md)"
+            "autoscaler fleet, SLO verdicts (docs/observability.md)"
         ),
     )
     _add_spec_source(
@@ -255,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         artifact=(
             "render the report from a stored run artifact (must carry "
-            "an 'analysis' or 'slo' block) instead of running anything"
+            "an 'analysis', 'slo' or 'elastic' block) instead of running "
+            "anything"
         ),
     )
     analyzep.add_argument(
@@ -625,42 +627,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _render_slo_dict(slo: dict) -> str:
-    """The SLO verdict table from an artifact's (or fresh run's)
-    serialized ``slo`` block."""
-    head = f"SLO verdict: {slo.get('status', '?')}"
-    if slo.get("n_violated"):
-        head += (
-            f" ({slo['n_violated']} rule(s) violated, total debt "
-            f"{slo.get('total_debt', 0.0):.3g}"
-        )
-        first = slo.get("first_violation_at")
-        if first is not None:
-            head += f", first violation at t={first:.3g}s"
-        head += ")"
-    rows = []
-    for rule in slo.get("rules", []):
-        observed = rule.get("observed")
-        first = rule.get("first_violation_at")
-        rows.append(
-            [
-                rule.get("rule", "?"),
-                rule.get("status", "?"),
-                f"{observed:.4g}" if observed is not None else "--",
-                f"{rule.get('target', 0.0):.4g}",
-                f"{rule.get('debt', 0.0):.4g}",
-                f"{first:.4g}" if first is not None else "--",
-                rule.get("note", ""),
-            ]
-        )
-    if not rows:
-        return head
-    return head + "\n" + render_table(
-        ["rule", "status", "observed", "target", "debt", "first at", "note"],
-        rows,
-    )
-
-
 def _render_analysis(analysis: dict) -> str:
     """The bottleneck report from a serialized ``analysis`` block."""
     parts = []
@@ -803,37 +769,23 @@ def _render_analysis(analysis: dict) -> str:
     return "\n\n".join(parts)
 
 
-def _render_capacity_timeline(timeline: dict) -> str:
-    """The elastic fleet's placeable-VM step series, per site."""
-    rows = [
-        [site, f"{t:.2f}", vms]
-        for site in sorted(timeline)
-        for t, vms in timeline[site]
+def _render_report(title: str, doc: dict) -> str:
+    """The ``analyze`` report of one run artifact: a header line, then
+    each block the artifact carries, through that block's renderer."""
+    parts = [
+        f"{title} {doc.get('name', '?')!r} "
+        f"(surface {doc.get('surface', '?')}, makespan "
+        f"{doc.get('metrics', {}).get('makespan_s', 0.0):.3f}s)"
     ]
-    return render_table(
-        ["site", "t (s)", "placeable VMs"],
-        rows,
-        title="capacity timeline (elastic fleet, placeable VMs by site)",
-    )
+    if doc.get("analysis") is not None:
+        parts.append(_render_analysis(doc["analysis"]))
+    if doc.get("elastic") is not None:
+        from repro.elastic.report import render_elastic
 
-
-def _render_elastic_dict(el: dict) -> str:
-    """The elastic summary from an artifact's serialized block."""
-    head = (
-        f"elastic policy {el.get('policy', '?')}: "
-        f"{el.get('n_scale_ups', 0)} scale-up(s), "
-        f"{el.get('n_scale_downs', 0)} scale-down(s); fleet "
-        f"{el.get('fleet_initial', 0)} -> peak {el.get('fleet_peak', 0)} "
-        f"-> final {el.get('fleet_final', 0)}; "
-        f"{el.get('vm_seconds', 0.0):.1f} vm-seconds"
-    )
-    rows = [
-        [f"{a.get('t', 0.0):.2f}", a.get("site", "?"), a.get("delta", 0)]
-        for a in el.get("actions", [])
-    ]
-    if not rows:
-        return head
-    return head + "\n" + render_table(["t (s)", "site", "delta"], rows)
+        parts.append(render_elastic(doc["elastic"]))
+    slo = doc.get("slo")
+    parts.append(render_slo(slo) if slo is not None else "SLO: none declared")
+    return "\n\n".join(parts)
 
 
 def _artifact_report(path: str) -> str:
@@ -841,31 +793,21 @@ def _artifact_report(path: str) -> str:
     from repro.results import read_artifact
 
     doc = read_artifact(path)
-    analysis = doc.get("analysis")
-    slo = doc.get("slo")
-    if analysis is None and slo is None:
+    if all(doc.get(block) is None for block in ("analysis", "slo", "elastic")):
         raise ValueError(
-            f"{path} carries no 'analysis' or 'slo' block; re-run it "
-            "traced (repro.cli analyze --scenario NAME | --spec FILE) or "
-            "with an slo spec to get one"
+            f"{path} carries no 'analysis', 'slo' or 'elastic' block; "
+            "re-run it traced (repro.cli analyze --scenario NAME | --spec "
+            "FILE), with an slo spec or autoscaled to get one"
         )
-    parts = [
-        f"analysis of stored run {doc.get('name', '?')!r} "
-        f"(surface {doc.get('surface', '?')}, makespan "
-        f"{doc.get('metrics', {}).get('makespan_s', 0.0):.3f}s)"
-    ]
-    if analysis is not None:
-        parts.append(_render_analysis(analysis))
-    if doc.get("elastic") is not None:
-        parts.append(_render_elastic_dict(doc["elastic"]))
-    parts.append(
-        _render_slo_dict(slo) if slo is not None else "SLO: none declared"
-    )
-    return "\n\n".join(parts)
+    return _render_report("analysis of stored run", doc)
 
 
 def _run_report(args) -> str:
-    """Trace the spec ``args`` names and report where its time went."""
+    """Trace the spec ``args`` names and report where its time went:
+    the report of the run's artifact, as ``analyze --artifact`` prints
+    it."""
+    from repro.results import scenario_result_to_dict
+
     spec = load_spec(args)
     obs = dataclasses.replace(spec.observability, enabled=True)
     if obs.categories is not None and "span" not in obs.categories:
@@ -873,29 +815,7 @@ def _run_report(args) -> str:
         obs = dataclasses.replace(obs, categories=None)
     spec = spec.replace(observability=obs)
     result = spec.run(quick=args.quick)
-    parts = [
-        f"analyzed {spec.name!r} (surface {result.surface}, "
-        f"makespan {result.makespan:.3f}s)"
-    ]
-    if result.analysis is not None:
-        parts.append(_render_analysis(result.analysis.to_dict()))
-    if result.elastic is not None:
-        from repro.obs.analyze import capacity_timeline
-
-        parts.append(result.elastic.render())
-        timeline = (
-            capacity_timeline(result.tracer)
-            if result.tracer is not None
-            else {}
-        )
-        if timeline:
-            parts.append(_render_capacity_timeline(timeline))
-    parts.append(
-        _render_slo_dict(result.slo.to_dict())
-        if result.slo is not None
-        else "SLO: none declared"
-    )
-    return "\n\n".join(parts)
+    return _render_report("analyzed", scenario_result_to_dict(result))
 
 
 def _cmd_analyze(args) -> int:

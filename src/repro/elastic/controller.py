@@ -14,6 +14,10 @@ by the scenario runner when ``ElasticitySpec.enabled``.  Every
    (and then run degraded for ``warmup_s``); scale-downs remove the
    VMs from the placeable fleet immediately but let placed work finish.
 
+Every change to a site's placeable count (the baseline, a landing, a
+drain start) is appended to the report's capacity timeline, traced or
+not.
+
 A per-site cooldown (``cooldown_s``) rate-limits actuation on top of
 whatever hysteresis the policy applies.  The controller holds no RNG
 and samples only deterministic state, so identical spec + seed replay
@@ -154,14 +158,10 @@ class ElasticController:
         n = len(self.deployment.workers)
         self.report.fleet_initial = n
         self.report.fleet_peak = n
-        if self._trace:
-            for site in self.deployment.sites:
-                self._tracer.emit(
-                    "elastic",
-                    "fleet",
-                    site=site,
-                    vms=len(self.deployment.workers_at(site)),
-                )
+        for site in self.deployment.sites:
+            vms = self._record_capacity(site)
+            if self._trace:
+                self._tracer.emit("elastic", "fleet", site=site, vms=vms)
         self._env.process(self._loop(), name="elastic-controller")
 
     def _loop(self):
@@ -248,13 +248,10 @@ class ElasticController:
         fleet = len(self.deployment.workers)
         if fleet > self.report.fleet_peak:
             self.report.fleet_peak = fleet
+        vms = self._record_capacity(site)
         if self._trace:
             self._tracer.emit(
-                "elastic",
-                "vm_provisioned",
-                site=site,
-                delta=count,
-                vms=len(self.deployment.workers_at(site)),
+                "elastic", "vm_provisioned", site=site, delta=count, vms=vms
             )
 
     def _start_drain(self, site: str, count: int) -> None:
@@ -262,17 +259,23 @@ class ElasticController:
         drained = self.deployment.drain_vms(site, count)
         self.report.actions.append((now, site, -count))
         self._awaiting_retire.extend(drained)
+        vms = self._record_capacity(site)
         if self._trace:
             self._tracer.emit(
-                "elastic",
-                "scale_down",
-                site=site,
-                delta=-count,
-                vms=len(self.deployment.workers_at(site)),
+                "elastic", "scale_down", site=site, delta=-count, vms=vms
             )
         # An already-idle VM retires right away instead of waiting one
         # control interval for the next sweep.
         self._finalize_drains()
+
+    def _record_capacity(self, site: str) -> int:
+        """Append ``site``'s placeable count now to the capacity
+        timeline and return it."""
+        vms = len(self.deployment.workers_at(site))
+        self.report.capacity_timeline.setdefault(site, []).append(
+            (self._env.now, vms)
+        )
+        return vms
 
     def _finalize_drains(self) -> None:
         still_busy = []

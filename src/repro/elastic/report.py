@@ -7,6 +7,9 @@ priced per **site class** -- the datacenter's region tag -- through the
 spec's ``cost_rates`` multipliers (unlisted classes bill at 1.0
 vm-second per vm-second), so a Pareto scenario can make geo-distant
 capacity literally more expensive than local capacity.
+
+:func:`render_elastic` renders the serialized block, so a live run and
+a stored artifact print the same text.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-__all__ = ["ElasticReport"]
+__all__ = ["ElasticReport", "render_elastic"]
 
 
 @dataclass
@@ -40,6 +43,12 @@ class ElasticReport:
     stranded_tasks:
         Tasks still assigned to draining VMs at run end.  Always zero
         under the drain contract; reported so a violation is loud.
+    capacity_timeline:
+        Per-site placeable-VM step series, ``site -> [(t, vms), ...]``
+        in time order: the baseline at controller start, then every
+        provisioning landing and drain start (an order changes nothing
+        placeable yet, and a decommission only closes the ledger of a
+        VM that already left placement).
     """
 
     policy: str
@@ -50,6 +59,9 @@ class ElasticReport:
     fleet_peak: int = 0
     fleet_final: int = 0
     stranded_tasks: int = 0
+    capacity_timeline: Dict[str, List[Tuple[float, int]]] = field(
+        default_factory=dict
+    )
 
     @property
     def vm_seconds(self) -> float:
@@ -84,23 +96,46 @@ class ElasticReport:
             "fleet_peak": self.fleet_peak,
             "fleet_final": self.fleet_final,
             "stranded_tasks": self.stranded_tasks,
+            "capacity_timeline": {
+                site: [[t, vms] for t, vms in series]
+                for site, series in self.capacity_timeline.items()
+            },
         }
 
-    def render(self) -> str:
-        lines = [
-            f"elastic policy {self.policy}: "
-            f"{self.n_scale_ups} scale-up(s), "
-            f"{self.n_scale_downs} scale-down(s); fleet "
-            f"{self.fleet_initial} -> peak {self.fleet_peak} -> "
-            f"final {self.fleet_final}",
-            f"  capacity cost: {self.vm_seconds:.1f} vm-seconds"
-            + (
-                f" ({self.cost:.1f} priced)"
-                if self.cost_by_class
-                else ""
-            ),
+
+def render_elastic(block: Dict[str, object]) -> str:
+    """The elastic summary of a serialized ``elastic`` block: the fleet
+    and cost line, the action table and the capacity timeline (absent
+    from blocks written before the timeline was recorded)."""
+    from repro.experiments.reporting import render_table
+
+    text = (
+        f"elastic policy {block.get('policy', '?')}: "
+        f"{block.get('n_scale_ups', 0)} scale-up(s), "
+        f"{block.get('n_scale_downs', 0)} scale-down(s); fleet "
+        f"{block.get('fleet_initial', 0)} -> peak "
+        f"{block.get('fleet_peak', 0)} -> final "
+        f"{block.get('fleet_final', 0)}; "
+        f"{block.get('vm_seconds', 0.0):.1f} vm-seconds"
+    )
+    if block.get("cost_by_class"):
+        text += f" ({block.get('cost', 0.0):.1f} priced)"
+    rows = [
+        [f"{a.get('t', 0.0):.2f}", a.get("site", "?"), a.get("delta", 0)]
+        for a in block.get("actions") or []
+    ]
+    if rows:
+        text += "\n" + render_table(["t (s)", "site", "delta"], rows)
+    timeline = block.get("capacity_timeline") or {}
+    if timeline:
+        rows = [
+            [site, f"{t:.2f}", vms]
+            for site in sorted(timeline)
+            for t, vms in timeline[site]
         ]
-        for t, site, delta in self.actions:
-            verb = "add" if delta > 0 else "drain"
-            lines.append(f"  t={t:9.2f}s  {verb} {abs(delta)} @ {site}")
-        return "\n".join(lines)
+        text += "\n\n" + render_table(
+            ["site", "t (s)", "placeable VMs"],
+            rows,
+            title="capacity timeline (elastic fleet, placeable VMs by site)",
+        )
+    return text

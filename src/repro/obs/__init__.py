@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
-    P2Quantile,
     ReservoirHistogram,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "P2Quantile",
     "ReservoirHistogram",
 ]

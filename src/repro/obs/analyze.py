@@ -49,7 +49,6 @@ __all__ = [
     "UtilizationSummary",
     "WorkflowAnalysis",
     "analyze_tracer",
-    "capacity_timeline",
     "concurrency_profile",
 ]
 
@@ -576,26 +575,3 @@ def analyze_tracer(tracer) -> RunAnalysis:
         window=window,
         complete=tracer.dropped == 0,
     )
-
-
-def capacity_timeline(tracer) -> Dict[str, List[Tuple[float, int]]]:
-    """Per-site placeable-VM step series from ``elastic`` trace events.
-
-    Reads the elastic control plane's capacity transitions -- the
-    ``fleet`` baseline emitted at controller start plus every
-    ``vm_provisioned``/``scale_down`` event (the moments the *placeable*
-    count changes; draining VMs leave placement immediately, so
-    decommissions do not move this series) -- and returns
-    ``site -> [(t, vms), ...]`` sorted by time.  Empty when the run had
-    no elastic controller or the category was not recorded.
-    """
-    out: Dict[str, List[Tuple[float, int]]] = {}
-    for ts, _, _, args in tracer.events_of("elastic"):
-        if not args or "vms" not in args:
-            continue
-        out.setdefault(str(args.get("site", "")), []).append(
-            (ts, int(args["vms"]))
-        )
-    for series in out.values():
-        series.sort(key=lambda p: p[0])
-    return out

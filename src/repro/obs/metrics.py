@@ -1,18 +1,12 @@
 """Metrics registry: counters, gauges and memory-bounded histograms.
 
-Two streaming quantile sketches are provided, both O(1) memory in the
-stream length and both independent of every simulation RNG:
-
-- :class:`ReservoirHistogram` (the default): uniform reservoir sampling
-  with a private deterministic xorshift generator.  Quantiles are
-  *exact* while the stream fits in the reservoir (``n <= capacity``);
-  beyond that the q-th quantile carries a rank error of roughly
-  ``sqrt(q(1-q)/capacity)`` (about 1.1% of rank at the median for the
-  default capacity of 2048).
-- :class:`P2Quantile`: the Jain & Chlamtac P^2 estimator -- five
-  markers per tracked quantile, no sampling at all.  Useful when even a
-  reservoir is too much state; accuracy is good in practice but has no
-  distribution-free bound, so the reservoir is the default.
+Histograms are :class:`ReservoirHistogram` streaming quantile sketches:
+O(1) memory in the stream length, uniform reservoir sampling with a
+private deterministic xorshift generator (independent of every
+simulation RNG).  Quantiles are *exact* while the stream fits in the
+reservoir (``n <= capacity``); beyond that the q-th quantile carries a
+rank error of roughly ``sqrt(q(1-q)/capacity)`` (about 1.1% of rank at
+the median for the default capacity of 2048).
 
 Counter/gauge values are sampled into a time series at a configurable
 simulated-time interval.  Sampling is *event-driven*: it piggybacks on
@@ -28,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 __all__ = [
     "Counter",
     "Gauge",
-    "P2Quantile",
     "ReservoirHistogram",
     "MetricsRegistry",
 ]
@@ -70,91 +63,6 @@ class Gauge:
 
     def __repr__(self) -> str:
         return f"<Gauge {self.name}={self.value()}>"
-
-
-class P2Quantile:
-    """Jain & Chlamtac's P^2 single-quantile estimator (5 markers).
-
-    Tracks the ``p``-quantile (``0 < p < 1``) of a stream in O(1)
-    memory without storing samples.  Exact for the first five
-    observations, then piecewise-parabolic interpolation.
-    """
-
-    __slots__ = ("p", "_n", "_q", "_np", "_dn", "_count")
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {p}")
-        self.p = p
-        self._count = 0
-        self._q: List[float] = []           # marker heights
-        self._n = [0, 1, 2, 3, 4]           # marker positions
-        self._np = [0.0, 2 * p, 4 * p, 2 + 2 * p, 4.0]  # desired positions
-        self._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]
-
-    def add(self, x: float) -> None:
-        self._count += 1
-        q = self._q
-        if len(q) < 5:
-            q.append(x)
-            if len(q) == 5:
-                q.sort()
-            return
-        # find the cell k containing x, clamping the extremes
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        n = self._n
-        for i in range(k + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            self._np[i] += self._dn[i]
-        # adjust interior markers toward their desired positions
-        for i in (1, 2, 3):
-            d = self._np[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (d <= -1 and n[i - 1] - n[i] < -1):
-                d = 1 if d > 0 else -1
-                qp = self._parabolic(i, d)
-                if q[i - 1] < qp < q[i + 1]:
-                    q[i] = qp
-                else:  # parabolic estimate left the bracket: fall back to linear
-                    q[i] += d * (q[i + d] - q[i]) / (n[i + d] - n[i])
-                n[i] += d
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def value(self) -> float:
-        """Current estimate (exact while fewer than five samples).
-
-        **Sentinel:** an estimator that has seen no observations
-        returns ``0.0`` rather than raising -- consumers polling
-        quantiles mid-run must not die on a quiet stream (check
-        ``len(p2)`` to distinguish "no data" from a true zero).
-        """
-        if self._count == 0:
-            return 0.0
-        if len(self._q) < 5:
-            vs = sorted(self._q)
-            rank = self.p * (len(vs) - 1)
-            lo = int(math.floor(rank))
-            hi = min(lo + 1, len(vs) - 1)
-            return vs[lo] + (rank - lo) * (vs[hi] - vs[lo])
-        return self._q[2]
-
-    def __len__(self) -> int:
-        return self._count
 
 
 def _percentile(vs: List[float], q: float) -> float:

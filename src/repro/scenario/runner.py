@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.cloud.deployment import Deployment
 from repro.metadata.controller import ArchitectureController
 from repro.obs import Tracer
-from repro.scenario.slo import SLOReport, evaluate_slo
+from repro.scenario.slo import SLOReport, evaluate_slo, render_slo
 from repro.scenario.spec import ScenarioSpec, SchedulerSpec
 from repro.sim import Environment
 from repro.util.units import MB
@@ -96,7 +96,9 @@ class ScenarioResult:
         return self.result.makespan
 
     def render(self) -> str:
-        """The human-readable report (same tables as the CLI)."""
+        """The human-readable report (same tables as the CLI; the SLO
+        and elastic blocks print exactly as ``repro.cli analyze``
+        prints them)."""
         from repro.experiments.charts import bar_chart
         from repro.experiments.reporting import render_table
 
@@ -152,9 +154,11 @@ class ScenarioResult:
             )
             text += "\n".join(lines)
         if self.slo is not None:
-            text += "\n\n" + self.slo.render()
+            text += "\n\n" + render_slo(self.slo.to_dict())
         if self.elastic is not None:
-            text += "\n\n" + self.elastic.render()
+            from repro.elastic.report import render_elastic
+
+            text += "\n\n" + render_elastic(self.elastic.to_dict())
         return text
 
     def __repr__(self) -> str:

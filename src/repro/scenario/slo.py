@@ -6,9 +6,10 @@ objectives for a run; :func:`evaluate_slo` checks them against a
 finished :class:`~repro.scenario.runner.ScenarioResult` and returns a
 :class:`SLOReport` of per-rule verdicts (``met``/``violated``/
 ``skipped``, debt magnitude, first-violation simulated time).  The
-report rides on ``ScenarioResult.slo``, persists into
-``repro.results`` artifacts, and is rendered by ``repro.cli analyze``
-/ ``diff`` and the sweep SLO ranking.
+report rides on ``ScenarioResult.slo`` and persists into
+``repro.results`` artifacts; :func:`render_slo` renders its serialized
+block for ``run`` and ``repro.cli analyze``, and ``diff`` and the sweep
+SLO ranking show per-rule labels.
 
 Like :class:`~repro.scenario.spec.ObservabilitySpec`, the SLO block is
 a **lens, not an experiment input**: evaluation happens strictly after
@@ -40,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.util.checks import check_number
 
-__all__ = ["SLORule", "SLOReport", "SLOSpec", "evaluate_slo"]
+__all__ = ["SLORule", "SLOReport", "SLOSpec", "evaluate_slo", "render_slo"]
 
 
 @dataclass(frozen=True)
@@ -179,31 +180,43 @@ class SLOReport:
             "rules": [r.to_dict() for r in self.rules],
         }
 
-    def render(self) -> str:
-        lines = [f"SLO verdict: {self.status}"]
-        if self.n_violated:
-            first = self.first_violation_at
-            lines[0] += (
-                f" ({self.n_violated} rule(s), total debt "
-                f"{self.total_debt:.3g}"
-                + (f", first violation at t={first:.3g}s" if first is not None else "")
-                + ")"
-            )
-        for r in self.rules:
-            observed = "-" if r.observed is None else f"{r.observed:.4g}"
-            line = (
-                f"  {r.status:>8}  {r.rule}: observed {observed} vs "
-                f"target {r.target:.4g}"
-            )
-            if r.status == "violated":
-                line += f" (debt {r.debt:.4g}"
-                if r.first_violation_at is not None:
-                    line += f", first at t={r.first_violation_at:.4g}s"
-                line += ")"
-            if r.note:
-                line += f"  [{r.note}]"
-            lines.append(line)
-        return "\n".join(lines)
+
+def render_slo(block: Dict[str, object]) -> str:
+    """The SLO verdict line and rule table of a serialized ``slo``
+    block (:meth:`SLOReport.to_dict`)."""
+    from repro.experiments.reporting import render_table
+
+    head = f"SLO verdict: {block.get('status', '?')}"
+    if block.get("n_violated"):
+        head += (
+            f" ({block['n_violated']} rule(s) violated, total debt "
+            f"{block.get('total_debt', 0.0):.3g}"
+        )
+        first = block.get("first_violation_at")
+        if first is not None:
+            head += f", first violation at t={first:.3g}s"
+        head += ")"
+    rows = []
+    for rule in block.get("rules", []):
+        observed = rule.get("observed")
+        first = rule.get("first_violation_at")
+        rows.append(
+            [
+                rule.get("rule", "?"),
+                rule.get("status", "?"),
+                f"{observed:.4g}" if observed is not None else "--",
+                f"{rule.get('target', 0.0):.4g}",
+                f"{rule.get('debt', 0.0):.4g}",
+                f"{first:.4g}" if first is not None else "--",
+                rule.get("note", ""),
+            ]
+        )
+    if not rows:
+        return head
+    return head + "\n" + render_table(
+        ["rule", "status", "observed", "target", "debt", "first at", "note"],
+        rows,
+    )
 
 
 def _histogram_quantile(tracer, name: str, q: float):

@@ -1,5 +1,7 @@
 """ElasticController integration: lag, drain/retire, signals, determinism."""
 
+import dataclasses
+
 import pytest
 
 from repro.cloud.deployment import Deployment
@@ -167,6 +169,86 @@ class TestTracing:
         }
         assert by_name["scale_up"]["lag_s"] == 3.0
         assert by_name["vm_provisioned"]["vms"] == 2
+
+
+class TestCapacityTimeline:
+    """The controller records each site's placeable count where it
+    changes, traced or not."""
+
+    def test_baseline_per_site(self, small):
+        dep, cluster = small
+        ctl = _controller(dep, cluster, THRESHOLD)
+        assert ctl.report.capacity_timeline == {
+            site: [(0.0, 1)] for site in dep.sites
+        }
+
+    def test_steps_when_provisioning_lands_not_at_the_order(self, small):
+        dep, cluster = small
+        vm = dep.workers_at("east-us")[0]
+        cluster.vm_load[vm.name] = 5
+        ctl = _controller(dep, cluster, THRESHOLD)
+        dep.env.run(until=1.5)  # ordered at t=1
+        assert ctl.report.capacity_timeline["east-us"] == [(0.0, 1)]
+        dep.env.run(until=4.5)  # landed at t=1+3
+        assert ctl.report.capacity_timeline["east-us"] == [
+            (0.0, 1), (4.0, 2),
+        ]
+
+    def test_steps_at_drain_start_not_at_decommission(self, small):
+        dep, cluster = small
+        extra = dep.add_vms("east-us", 4)[-1]
+        for site in ("west-europe", "north-europe", "south-central-us"):
+            for vm in dep.workers_at(site):
+                cluster.vm_load[vm.name] = 1
+        cluster.vm_load[extra.name] = 1  # the drained VM is busy
+        # A cooldown keeps east-us from draining again at t=2.
+        spec = dataclasses.replace(THRESHOLD, cooldown_s=10.0)
+        ctl = _controller(dep, cluster, spec)
+        dep.env.run(until=1.5)  # drain starts at t=1
+        assert ctl.report.capacity_timeline["east-us"] == [
+            (0.0, 5), (1.0, 4),
+        ]
+        cluster.vm_load[extra.name] = 0
+        dep.env.run(until=2.5)  # decommissioned at t=2
+        assert extra not in dep.draining
+        assert ctl.report.capacity_timeline["east-us"] == [
+            (0.0, 5), (1.0, 4),
+        ]
+
+    def test_timeline_is_the_series_the_trace_carries(self, small):
+        dep, cluster = small
+        vm = dep.workers_at("east-us")[0]
+        cluster.vm_load[vm.name] = 5
+        tracer = Tracer(dep.env, categories=("elastic",))
+        ctl = _controller(dep, cluster, THRESHOLD, tracer=tracer)
+        dep.env.run(until=4.5)
+        traced = {}
+        for ts, _, _, args in tracer.events_of("elastic"):
+            if "vms" in args:
+                traced.setdefault(args["site"], []).append((ts, args["vms"]))
+        assert ctl.report.capacity_timeline == traced
+
+    def test_untraced_quick_ramp_series_are_time_ordered_from_one_vm(
+        self,
+    ):
+        res = get_scenario("autoscale_ramp").replace(
+            **{"observability.enabled": False}
+        ).run(quick=True)
+        assert res.tracer is None
+        report = res.elastic
+        timeline = report.capacity_timeline
+        assert set(timeline) == {
+            "east-us", "west-europe", "north-europe", "south-central-us",
+        }
+        for series in timeline.values():
+            assert series == sorted(series, key=lambda p: p[0])
+            assert series[0] == (0.0, 1)  # 4 nodes over 4 sites
+        assert sum(s[-1][1] for s in timeline.values()) == report.fleet_final
+        # The artifact block carries the timeline as lists.
+        assert report.to_dict()["capacity_timeline"] == {
+            site: [list(p) for p in series]
+            for site, series in timeline.items()
+        }
 
 
 class TestSignals:

@@ -325,53 +325,3 @@ class TestIntegration:
         assert sum(doc["analysis"]["buckets"].values()) == pytest.approx(
             doc["metrics"]["makespan_s"], rel=1e-6
         )
-
-
-class TestCapacityTimeline:
-    def test_builds_per_site_placeable_steps(self):
-        from repro.obs.analyze import capacity_timeline
-
-        tracer = FakeTracer(events=[
-            (0.0, "elastic", "fleet", {"site": "a", "vms": 1}),
-            (0.0, "elastic", "fleet", {"site": "b", "vms": 1}),
-            # Orders carry no 'vms' (nothing placeable changed yet).
-            (5.0, "elastic", "scale_up", {"site": "a", "delta": 2,
-                                          "lag_s": 3.0}),
-            (8.0, "elastic", "vm_provisioned", {"site": "a", "delta": 2,
-                                                "vms": 3}),
-            (20.0, "elastic", "scale_down", {"site": "a", "delta": -1,
-                                             "vms": 2}),
-            # Retirement closes the ledger, not the placeable count.
-            (25.0, "elastic", "vm_decommissioned", {"site": "a",
-                                                    "vm": "worker-4"}),
-            # Other categories never leak in.
-            (9.0, "workload", "submit", {"vms": 99, "site": "a"}),
-        ])
-        timeline = capacity_timeline(tracer)
-        assert timeline == {
-            "a": [(0.0, 1), (8.0, 3), (20.0, 2)],
-            "b": [(0.0, 1)],
-        }
-
-    def test_empty_tracer_yields_empty_timeline(self):
-        from repro.obs.analyze import capacity_timeline
-
-        assert capacity_timeline(FakeTracer()) == {}
-
-    def test_live_elastic_run_timeline_matches_fleet_report(self):
-        from repro.obs.analyze import capacity_timeline
-
-        res = get_scenario("autoscale_ramp").run(quick=True)
-        timeline = capacity_timeline(res.tracer)
-        assert set(timeline)  # at least one site stepped
-        # Per-site series are time-ordered and start at the baseline.
-        for series in timeline.values():
-            assert series == sorted(series)
-            assert series[0][1] == 1  # 4 nodes over 4 sites
-        # The max of summed site capacity at provision steps equals
-        # the report's fleet peak.
-        peaks = {
-            site: max(v for _, v in series)
-            for site, series in timeline.items()
-        }
-        assert sum(peaks.values()) >= res.elastic.fleet_peak

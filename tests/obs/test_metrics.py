@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, P2Quantile, ReservoirHistogram
+from repro.obs import MetricsRegistry, ReservoirHistogram
 
 
 class TestCounterGauge:
@@ -99,35 +99,6 @@ class TestReservoirHistogram:
         assert doc["p50"] == 2.0
 
 
-class TestP2Quantile:
-    def test_exact_under_five_samples(self):
-        p = P2Quantile(0.5)
-        for v in (5.0, 1.0, 3.0):
-            p.add(v)
-        assert p.value() == 3.0
-        assert len(p) == 3
-
-    def test_close_to_numpy_on_long_stream(self):
-        p50, p90 = P2Quantile(0.5), P2Quantile(0.9)
-        values = [((i * 7919) % 10_000) / 100.0 for i in range(10_000)]
-        for v in values:
-            p50.add(v)
-            p90.add(v)
-        assert p50.value() == pytest.approx(
-            float(np.percentile(values, 50)), rel=0.05
-        )
-        assert p90.value() == pytest.approx(
-            float(np.percentile(values, 90)), rel=0.05
-        )
-
-    def test_validation_and_empty(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-        assert P2Quantile(0.5).value() == 0.0
-
-
 class TestMetricsRegistry:
     def test_interval_gated_sampling(self):
         reg = MetricsRegistry(sample_interval=1.0)
@@ -193,9 +164,6 @@ class TestDegenerateInputSentinels:
         # The sentinel covers emptiness, not malformed queries.
         with pytest.raises(ValueError):
             ReservoirHistogram("empty").quantile(101)
-
-    def test_empty_p2_value_is_zero(self):
-        assert P2Quantile(0.9).value() == 0.0
 
     def test_series_stats_empty_sentinel(self):
         reg = MetricsRegistry()

@@ -18,10 +18,11 @@ trees, do not re-pin casually.
 
 Three more quick traced runs pin what is built from a trace: the
 Chrome trace document, the ``obs`` export (counts, the metric series
-and the sketches), the post-run analysis and the elastic capacity
-timeline, each by the sha256 of its key-sorted JSON.  These move when
-the tracer's storage or the analyzer's reading of it changes what
-comes out, even where the JSONL stream does not.
+and the sketches) and the post-run analysis, each by the sha256 of its
+key-sorted JSON, and beside them the capacity timeline the autoscaler
+records.  These move when the tracer's storage or the analyzer's
+reading of it changes what comes out, even where the JSONL stream does
+not.
 
 One full-size run is pinned the same way, stream and outputs:
 ``autoscale_ramp`` at its registry seed, the traced run that
@@ -40,7 +41,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs import TRACE_CATEGORIES
-from repro.obs.analyze import capacity_timeline
 from repro.obs.export import chrome_trace_doc, events_jsonl
 from repro.scenario import ObservabilitySpec, get_scenario
 
@@ -133,13 +133,17 @@ def trace_digest(result):
 
 
 def output_digests(result):
-    """sha256 of the key-sorted JSON of each output built from a trace
-    (the capacity timeline is empty for a run without an autoscaler)."""
+    """sha256 of the key-sorted JSON of each output of a traced run (the
+    autoscaler's capacity timeline is empty for a run without one)."""
     docs = {
         "chrome": chrome_trace_doc(result.tracer),
         "obs": result.obs,
         "analysis": result.analysis.to_dict(),
-        "capacity": capacity_timeline(result.tracer),
+        "capacity": (
+            result.elastic.to_dict()["capacity_timeline"]
+            if result.elastic is not None
+            else {}
+        ),
     }
     return {
         key: hashlib.sha256(

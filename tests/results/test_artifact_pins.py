@@ -22,8 +22,8 @@ from repro.scenario import SCENARIOS, get_scenario, run_sweep
 
 #: registry scenario -> sha256 of its quick run's artifact
 ARTIFACT_GOLDEN = {
-    "autoscale_pareto": "6bd490c4aec9abcc67b71ac6a786c5701be8f5faa54fea22500efbf0163dc024",
-    "autoscale_ramp": "4c9e667d4555b9318f46222f688abdbb79ef1ac511d8557b679a8f3a8199bb88",
+    "autoscale_pareto": "1a7ae21e0b444b00371fa74773f827c4f06c008d128c661f5dd3f85809051a42",
+    "autoscale_ramp": "427a919bc74516d651d7615e294fc2db8f153dbae5439d05fcdfb1e20dc7d24e",
     "fair_capped": "745a38f10aad5a48b3c45a84654a0691459eb7c8eb0c8137c032e3851f7255aa",
     "fanout_bandwidth_aware": "42f38ed16a8138d340add71bdcc1e2053ad9efa0b28dd95f2f48f260d2905a2a",
     "multi_tenant_8": "8819c7582bc9c9c29b8723534ba38f0c6ebcf376b21d648fc27c92a765ffd936",

@@ -7,6 +7,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.scenario import SCENARIOS
 
 
 class TestParser:
@@ -1273,7 +1274,46 @@ class TestAnalyzeCommand:
         )
         rc = main(["analyze", "--artifact", str(artifact)])
         assert rc == 2
-        assert "no 'analysis' or 'slo'" in capsys.readouterr().err
+        assert "no 'analysis', 'slo' or 'elastic' block" in (
+            capsys.readouterr().err
+        )
+
+    def test_analyze_artifact_of_untraced_autoscaled_run(
+        self, capsys, tmp_path
+    ):
+        """The elastic block alone is a report: an untraced autoscaled
+        run's artifact renders its fleet and capacity timeline."""
+        path = tmp_path / "ramp.json"
+        assert main(
+            ["run", "--scenario", "autoscale_ramp", "--quick",
+             "--set", "observability.enabled=false", "--export", str(path)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--artifact", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "elastic policy predictive" in out
+        assert "capacity timeline" in out
+        assert "observed critical path" not in out
+
+    def test_analyze_artifact_from_before_the_timeline(
+        self, capsys, tmp_path
+    ):
+        """An elastic block stored without a capacity timeline still
+        renders, without the timeline table."""
+        import json
+
+        path = tmp_path / "ramp.json"
+        _printed(
+            capsys,
+            ["run", "--scenario", "autoscale_ramp", "--quick",
+             "--export", str(path)],
+        )
+        doc = json.loads(path.read_text())
+        del doc["elastic"]["capacity_timeline"]
+        path.write_text(json.dumps(doc))
+        out = _printed(capsys, ["analyze", "--artifact", str(path)])
+        assert "571.0 priced" in out
+        assert "capacity timeline" not in out
 
     def test_analyze_artifact_is_exclusive_with_scenario(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -1295,6 +1335,60 @@ class TestAnalyzeCommand:
         rc = main(["analyze", "--artifact", str(tmp_path / "x.json")] + flags)
         assert rc == 2
         assert "do not apply to --artifact" in capsys.readouterr().err
+
+
+def _printed(capsys, argv):
+    assert main(argv) == 0, argv
+    return capsys.readouterr().out
+
+
+class TestOneReport:
+    """``run``, ``analyze`` and ``analyze --artifact`` print each report
+    block through its one renderer."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_live_report_is_the_stored_report(self, name, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        live = _printed(capsys, ["analyze", "--scenario", name, "--quick"])
+        _printed(
+            capsys,
+            ["run", "--scenario", name, "--quick",
+             "--set", "observability.enabled=true", "--export", str(path)],
+        )
+        stored = _printed(capsys, ["analyze", "--artifact", str(path)])
+        assert live.splitlines()[1:] == stored.splitlines()[1:]
+
+    def test_run_prints_the_slo_block_analyze_prints(self, capsys):
+        argv = ["--scenario", "multi_tenant_slo", "--quick"]
+        report = _printed(capsys, ["analyze"] + argv)
+        block = report[report.index("SLO verdict:"):].rstrip("\n")
+        assert "tenant_deadline:tenant-00" in block
+        assert block in _printed(capsys, ["run"] + argv)
+
+    def test_run_prints_the_elastic_block_analyze_prints(self, capsys):
+        argv = ["--scenario", "autoscale_ramp", "--quick"]
+        report = _printed(capsys, ["analyze"] + argv)
+        block = report[
+            report.index("elastic policy"):report.index("\n\nSLO")
+        ]
+        assert "priced" in block and "capacity timeline" in block
+        assert block in _printed(capsys, ["run"] + argv)
+
+    def test_capacity_timeline_does_not_depend_on_the_trace(self, capsys):
+        def timeline(*overrides):
+            argv = ["analyze", "--scenario", "autoscale_ramp", "--quick"]
+            for item in overrides:
+                argv += ["--set", item]
+            report = _printed(capsys, argv)
+            start = report.index("capacity timeline")
+            return report[start:report.index("\n\n", start)]
+
+        full = timeline()
+        assert len(full.splitlines()) == 3 + 20  # title, header, rule
+        assert timeline("observability.max_events=2000") == full
+        assert timeline('observability.categories=["span","workload"]') == (
+            full
+        )
 
 
 class TestTracedRun:
